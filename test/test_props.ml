@@ -172,10 +172,164 @@ let prop_hash_join =
 let small_grid_gen =
   Gen.pair (Gen.int_range 1 30) (Gen.int_range 1 8)
 
+(* A random CSV scan case: mixed column types, some malformed cells, a
+   random [needed] list (any order), a random [tracked] set and a policy. *)
+let scan_case_gen =
+  let open Gen in
+  let* n = int_range 1 30 in
+  let* m = int_range 1 8 in
+  let* dtypes =
+    list_repeat m (oneofl [ Dtype.Int; Dtype.Float; Dtype.Bool; Dtype.String ])
+  in
+  let* bad = list_repeat n (list_repeat m (frequencyl [ (9, false); (1, true) ])) in
+  let* needed = shuffle_l (List.init m Fun.id) in
+  let* k_needed = int_range 0 m in
+  let* tracked = list_repeat m bool in
+  let+ policy =
+    oneofl Raw_storage.Scan_errors.[ Fail_fast; Skip_row; Null_fill ]
+  in
+  let tracked = List.filteri (fun c _ -> List.nth tracked c) (List.init m Fun.id) in
+  (n, m, dtypes, bad, List.filteri (fun i _ -> i < k_needed) needed, tracked, policy)
+
+let cell_text (dt : Dtype.t) r c bad =
+  if bad then "x"
+  else
+    match dt with
+    | Int -> string_of_int ((r * 31) + (c * 7))
+    | Float -> Printf.sprintf "%d.25" (r + c)
+    | Bool -> if (r + c) mod 2 = 0 then "true" else "false"
+    | String -> Printf.sprintf "s%d_%d" r c
+
+(* What a correct reader decodes from a cell; [None] = malformed. *)
+let cell_value (dt : Dtype.t) r c bad : Value.t option =
+  match dt with
+  | String -> Some (Value.String (cell_text dt r c bad))
+  | _ when bad -> None
+  | Int -> Some (Value.Int ((r * 31) + (c * 7)))
+  | Float -> Some (Value.Float (float_of_int (r + c) +. 0.25))
+  | Bool -> Some (Value.Bool ((r + c) mod 2 = 0))
+
+let posmap_equal a b =
+  let module P = Raw_formats.Posmap in
+  P.tracked a = P.tracked b
+  && P.n_rows a = P.n_rows b
+  && Array.for_all
+       (fun c -> P.positions a c = P.positions b c && P.lengths a c = P.lengths b c)
+       (P.tracked a)
+
+(* Scan equivalence over random shapes: mixed types, random needed and
+   tracked sets, malformed cells and every error policy. Both modes must
+   match the naive reader and each other in columns, positional maps, error
+   records and the tokenize/convert work counters. *)
+let mixed_scan_modes_agree (n, m, dtypes, bad, needed, tracked, policy) =
+  let module M = Raw_obs.Metrics in
+  let module E = Raw_storage.Scan_errors in
+  let dt = Array.of_list dtypes in
+  let bad = Array.of_list (List.map Array.of_list bad) in
+  let path = fresh_path ".csv" in
+  Raw_formats.Csv.write_file ~path ~header:None
+    ~rows:
+      (List.to_seq
+         (List.init n (fun r ->
+              List.init m (fun c -> cell_text dt.(c) r c bad.(r).(c)))))
+    ();
+  let file = Raw_storage.Mmap_file.open_file path in
+  let schema =
+    Schema.of_pairs (List.mapi (fun c d -> (Printf.sprintf "col%d" c, d)) dtypes)
+  in
+  let run mode =
+    E.reset ();
+    let t0 = M.count M.csv_fields_tokenized in
+    let c0 = M.count M.csv_values_converted in
+    let out =
+      match
+        Raw_core.Scan_csv.seq_scan ~mode ~policy ~file ~sep:',' ~schema
+          ~needed ~tracked ()
+      with
+      | r -> Ok r
+      | exception E.Error e -> Error e
+    in
+    ( out,
+      M.count M.csv_fields_tokenized - t0,
+      M.count M.csv_values_converted - c0,
+      E.snapshot () )
+  in
+  let interp = run Raw_core.Scan_csv.Interpreted in
+  let jit = run Raw_core.Scan_csv.Jit in
+  let row_ok r =
+    Array.for_all Fun.id
+      (Array.init m (fun c -> cell_value dt.(c) r c bad.(r).(c) <> None))
+  in
+  let kept =
+    List.filter
+      (fun r -> policy <> E.Skip_row || row_ok r)
+      (List.init n Fun.id)
+  in
+  let naive_fails =
+    policy = E.Fail_fast
+    && List.exists
+         (fun r ->
+           List.exists (fun c -> cell_value dt.(c) r c bad.(r).(c) = None) needed)
+         kept
+  in
+  let naive =
+    List.map
+      (fun c ->
+        Column.of_values dt.(c)
+          (List.map
+             (fun r ->
+               Option.value ~default:Value.Null (cell_value dt.(c) r c bad.(r).(c)))
+             kept))
+      needed
+  in
+  (* the work model: every row tokenizes fields [0, last] and converts the
+     needed ones; a row Skip_row drops stops at its first bad field *)
+  let last =
+    List.fold_left max (-1)
+      (tracked @ if policy = E.Skip_row then List.init m Fun.id else needed)
+  in
+  let want_tok, want_conv =
+    List.fold_left
+      (fun (t, v) r ->
+        match
+          List.find_opt
+            (fun c -> cell_value dt.(c) r c bad.(r).(c) = None)
+            (List.init m Fun.id)
+        with
+        | Some c when policy = E.Skip_row ->
+          (t + c + 1, v + List.length (List.filter (fun k -> k < c) needed))
+        | _ -> (t + last + 1, v + List.length needed))
+      (0, 0) (List.init n Fun.id)
+  in
+  let agrees (out, tok, conv, _) =
+    match out with
+    | Error _ -> naive_fails
+    | Ok (cols, pm) ->
+      (not naive_fails)
+      && tok = want_tok
+      && conv = want_conv
+      && List.for_all2 Column.equal naive (Array.to_list cols)
+      && Option.is_some pm = (tracked <> [])
+      && Option.fold ~none:true
+           ~some:(fun pm -> Raw_formats.Posmap.n_rows pm = List.length kept)
+           pm
+  in
+  let same (o1, t1, c1, e1) (o2, t2, c2, e2) =
+    t1 = t2 && c1 = c2 && e1 = e2
+    &&
+    match o1, o2 with
+    | Error a, Error b -> a = b
+    | Ok (a, pa), Ok (b, pb) ->
+      Array.for_all2 Column.equal a b
+      && Option.equal posmap_equal pa pb
+    | _ -> false
+  in
+  agrees interp && agrees jit && same interp jit
+
 let prop_scan_modes_agree =
-  qtest "interpreted and JIT CSV scans agree with a naive reader" ~count:40
-    small_grid_gen
-    (fun (n, m) ->
+  qtest "interpreted and JIT CSV scans agree with a naive reader" ~count:200
+    (Gen.pair small_grid_gen scan_case_gen)
+    (fun ((n, m), case) ->
       let rows = List.init n (fun r -> List.init m (fun c -> (r * 31) + (c * 7))) in
       let path = write_csv_rows rows in
       let file = Raw_storage.Mmap_file.open_file path in
@@ -196,11 +350,13 @@ let prop_scan_modes_agree =
       List.for_all2
         (fun c k -> Column.equal c interp.(k) && Column.equal c jit.(k))
         naive
-        (List.init (List.length needed) Fun.id))
+        (List.init (List.length needed) Fun.id)
+      && mixed_scan_modes_agree case)
 
 let prop_fetch_matches_scan =
-  qtest "posmap fetch agrees with full scan" ~count:40 small_grid_gen
-    (fun (n, m) ->
+  qtest "posmap fetch agrees with full scan" ~count:40
+    (Gen.pair small_grid_gen (Gen.pair (Gen.list_size (Gen.int_range 1 8) Gen.bool) Gen.bool))
+    (fun ((n, m), (pick, shuffle)) ->
       let rows = List.init n (fun r -> List.init m (fun c -> (r * 13) + c)) in
       let path = write_csv_rows rows in
       let file = Raw_storage.Mmap_file.open_file path in
@@ -213,6 +369,14 @@ let prop_fetch_matches_scan =
       in
       let pm = Option.get pm in
       let rowids = Array.of_list (List.filteri (fun i _ -> i mod 2 = 1) (List.init n Fun.id)) in
+      (* multi-column fetches with gaps: a picked subset of the columns, and
+         the row ids optionally in descending order *)
+      let picked =
+        List.filteri (fun c _ -> c < List.length pick && List.nth pick c) all
+      in
+      let rowids_alt =
+        if shuffle then Array.of_list (List.rev (Array.to_list rowids)) else rowids
+      in
       if Array.length rowids = 0 then true
       else
         List.for_all
@@ -222,7 +386,19 @@ let prop_fetch_matches_scan =
               Raw_core.Scan_csv.fetch ~mode ~file ~sep:',' ~schema ~posmap:pm
                 ~cols ~rowids ()
             in
-            Column.equal (Column.gather full.(m - 1) rowids) fetched.(0))
+            Column.equal (Column.gather full.(m - 1) rowids) fetched.(0)
+            && (picked = []
+               || List.for_all
+                    (fun policy ->
+                      let fetched =
+                        Raw_core.Scan_csv.fetch ~mode ~policy ~file ~sep:','
+                          ~schema ~posmap:pm ~cols:picked ~rowids:rowids_alt ()
+                      in
+                      List.for_all2
+                        (fun c got ->
+                          Column.equal (Column.gather full.(c) rowids_alt) got)
+                        picked (Array.to_list fetched))
+                    Raw_storage.Scan_errors.[ Fail_fast; Null_fill ]))
           [ Raw_core.Scan_csv.Interpreted; Raw_core.Scan_csv.Jit ])
 
 (* ---------------- FWB roundtrip ---------------- *)
