@@ -15,7 +15,8 @@
      bound honestly; racing both sides through the same wall-clock
      window makes every load spike hit both equally, and the throughput
      ratio self-normalizes. The best per-duel ratio over [duels] rounds
-     must stay above [gate_fraction], with one re-measure retry.
+     must stay above [gate_fraction], with one re-measure retry ({!duel},
+     shared with e27 and e28).
    - chaos=off: one solo pass of the armor-knob server, recorded as the
      baseline throughput/p99 (solo, so the number is comparable to
      chaos=on and to e24's figures, not deflated by duel contention).
@@ -251,15 +252,107 @@ let percentile sorted p =
 
 type pass_result = { qps : float; p99_ms : float; wall : float }
 
-let result_of ~phase (wall, latencies) =
+let result_of ~label ~phase (wall, latencies) =
   let nq = sessions * queries_per_client in
   let qps = float_of_int nq /. wall in
   Array.sort compare latencies;
   let p99_ms = 1000. *. percentile latencies 0.99 in
-  Printf.printf
-    "  chaos=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!" phase
-    nq wall qps p99_ms;
+  Printf.printf "  %s=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!"
+    label phase nq wall qps p99_ms;
   { qps; p99_ms; wall }
+
+(* The oracle-checked 32-session workload of e26/e27/e28: returns the
+   client runner (socket path -> wall time, latencies) and the count of
+   wrong or failed responses it has seen. *)
+let verified_clients id =
+  (* oracle from a private session, before any server exists *)
+  let oracle_db = Bench_util.db_q30 () in
+  Raw_db.register_csv oracle_db ~name:"t120" ~path:(Bench_util.q120_csv ())
+    ~columns:(Bench_util.colnames_mixed Bench_util.q120_dtypes) ();
+  let t30_sorted = Exp_serve.sorted_col0 oracle_db "t30" in
+  let t120_sorted = Exp_serve.sorted_col0 oracle_db "t120" in
+  let failures = ref 0 in
+  let fail_mutex = Mutex.create () in
+  let note_failure msg =
+    Mutex.protect fail_mutex (fun () ->
+        incr failures;
+        if !failures <= 5 then Printf.eprintf "  %s FAIL: %s\n%!" id msg)
+  in
+  ( run_clients ~note_failure ~t30_sorted ~t120_sorted
+      ~count_below:Exp_serve.count_below,
+    failures )
+
+let check_failures id failures =
+  if !failures > 0 then begin
+    Printf.eprintf "%s: %d wrong or failed response(s)\n%!" id !failures;
+    exit 1
+  end;
+  Printf.printf
+    "  all well-formed responses verified against one-shot oracle\n%!"
+
+(* The same-window duel of e26/e27/e28: an [on] and an [off] server
+   (config, phase) race the identical workload through one wall-clock
+   window, with [poll], when given, hitting the [on] side every 0.2 s
+   throughout. The gate statistic is the best per-duel on/off throughput
+   ratio over [duels] rounds, with one re-measure when it is below
+   [gate]: a real cost depresses the [on] side of EVERY duel, while
+   residual scheduling noise (±3% within a duel) only has to come out
+   even once. Taking best-of per side across duels instead would
+   re-decouple the pairing the duel exists to provide. Returns the best
+   ratio and its duel. *)
+let duel ?poll ~label ~gate ~on:(on_config, on_phase) ~off:(off_config, off_phase)
+    clients =
+  let once () =
+    let on_srv = start_server ~config:on_config ~phase:(label ^ "_" ^ on_phase) in
+    let off_srv = start_server ~config:off_config ~phase:(label ^ "_" ^ off_phase) in
+    let stop_poll = Atomic.make false in
+    let poller =
+      Option.map
+        (fun poll ->
+          Thread.create
+            (fun () ->
+              match Server.Client.connect (fst on_srv) with
+              | exception Unix.Unix_error _ -> ()
+              | c ->
+                Fun.protect
+                  ~finally:(fun () -> Server.Client.close c)
+                  (fun () ->
+                    while not (Atomic.get stop_poll) do
+                      poll c;
+                      Thread.delay 0.2
+                    done))
+            ())
+        poll
+    in
+    let measure srv out = Thread.create (fun () -> out := Some (clients (fst srv))) () in
+    let on_out = ref None and off_out = ref None in
+    let t_on = measure on_srv on_out in
+    let t_off = measure off_srv off_out in
+    Thread.join t_on;
+    Thread.join t_off;
+    Atomic.set stop_poll true;
+    Option.iter Thread.join poller;
+    stop_server on_srv;
+    stop_server off_srv;
+    ( result_of ~label ~phase:on_phase (Option.get !on_out),
+      result_of ~label ~phase:off_phase (Option.get !off_out) )
+  in
+  let ratio (on, off) = on.qps /. off.qps in
+  let best = ref (once ()) in
+  for _ = 2 to duels do
+    let d = once () in
+    if ratio d > ratio !best then best := d
+  done;
+  if ratio !best < gate then begin
+    (* a stray spike inside a duel should not redden the gate; a real
+       cost reproduces in the fresh duel *)
+    Printf.printf
+      "  best duel ratio %.3f below gate %.2f; re-measuring one duel\n%!"
+      (ratio !best) gate;
+    let d = once () in
+    if ratio d > ratio !best then best := d
+  end;
+  (ratio !best, !best)
 
 let armor_config =
   {
@@ -269,32 +362,10 @@ let armor_config =
     idle_timeout = Some 30.;
   }
 
-(* One gate duel: armor-knob and default-knob servers race the identical
-   workload through the same wall-clock window. *)
-let run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below () =
-  let off_srv = start_server ~config:armor_config ~phase:"off" in
-  let ref_srv = start_server ~config:Config.default ~phase:"ref" in
-  let measure socket_path out =
-    Thread.create
-      (fun () ->
-        out := Some (run_clients ~note_failure ~t30_sorted ~t120_sorted
-                       ~count_below socket_path))
-      ()
-  in
-  let off_out = ref None and ref_out = ref None in
-  let t_off = measure (fst off_srv) off_out in
-  let t_ref = measure (fst ref_srv) ref_out in
-  Thread.join t_off;
-  Thread.join t_ref;
-  stop_server off_srv;
-  stop_server ref_srv;
-  ( result_of ~phase:"off*" (Option.get !off_out),
-    result_of ~phase:"ref*" (Option.get !ref_out) )
-
 (* One solo pass against an armor-knob server; [fault = Some f]
    additionally runs [chaos_clients] seeded misbehaving clients for the
    duration. *)
-let run_solo ~note_failure ~t30_sorted ~t120_sorted ~count_below ~fault phase =
+let run_solo clients ~fault phase =
   let srv = start_server ~config:armor_config ~phase in
   let socket_path = fst srv in
   let stop_chaos = Atomic.make false in
@@ -311,13 +382,11 @@ let run_solo ~note_failure ~t30_sorted ~t120_sorted ~count_below ~fault phase =
               done)
             ())
   in
-  let out =
-    run_clients ~note_failure ~t30_sorted ~t120_sorted ~count_below socket_path
-  in
+  let out = clients socket_path in
   Atomic.set stop_chaos true;
   List.iter Thread.join chaos_threads;
   stop_server srv;
-  result_of ~phase out
+  result_of ~label:"chaos" ~phase out
 
 let e26 () =
   Bench_util.header "e26 — serving under chaos"
@@ -329,43 +398,12 @@ let e26 () =
       Net_fault.make ~seed:20140807 ~chaos_per_request:0.6
         ~max_stall_seconds:0.1 ~oversize_bytes:65536 ()
   in
-  (* oracle from a private session, before any server exists *)
-  let oracle_db = Bench_util.db_q30 () in
-  Raw_db.register_csv oracle_db ~name:"t120" ~path:(Bench_util.q120_csv ())
-    ~columns:(Bench_util.colnames_mixed Bench_util.q120_dtypes) ();
-  let t30_sorted = Exp_serve.sorted_col0 oracle_db "t30" in
-  let t120_sorted = Exp_serve.sorted_col0 oracle_db "t120" in
-  let count_below = Exp_serve.count_below in
-  let failures = ref 0 in
-  let fail_mutex = Mutex.create () in
-  let note_failure msg =
-    Mutex.protect fail_mutex (fun () ->
-        incr failures;
-        if !failures <= 5 then Printf.eprintf "  e26 FAIL: %s\n%!" msg)
+  let clients, failures = verified_clients "e26" in
+  let _, (off_best, ref_best) =
+    duel ~label:"chaos" ~gate:gate_fraction ~on:(armor_config, "armor")
+      ~off:(Config.default, "ref") clients
   in
-  let duel = run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below in
-  let solo = run_solo ~note_failure ~t30_sorted ~t120_sorted ~count_below in
-  (* the gate statistic is the best per-duel ratio: a real armor cost
-     depresses the armored side of EVERY duel, while residual scheduling
-     noise (±3% within a duel) only has to come out even once. Taking
-     best-of per side across duels instead would re-decouple the pairing
-     the duel exists to provide. *)
-  let best_duel = ref (duel ()) in
-  let ratio (o, r) = o.qps /. r.qps in
-  for _ = 2 to duels do
-    let d = duel () in
-    if ratio d > ratio !best_duel then best_duel := d
-  done;
-  if ratio !best_duel < gate_fraction then begin
-    (* one re-measure: a stray spike inside a duel should not redden the
-       gate, a real armor cost will reproduce in the fresh duel *)
-    Printf.printf "  best duel ratio %.3f below gate %.2f; re-measuring one \
-                   duel\n%!"
-      (ratio !best_duel) gate_fraction;
-    let d = duel () in
-    if ratio d > ratio !best_duel then best_duel := d
-  end;
-  let off_best, ref_best = !best_duel in
+  let solo = run_solo clients in
   if off_best.qps < gate_fraction *. ref_best.qps then begin
     Printf.eprintf
       "e26: armored throughput %.1f q/s is below %.0f%% of the default-knob \
@@ -395,9 +433,4 @@ let e26 () =
     ~result_rows:nq ();
   Bench_util.record_raw_sample ~label:"serve chaos=on" ~wall_seconds:on.wall
     ~result_rows:nq ();
-  if !failures > 0 then begin
-    Printf.eprintf "e26: %d wrong or failed response(s)\n%!" !failures;
-    exit 1
-  end;
-  Printf.printf
-    "  all well-formed responses verified against one-shot oracle\n%!"
+  check_failures "e26" failures

@@ -21,15 +21,14 @@
       through the identical 32-session workload in the same wall-clock
       window, with a poller session pulling the profile op from the
       profiled side throughout (a deliberately attached flamegraph
-      consumer). The best per-duel throughput ratio over [duels] rounds
-      must stay above [gate_fraction] (overhead <= 3%), with one
-      re-measure retry for stray scheduler spikes. Every response is
+      consumer). The best per-duel throughput ratio over
+      [Exp_chaos.duels] rounds must stay above [gate_fraction] (overhead
+      <= 3%), with one re-measure retry for stray scheduler spikes
+      ({!Exp_chaos.duel}). Every response is
       still verified against the one-shot oracle — profiling must not
       change results, only record where the time and bytes went. *)
 
 open Raw_core
-
-let duels = 2
 
 (* profiled throughput must stay within 3% of unprofiled *)
 let gate_fraction = 0.97
@@ -62,97 +61,17 @@ let assert_disabled_cost () =
 
 (* -- check 2: profiled vs unprofiled duel --------------------------- *)
 
-let result_of ~phase (wall, latencies) =
-  let nq = Exp_chaos.sessions * Exp_chaos.queries_per_client in
-  let qps = float_of_int nq /. wall in
-  Array.sort compare latencies;
-  let p99_ms = 1000. *. Exp_chaos.percentile latencies 0.99 in
-  Printf.printf
-    "  profile=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!"
-    phase nq wall qps p99_ms;
-  { Exp_chaos.qps; p99_ms; wall }
-
-(* One duel: profiled and unprofiled servers race the identical workload
-   through the same wall-clock window, with a live consumer pulling
-   folded stacks from the profiled side. *)
-let run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below () =
-  let on_srv = Exp_chaos.start_server ~config:profile_on_config ~phase:"p_on" in
-  let off_srv =
-    Exp_chaos.start_server ~config:profile_off_config ~phase:"p_off"
-  in
-  let stop_poll = Atomic.make false in
-  let poller =
-    Thread.create
-      (fun () ->
-        match Server.Client.connect (fst on_srv) with
-        | exception Unix.Unix_error _ -> ()
-        | c ->
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              while not (Atomic.get stop_poll) do
-                ignore (Server.Client.profile c);
-                Thread.delay 0.2
-              done))
-      ()
-  in
-  let measure socket_path out =
-    Thread.create
-      (fun () ->
-        out :=
-          Some
-            (Exp_chaos.run_clients ~note_failure ~t30_sorted ~t120_sorted
-               ~count_below socket_path))
-      ()
-  in
-  let on_out = ref None and off_out = ref None in
-  let t_on = measure (fst on_srv) on_out in
-  let t_off = measure (fst off_srv) off_out in
-  Thread.join t_on;
-  Thread.join t_off;
-  Atomic.set stop_poll true;
-  Thread.join poller;
-  Exp_chaos.stop_server on_srv;
-  Exp_chaos.stop_server off_srv;
-  ( result_of ~phase:"on" (Option.get !on_out),
-    result_of ~phase:"off" (Option.get !off_out) )
-
 let e28 () =
   Bench_util.header "e28 — resource profiler overhead"
     "profiled server (GC sampling, copy accounting, polled folded stacks) \
      vs unprofiled, same-window duel; plus disabled-cost assert";
   assert_disabled_cost ();
-  let oracle_db = Bench_util.db_q30 () in
-  Raw_db.register_csv oracle_db ~name:"t120" ~path:(Bench_util.q120_csv ())
-    ~columns:(Bench_util.colnames_mixed Bench_util.q120_dtypes) ();
-  let t30_sorted = Exp_serve.sorted_col0 oracle_db "t30" in
-  let t120_sorted = Exp_serve.sorted_col0 oracle_db "t120" in
-  let count_below = Exp_serve.count_below in
-  let failures = ref 0 in
-  let fail_mutex = Mutex.create () in
-  let note_failure msg =
-    Mutex.protect fail_mutex (fun () ->
-        incr failures;
-        if !failures <= 5 then Printf.eprintf "  e28 FAIL: %s\n%!" msg)
+  let clients, failures = Exp_chaos.verified_clients "e28" in
+  let ratio, (on_best, off_best) =
+    Exp_chaos.duel ~label:"profile" ~gate:gate_fraction
+      ~poll:(fun c -> ignore (Server.Client.profile c))
+      ~on:(profile_on_config, "on") ~off:(profile_off_config, "off") clients
   in
-  let duel = run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below in
-  (* same gate statistic as e26/e27: a real profiler cost depresses the
-     profiled side of EVERY duel; scheduling noise only has to come out
-     even once *)
-  let best = ref (duel ()) in
-  let ratio (on, off) = on.Exp_chaos.qps /. off.Exp_chaos.qps in
-  for _ = 2 to duels do
-    let d = duel () in
-    if ratio d > ratio !best then best := d
-  done;
-  if ratio !best < gate_fraction then begin
-    Printf.printf
-      "  best duel ratio %.3f below gate %.2f; re-measuring one duel\n%!"
-      (ratio !best) gate_fraction;
-    let d = duel () in
-    if ratio d > ratio !best then best := d
-  end;
-  let on_best, off_best = !best in
   if on_best.Exp_chaos.qps < gate_fraction *. off_best.Exp_chaos.qps then begin
     Printf.eprintf
       "e28: profiled throughput %.1f q/s is below %.0f%% of unprofiled %.1f \
@@ -175,15 +94,10 @@ let e28 () =
   Bench_util.record_metric ~name:"serve.profile_off.qps" off_best.Exp_chaos.qps;
   Bench_util.record_metric ~name:"serve.profile_off.p99_ms"
     off_best.Exp_chaos.p99_ms;
-  Bench_util.record_metric ~name:"serve.profile.duel_ratio" (ratio !best);
+  Bench_util.record_metric ~name:"serve.profile.duel_ratio" ratio;
   let nq = Exp_chaos.sessions * Exp_chaos.queries_per_client in
   Bench_util.record_raw_sample ~label:"serve profile=on"
     ~wall_seconds:on_best.Exp_chaos.wall ~result_rows:nq ();
   Bench_util.record_raw_sample ~label:"serve profile=off"
     ~wall_seconds:off_best.Exp_chaos.wall ~result_rows:nq ();
-  if !failures > 0 then begin
-    Printf.eprintf "e28: %d wrong or failed response(s)\n%!" !failures;
-    exit 1
-  end;
-  Printf.printf
-    "  all well-formed responses verified against one-shot oracle\n%!"
+  Exp_chaos.check_failures "e28" failures

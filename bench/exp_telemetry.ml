@@ -14,13 +14,12 @@
    (tick 0, retain 0) through the identical 32-session workload in the
    same wall-clock window, so load spikes hit both sides equally and the
    throughput ratio self-normalizes. The best per-duel ratio over
-   [duels] rounds must stay above [gate_fraction] (overhead <= 2%), with
-   one re-measure retry for stray scheduler spikes. Every response is
+   [Exp_chaos.duels] rounds must stay above [gate_fraction] (overhead <=
+   2%), with one re-measure retry for stray scheduler spikes
+   ({!Exp_chaos.duel}). Every response is
    still verified against the one-shot oracle. *)
 
 open Raw_core
-
-let duels = 2
 
 (* telemetry-on throughput must stay within 2% of telemetry-off *)
 let gate_fraction = 0.98
@@ -31,100 +30,19 @@ let telemetry_on_config =
 let telemetry_off_config =
   { Config.default with Config.telemetry_tick = 0.; trace_retain = 0 }
 
-let result_of ~phase (wall, latencies) =
-  let nq = Exp_chaos.sessions * Exp_chaos.queries_per_client in
-  let qps = float_of_int nq /. wall in
-  Array.sort compare latencies;
-  let p99_ms = 1000. *. Exp_chaos.percentile latencies 0.99 in
-  Printf.printf
-    "  telemetry=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!"
-    phase nq wall qps p99_ms;
-  { Exp_chaos.qps; p99_ms; wall }
-
-(* One duel: telemetry-on and telemetry-off servers race the identical
-   workload through the same wall-clock window, with a live poller
-   hitting the on-side's stats/metrics/trace ops throughout. *)
-let run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below () =
-  let on_srv =
-    Exp_chaos.start_server ~config:telemetry_on_config ~phase:"t_on"
-  in
-  let off_srv =
-    Exp_chaos.start_server ~config:telemetry_off_config ~phase:"t_off"
-  in
-  let stop_poll = Atomic.make false in
-  let poller =
-    Thread.create
-      (fun () ->
-        match Server.Client.connect (fst on_srv) with
-        | exception Unix.Unix_error _ -> ()
-        | c ->
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              while not (Atomic.get stop_poll) do
-                ignore (Server.Client.stats c);
-                ignore (Server.Client.metrics c);
-                ignore (Server.Client.trace c);
-                Thread.delay 0.2
-              done))
-      ()
-  in
-  let measure socket_path out =
-    Thread.create
-      (fun () ->
-        out :=
-          Some
-            (Exp_chaos.run_clients ~note_failure ~t30_sorted ~t120_sorted
-               ~count_below socket_path))
-      ()
-  in
-  let on_out = ref None and off_out = ref None in
-  let t_on = measure (fst on_srv) on_out in
-  let t_off = measure (fst off_srv) off_out in
-  Thread.join t_on;
-  Thread.join t_off;
-  Atomic.set stop_poll true;
-  Thread.join poller;
-  Exp_chaos.stop_server on_srv;
-  Exp_chaos.stop_server off_srv;
-  ( result_of ~phase:"on" (Option.get !on_out),
-    result_of ~phase:"off" (Option.get !off_out) )
-
 let e27 () =
   Bench_util.header "e27 — telemetry overhead"
     "telemetry-on (50 ms ticks, tracing, polled stats/metrics/trace) vs \
      telemetry-off, same-window duel";
-  let oracle_db = Bench_util.db_q30 () in
-  Raw_db.register_csv oracle_db ~name:"t120" ~path:(Bench_util.q120_csv ())
-    ~columns:(Bench_util.colnames_mixed Bench_util.q120_dtypes) ();
-  let t30_sorted = Exp_serve.sorted_col0 oracle_db "t30" in
-  let t120_sorted = Exp_serve.sorted_col0 oracle_db "t120" in
-  let count_below = Exp_serve.count_below in
-  let failures = ref 0 in
-  let fail_mutex = Mutex.create () in
-  let note_failure msg =
-    Mutex.protect fail_mutex (fun () ->
-        incr failures;
-        if !failures <= 5 then Printf.eprintf "  e27 FAIL: %s\n%!" msg)
+  let clients, failures = Exp_chaos.verified_clients "e27" in
+  let ratio, (on_best, off_best) =
+    Exp_chaos.duel ~label:"telemetry" ~gate:gate_fraction
+      ~poll:(fun c ->
+        ignore (Server.Client.stats c);
+        ignore (Server.Client.metrics c);
+        ignore (Server.Client.trace c))
+      ~on:(telemetry_on_config, "on") ~off:(telemetry_off_config, "off") clients
   in
-  let duel = run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below in
-  (* same gate statistic as e26: a real telemetry cost depresses the
-     telemetry side of EVERY duel; scheduling noise only has to come out
-     even once *)
-  let best = ref (duel ()) in
-  let ratio (on, off) = on.Exp_chaos.qps /. off.Exp_chaos.qps in
-  for _ = 2 to duels do
-    let d = duel () in
-    if ratio d > ratio !best then best := d
-  done;
-  if ratio !best < gate_fraction then begin
-    Printf.printf
-      "  best duel ratio %.3f below gate %.2f; re-measuring one duel\n%!"
-      (ratio !best) gate_fraction;
-    let d = duel () in
-    if ratio d > ratio !best then best := d
-  end;
-  let on_best, off_best = !best in
   if on_best.Exp_chaos.qps < gate_fraction *. off_best.Exp_chaos.qps then begin
     Printf.eprintf
       "e27: telemetry-on throughput %.1f q/s is below %.0f%% of \
@@ -150,15 +68,10 @@ let e27 () =
     off_best.Exp_chaos.qps;
   Bench_util.record_metric ~name:"serve.telemetry_off.p99_ms"
     off_best.Exp_chaos.p99_ms;
-  Bench_util.record_metric ~name:"serve.telemetry.duel_ratio" (ratio !best);
+  Bench_util.record_metric ~name:"serve.telemetry.duel_ratio" ratio;
   let nq = Exp_chaos.sessions * Exp_chaos.queries_per_client in
   Bench_util.record_raw_sample ~label:"serve telemetry=on"
     ~wall_seconds:on_best.Exp_chaos.wall ~result_rows:nq ();
   Bench_util.record_raw_sample ~label:"serve telemetry=off"
     ~wall_seconds:off_best.Exp_chaos.wall ~result_rows:nq ();
-  if !failures > 0 then begin
-    Printf.eprintf "e27: %d wrong or failed response(s)\n%!" !failures;
-    exit 1
-  end;
-  Printf.printf
-    "  all well-formed responses verified against one-shot oracle\n%!"
+  Exp_chaos.check_failures "e27" failures

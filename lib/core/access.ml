@@ -16,7 +16,7 @@ let mode_to_string = function
 
 let scan_mode = function
   | Jit -> Scan_csv.Jit
-  | Dbms -> Scan_csv.Jit (* loading uses the fast kernels; queries never rescan *)
+  | Dbms -> Scan_csv.Jit (* loading uses the JIT readers; queries never rescan *)
   | External | In_situ -> Scan_csv.Interpreted
 
 (* Charge the template cache for a generated kernel shape (Jit mode only).

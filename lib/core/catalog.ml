@@ -295,7 +295,7 @@ let jsonl_row_starts t entry =
   | None ->
     let starts =
       match entry.format, t.config.Config.on_error with
-      (* under Skip_row, row identity = the safe kernel's acceptance
+      (* under Skip_row, row identity = the Skip_row scan's acceptance
          logic, not the physical line structure; child (array) tables
          keep the structural walk — their schema describes elements, not
          parent lines *)

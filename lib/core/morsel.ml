@@ -94,3 +94,14 @@ let map_domains ?(cancel = Cancel.current ()) work items =
     List.map
       (fun (r, _, _, _) -> match r with Ok v -> v | Error e -> raise e)
       parts
+
+let fork_join ~fork ~absorb work items =
+  let parts = map_domains (fun item -> let view = fork () in (work view item, view)) items in
+  List.iter (fun (_, view) -> absorb view) parts;
+  List.map fst parts
+
+let concat_columns = function
+  | [] -> [||]
+  | first :: _ as parts ->
+    Array.init (Array.length first) (fun k ->
+        Raw_vector.Column.concat (List.map (fun cols -> cols.(k)) parts))

@@ -25,3 +25,14 @@ val map_domains :
     deterministic: all domains are joined and all partial stats merged
     before the first worker failure, in morsel order, is re-raised on the
     calling domain. *)
+
+val fork_join :
+  fork:(unit -> 'v) -> absorb:('v -> unit) -> ('v -> 'a -> 'b) -> 'a list ->
+  'b list
+(** The fork/absorb skeleton of every parallel scan: [work view morsel]
+    runs per morsel (through {!map_domains}) against a private [view] made
+    by [fork]; after the join each view is [absorb]ed back (its page
+    counters and residency) in morsel order. *)
+
+val concat_columns : Raw_vector.Column.t array list -> Raw_vector.Column.t array
+(** Stitch per-morsel column segments in morsel order. *)

@@ -7,678 +7,334 @@ type mode = Interpreted | Jit
 
 let mode_to_string = function Interpreted -> "interp" | Jit -> "jit"
 
-(* The error policy is part of the kernel shape: a Null_fill kernel emits
-   different code than a Fail_fast one, so cached templates are keyed by
-   policy — switching --on-error never reuses a stale kernel. *)
 let template_key ~phase ~table ~sep ~needed ~tracked ~policy =
-  Printf.sprintf "csv|%s|%s|sep=%C|needed=%s|tracked=%s|err=%s" phase table sep
-    (String.concat "," (List.map string_of_int needed))
-    (String.concat "," (List.map string_of_int tracked))
-    (Scan_errors.policy_to_string policy)
+  Scan_kit.template_key "csv" ~phase ~table ~needed ~policy
+    ~extra:
+      [ ("sep", Printf.sprintf "%C" sep);
+        ("tracked", String.concat "," (List.map string_of_int tracked)) ]
 
-(* Map schema indexes to (source ordinal, schema index), ascending source. *)
-let by_source schema needed =
-  List.map (fun i -> ((Schema.field schema i).Schema.source_index, i)) needed
-  |> List.sort Stdlib.compare
+let source schema i = (Schema.field schema i).Schema.source_index
 
-let builder_for schema i = Builder.create ~capacity:1024 (Schema.dtype schema i)
+(* A conversion consumes one tokenized field [(pos, len)]. The JIT one has
+   the data type chosen here, once per column; the interpreted one looks
+   the type up in the catalog and dispatches on it for every value. *)
+let jit_convert buf (dt : Dtype.t) b : int -> int -> unit =
+  match dt with
+  | Int -> fun p l -> Builder.add_int b (Csv.parse_int buf p l)
+  | Float -> fun p l -> Builder.add_float b (Csv.parse_float buf p l)
+  | Bool -> fun p l -> Builder.add_bool b (Csv.parse_bool buf p l)
+  | String -> fun p l -> Builder.add_string b (Csv.parse_string buf p l)
 
-(* Reorder the built columns (ascending-source order) back to the caller's
-   requested order. *)
-let reorder needed by_src cols =
-  let assoc = List.map2 (fun (_, si) c -> (si, c)) by_src (Array.to_list cols) in
-  Array.of_list (List.map (fun i -> List.assoc i assoc) needed)
+let interp_convert buf schema i b p l =
+  match Schema.dtype schema i with
+  | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
+  | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
+  | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
+  | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l)
 
-(* ------------------------------------------------------------------ *)
-(* Sequential scan                                                     *)
-(* ------------------------------------------------------------------ *)
+(* Skip_row's validate-only conversion for a schema column the query does
+   not read: decode and discard. Strings never fail, so they need none. *)
+let validate buf (dt : Dtype.t) : (int -> int -> unit) option =
+  match dt with
+  | Int -> Some (fun p l -> ignore (Csv.parse_int buf p l))
+  | Float -> Some (fun p l -> ignore (Csv.parse_float buf p l))
+  | Bool -> Some (fun p l -> ignore (Csv.parse_bool buf p l))
+  | String -> None
 
-let seq_scan_interpreted ?range ~file ~sep ~schema ~needed ~tracked () =
-  let buf = Mmap_file.bytes file in
-  let pos, limit =
-    match range with Some (lo, hi) -> (lo, hi) | None -> (0, Mmap_file.length file)
+(* The Null_fill wrapper: a failed conversion is recorded against its
+   source column and the row's byte offset, and becomes NULL. The parse
+   raises before anything reaches the builder, so nothing to roll back. *)
+let null_fill ~origin ~col b f p l =
+  try f p l
+  with Scan_errors.Error e ->
+    Scan_errors.record ~offset:!origin ~field:col ~cause:e.Scan_errors.cause;
+    Builder.add_null b
+
+let conversion ~mode ~policy ~origin buf schema i b =
+  let f =
+    match mode with
+    | Jit -> jit_convert buf (Schema.dtype schema i) b
+    | Interpreted -> interp_convert buf schema i b
   in
-  let cur = Csv.Cursor.create ~sep ~pos ~limit file in
-  let srcs = by_source schema needed in
-  let max_needed_src = List.fold_left (fun a (s, _) -> max a s) (-1) srcs in
-  let max_tracked = List.fold_left max (-1) tracked in
-  let last = max max_needed_src max_tracked in
-  (* general-purpose operator state: per-column lookup tables consulted at
-     runtime for every field — the interpretation overhead under study *)
-  let builder_of_src = Array.make (last + 1) None in
-  List.iter
-    (fun (s, i) -> builder_of_src.(s) <- Some (Schema.dtype schema i, builder_for schema i))
-    srcs;
-  let tracked_mask = Array.make (last + 1) false in
-  List.iter (fun c -> if c <= last then tracked_mask.(c) <- true) tracked;
-  let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let tokenized = ref 0 and converted = ref 0 in
-  while not (Csv.Cursor.at_eof cur) do
-    tick ();
-    for col = 0 to last do
-      let track = tracked_mask.(col) in
-      match builder_of_src.(col) with
-      | Some (dt, b) ->
-        let p, l = Csv.Cursor.next_field cur in
-        incr tokenized;
-        if track then
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm;
-        (* per-field data type dispatch against the catalog *)
-        (match dt with
-         | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-         | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-         | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-         | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l));
-        incr converted
-      | None ->
-        if track then begin
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm
-        end
-        else begin
-          Csv.Cursor.skip_field cur;
-          incr tokenized
-        end
-    done;
-    Csv.Cursor.skip_line cur;
-    Option.iter Posmap.Build.end_row pm
-  done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  let cols =
-    Array.of_list (List.map (fun (_, i) ->
-        match builder_of_src.((Schema.field schema i).Schema.source_index) with
-        | Some (_, b) -> Builder.to_column b
-        | None -> assert false)
-      srcs)
-  in
-  (reorder needed srcs cols, Option.map Posmap.Build.finish pm)
+  match (policy : Scan_errors.policy) with
+  | Null_fill -> null_fill ~origin ~col:(source schema i) b f
+  | Fail_fast | Skip_row -> f
 
-(* JIT kernel: the per-row work is composed once, outside the loop, as a
-   chain of monomorphic closures — unrolled columns, baked-in conversions,
-   no lookups on the critical path. *)
-let seq_scan_jit ?range ~file ~sep ~schema ~needed ~tracked () =
-  let buf = Mmap_file.bytes file in
-  let pos, limit =
-    match range with Some (lo, hi) -> (lo, hi) | None -> (0, Mmap_file.length file)
-  in
-  let cur = Csv.Cursor.create ~sep ~pos ~limit file in
-  let srcs = by_source schema needed in
-  let max_needed_src = List.fold_left (fun a (s, _) -> max a s) (-1) srcs in
-  let max_tracked = List.fold_left max (-1) tracked in
-  let last = max max_needed_src max_tracked in
-  let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tracked_set = List.sort_uniq Stdlib.compare tracked in
-  (* one action per interesting column; runs of untouched columns fuse into
-     a single skip action *)
-  let actions = ref [] in
-  let emit a = actions := a :: !actions in
-  let fields_per_row = ref 0 in
-  let pending_skip = ref 0 in
-  let flush_skip () =
-    if !pending_skip > 0 then begin
-      let n = !pending_skip in
-      pending_skip := 0;
-      fields_per_row := !fields_per_row + n;
-      if n = 1 then emit (fun () -> Csv.Cursor.skip_field cur)
-      else emit (fun () -> Csv.Cursor.skip_fields cur n)
-    end
-  in
-  let record_fn col =
+(* A reader advances the cursor over [tok] fields of a row, [built] of
+   which produce a value; [col] is the source column it starts at. The
+   loops count work per row from these, so the readers stay free of
+   bookkeeping. *)
+type 'a reader = { read : 'a -> unit; col : int; tok : int; built : int }
+
+let sum f rs = List.fold_left (fun a r -> a + f r) 0 rs
+
+let report ~tokenized ~built =
+  Metrics.add Metrics.csv_fields_tokenized tokenized;
+  Metrics.add Metrics.csv_values_converted built;
+  Metrics.add Metrics.scan_values_built built
+
+(* Per source column [0..last]: its conversion (if any) and whether the
+   positional map records it. Interpreted readers consult these tables
+   for every field; JIT readers are specialised from them once. *)
+let seq_readers ~mode ~cur ~pm ~convs ~tracked_mask ~last =
+  let record col =
     match pm with
-    | Some pm -> Some (fun p l -> Posmap.Build.record pm ~col ~pos:p ~len:l)
-    | None -> None
+    | Some pm -> fun p l -> Posmap.Build.record pm ~col ~pos:p ~len:l
+    | None -> fun _ _ -> ()
   in
-  let parse_action b dt record =
-    (* the data-type conversion is selected here, at "compile" time *)
-    match (dt : Dtype.t), record with
-    | Int, None ->
-      fun () ->
+  let touched c = Option.is_some convs.(c) || tracked_mask.(c) in
+  let built c = match convs.(c) with Some (_, b) -> b | None -> 0 in
+  match mode with
+  | Interpreted ->
+    (* the general-purpose operator: runtime checks "is this column
+       requested?" / "is it tracked?" on every field *)
+    let field col () =
+      if not (touched col) then Csv.Cursor.skip_field cur
+      else begin
         let p, l = Csv.Cursor.next_field cur in
-        Builder.add_int b (Csv.parse_int buf p l)
-    | Int, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_int b (Csv.parse_int buf p l)
-    | Float, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_float b (Csv.parse_float buf p l)
-    | Float, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_float b (Csv.parse_float buf p l)
-    | Bool, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_bool b (Csv.parse_bool buf p l)
-    | Bool, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_bool b (Csv.parse_bool buf p l)
-    | String, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_string b (Csv.parse_string buf p l)
-    | String, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_string b (Csv.parse_string buf p l)
-  in
-  let record_only_action r = fun () ->
-    let p, l = Csv.Cursor.next_field cur in
-    r p l
-  in
-  let rec build col srcs builders =
-    if col > last then ()
-    else begin
-      let tracked_here = List.mem col tracked_set in
-      match srcs, builders with
-      | (s, i) :: srcs', b :: builders' when s = col ->
-        flush_skip ();
-        incr fields_per_row;
-        emit
-          (parse_action b (Schema.dtype schema i)
-             (if tracked_here then record_fn col else None));
-        build (col + 1) srcs' builders'
-      | _ ->
-        if tracked_here then begin
-          flush_skip ();
-          incr fields_per_row;
-          match record_fn col with
-          | Some r -> emit (record_only_action r)
-          | None -> ()
-        end
-        else incr pending_skip;
-        build (col + 1) srcs builders
-    end
-  in
-  build 0 srcs builders;
-  (* trailing skips are subsumed by skip_line *)
-  pending_skip := 0;
-  (match pm with
-   | Some pm ->
-     emit (fun () ->
-         Csv.Cursor.skip_line cur;
-         Posmap.Build.end_row pm)
-   | None -> emit (fun () -> Csv.Cursor.skip_line cur));
-  (* compose the action list into one closure chain: the "generated" row
-     function *)
-  let rec compose = function
-    | [] -> fun () -> ()
-    | [ f ] -> f
-    | f :: rest ->
-      let g = compose rest in
-      fun () ->
-        f ();
-        g ()
-  in
-  let row_fn = compose (List.rev !actions) in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let n_rows = ref 0 in
-  while not (Csv.Cursor.at_eof cur) do
-    tick ();
-    row_fn ();
-    incr n_rows
-  done;
-  let n_needed = List.length needed in
-  Metrics.add Metrics.csv_fields_tokenized (!n_rows * !fields_per_row);
-  Metrics.add Metrics.csv_values_converted (!n_rows * n_needed);
-  Metrics.add Metrics.scan_values_built (!n_rows * n_needed);
-  let cols = Array.of_list (List.map Builder.to_column builders) in
-  (reorder needed srcs cols, Option.map Posmap.Build.finish pm)
+        if tracked_mask.(col) then record col p l;
+        match convs.(col) with Some (f, _) -> f p l | None -> ()
+      end
+    in
+    List.init (last + 1) (fun col ->
+        { read = field col; col; tok = 1; built = built col })
+  | Jit ->
+    (* one monomorphic closure per touched column, recording only where a
+       tracked column sits; runs of untouched columns fuse into one skip *)
+    let rec go c acc =
+      if c > last then List.rev acc
+      else if not (touched c) then begin
+        let e = ref c in
+        while !e < last && not (touched (!e + 1)) do incr e done;
+        let n = !e - c + 1 in
+        let read =
+          if n = 1 then fun () -> Csv.Cursor.skip_field cur
+          else fun () -> Csv.Cursor.skip_fields cur n
+        in
+        go (!e + 1) ({ read; col = c; tok = n; built = 0 } :: acc)
+      end
+      else begin
+        let act =
+          match tracked_mask.(c), convs.(c) with
+          | false, Some (f, _) -> f
+          | true, Some (f, _) ->
+            let r = record c in
+            fun p l ->
+              r p l;
+              f p l
+          | _, None -> record c
+        in
+        let read () =
+          let p, l = Csv.Cursor.next_field cur in
+          act p l
+        in
+        go (c + 1) ({ read; col = c; tok = 1; built = built c } :: acc)
+      end
+    in
+    go 0 []
 
-(* ------------------------------------------------------------------ *)
-(* Policy-aware scan (Skip_row / Null_fill)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One policy-parametric kernel serves both non-default policies and both
-   planner modes (templates are still cached per mode+policy; the perf
-   split between interpreted and JIT kernels only matters on the clean
-   Fail_fast path, which keeps the specialized kernels above untouched).
-
-   Row identity under Skip_row must not depend on which columns a query
-   happens to read, or positional maps, cached row counts and the shred
-   pool would disagree between queries. So a Skip_row kernel validates
-   every schema column of every row (strings never fail; a missing
-   numeric field parses as empty and fails) and drops the row on the
-   first bad field, rolling back any builder and posmap entries it
-   recorded. Null_fill keeps the physical rows: only requested fields
-   are decoded, and a bad one becomes NULL. *)
-let seq_scan_safe ~policy ?(record = true) ?range ~file ~sep ~schema ~needed
+(* The one sequential loop. [Skip_row] validates every schema column —
+   row identity must not depend on which columns a query reads, or
+   positional maps, cached row counts and the shred pool would disagree —
+   and rolls a bad row's builder and posmap entries back; [record] says
+   whether it also records the errors. Returns the kept row count. *)
+let scan ~mode ~policy ?(record = true) ?range ~file ~sep ~schema ~needed
     ~tracked () =
   let buf = Mmap_file.bytes file in
-  let pos, limit =
-    match range with Some (lo, hi) -> (lo, hi) | None -> (0, Mmap_file.length file)
-  in
-  let cur = Csv.Cursor.create ~sep ~pos ~limit file in
-  let srcs = by_source schema needed in
+  let pos = Option.fold ~none:0 ~some:fst range in
+  let cur = Csv.Cursor.create ~sep ~pos ?limit:(Option.map snd range) file in
   let skip = policy = Scan_errors.Skip_row in
-  let dtype_of_src =
-    (* schema columns to validate: all of them under Skip_row, only the
-       requested ones under Null_fill *)
-    let want =
-      if skip then List.init (Schema.arity schema) (fun i -> i)
-      else List.map snd srcs
-    in
-    let max_src =
-      List.fold_left
-        (fun a i -> max a (Schema.field schema i).Schema.source_index)
-        (-1) want
-    in
-    let a = Array.make (max_src + 1) None in
+  let builders = List.map (fun i -> Builder.create ~capacity:1024 (Schema.dtype schema i)) needed in
+  let all = List.init (Schema.arity schema) Fun.id in
+  let last =
+    List.fold_left max (-1)
+      (tracked @ List.map (source schema) (if skip then all else needed))
+  in
+  let origin = ref pos in
+  let convs = Array.make (last + 1) None in
+  if skip then
     List.iter
       (fun i ->
-        a.((Schema.field schema i).Schema.source_index) <-
-          Some (Schema.dtype schema i))
-      want;
+        convs.(source schema i) <-
+          Option.map (fun f -> (f, 0)) (validate buf (Schema.dtype schema i)))
+      all;
+  List.iter2
+    (fun i b ->
+      convs.(source schema i) <-
+        Some (conversion ~mode ~policy ~origin buf schema i b, 1))
+    needed builders;
+  let tracked_mask = Array.make (last + 1) false in
+  List.iter (fun c -> tracked_mask.(c) <- true) tracked;
+  let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
+  let rs = Array.of_list (seq_readers ~mode ~cur ~pm ~convs ~tracked_mask ~last) in
+  let n_readers = Array.length rs in
+  (* work of readers [0, j) of a row, for rows and rolled-back prefixes *)
+  let upto f =
+    let a = Array.make (n_readers + 1) 0 in
+    Array.iteri (fun j r -> a.(j + 1) <- a.(j) + f r) rs;
     a
   in
-  let max_tracked = List.fold_left max (-1) tracked in
-  let last = max (Array.length dtype_of_src - 1) max_tracked in
-  let builder_of_src = Array.make (last + 1) None in
-  List.iter (fun (s, i) -> builder_of_src.(s) <- Some (builder_for schema i)) srcs;
-  let builders = List.filter_map (fun (s, _) -> builder_of_src.(s)) srcs in
-  let tracked_mask = Array.make (last + 1) false in
-  List.iter (fun c -> if c <= last then tracked_mask.(c) <- true) tracked;
-  let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
-  let tokenized = ref 0 and converted = ref 0 in
-  let n_rows = ref 0 and skipped = ref 0 in
-  let cur_col = ref 0 in
-  let row_start = ref pos in
-  let field_error col cause =
-    if record then
-      Scan_errors.record ~offset:!row_start ~field:col ~cause
-  in
-  (* the row body; under Skip_row a parse error escapes to the row loop *)
-  let do_row () =
-    for col = 0 to last do
-      cur_col := col;
-      let track = tracked_mask.(col) in
-      let dt = if col < Array.length dtype_of_src then dtype_of_src.(col) else None in
-      match dt with
-      | Some dt ->
-        let p, l = Csv.Cursor.next_field cur in
-        incr tokenized;
-        if track then
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm;
-        (match builder_of_src.(col) with
-         | Some b ->
-           (if skip then (
-              match dt with
-              | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-              | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-              | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-              | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l))
-            else
-              match
-                match dt with
-                | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-                | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-                | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-                | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l)
-              with
-              | () -> ()
-              | exception Scan_errors.Error e ->
-                field_error col e.Scan_errors.cause;
-                Builder.add_null b);
-           incr converted
-         | None ->
-           (* validation-only column (Skip_row): decode and discard *)
-           if skip then (
-             match dt with
-             | Dtype.Int -> ignore (Csv.parse_int buf p l)
-             | Dtype.Float -> ignore (Csv.parse_float buf p l)
-             | Dtype.Bool -> ignore (Csv.parse_bool buf p l)
-             | Dtype.String -> ()))
-      | None ->
-        if track then begin
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm
-        end
-        else begin
-          Csv.Cursor.skip_field cur;
-          incr tokenized
-        end
-    done
-  in
+  let tok = upto (fun r -> r.tok) and built = upto (fun r -> r.built) in
   let tick = Cancel.batch_checker (Cancel.current ()) in
+  let n_rows = ref 0 and skipped = ref 0 in
+  let extra_tok = ref 0 and extra_built = ref 0 in
+  let k = ref 0 in
   while not (Csv.Cursor.at_eof cur) do
     tick ();
-    row_start := Csv.Cursor.pos cur;
-    match do_row () with
+    origin := Csv.Cursor.pos cur;
+    k := 0;
+    match
+      while !k < n_readers do
+        rs.(!k).read ();
+        incr k
+      done
+    with
     | () ->
       Csv.Cursor.skip_line cur;
       Option.iter Posmap.Build.end_row pm;
       incr n_rows
-    | exception Scan_errors.Error e ->
-      (* Skip_row: drop the whole row, roll back whatever it recorded *)
-      field_error !cur_col e.Scan_errors.cause;
+    | exception Scan_errors.Error e when skip ->
+      if record then
+        Scan_errors.record ~offset:!origin ~field:rs.(!k).col
+          ~cause:e.Scan_errors.cause;
+      (* the failing reader tokenized its field but built nothing *)
+      extra_tok := !extra_tok + tok.(!k + 1);
+      extra_built := !extra_built + built.(!k);
       List.iter (fun b -> Builder.truncate b !n_rows) builders;
       Option.iter Posmap.Build.abort_row pm;
       Csv.Cursor.skip_line cur;
       incr skipped
   done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
+  report
+    ~tokenized:((!n_rows * tok.(n_readers)) + !extra_tok)
+    ~built:((!n_rows * built.(n_readers)) + !extra_built);
   if !skipped > 0 then Metrics.add Metrics.scan_rows_skipped !skipped;
-  let cols =
-    Array.of_list
-      (List.map
-         (fun (s, _) ->
-           match builder_of_src.(s) with
-           | Some b -> Builder.to_column b
-           | None -> assert false)
-         srcs)
-  in
-  (reorder needed srcs cols, Option.map Posmap.Build.finish pm, !n_rows)
+  ( Array.of_list (List.map Builder.to_column builders),
+    Option.map Posmap.Build.finish pm,
+    !n_rows )
 
-(* How many rows a Skip_row scan of this file yields — the same
-   validation the safe kernel applies, without recording errors (the
-   catalog sizes a table once; the passes that produce data do the
-   reporting). *)
+let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ?range ~file ~sep ~schema
+    ~needed ~tracked () =
+  let cols, pm, _ = scan ~mode ~policy ?range ~file ~sep ~schema ~needed ~tracked () in
+  (cols, pm)
+
+(* The catalog sizes a table once; the passes that produce data do the
+   error reporting. *)
 let count_valid_rows ~file ~sep ~schema ?(record = false) () =
   let _, _, n =
-    seq_scan_safe ~policy:Scan_errors.Skip_row ~record ~file ~sep ~schema
+    scan ~mode:Jit ~policy:Scan_errors.Skip_row ~record ~file ~sep ~schema
       ~needed:[] ~tracked:[] ()
   in
   n
 
-let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ?range ~file ~sep ~schema
-    ~needed ~tracked () =
-  match policy with
-  | Scan_errors.Fail_fast -> (
-    match mode with
-    | Interpreted ->
-      seq_scan_interpreted ?range ~file ~sep ~schema ~needed ~tracked ()
-    | Jit -> seq_scan_jit ?range ~file ~sep ~schema ~needed ~tracked ())
-  | _ ->
-    let cols, pm, _ =
-      seq_scan_safe ~policy ?range ~file ~sep ~schema ~needed ~tracked ()
-    in
-    (cols, pm)
-
-(* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel scan                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Each worker domain runs the sequential kernel over one row-aligned byte
-   range against a private Mmap_file view; the coordinator concatenates
-   column segments in morsel order, stitches posmap segments (positions are
-   absolute, so no shifting), and absorbs per-view page counters. Output is
-   bit-identical to the sequential scan at any parallelism. *)
-let par_scan ~mode ?(policy = Scan_errors.Fail_fast) ~parallelism ~file ~sep
-    ~schema ~needed ~tracked () =
-  let ranges =
-    if parallelism <= 1 then [] else Csv.row_aligned_ranges file ~n:parallelism
-  in
-  match ranges with
-  | [] | [ _ ] -> seq_scan ~mode ~policy ~file ~sep ~schema ~needed ~tracked ()
+(* Each worker domain scans one row-aligned byte range against a private
+   file view; posmap segments stitch without shifting (positions are
+   absolute). Morsel boundaries are newlines, so they do not depend on row
+   validity. *)
+let par_scan ~mode ?policy ~parallelism ~file ~sep ~schema ~needed ~tracked () =
+  let scan ?range file = seq_scan ~mode ?policy ?range ~file ~sep ~schema ~needed ~tracked () in
+  match if parallelism <= 1 then [] else Csv.row_aligned_ranges file ~n:parallelism with
+  | [] | [ _ ] -> scan file
   | ranges ->
     let parts =
-      Morsel.map_domains
-        (fun range ->
-          let view = Mmap_file.fork_view file in
-          let cols, pm =
-            seq_scan ~mode ~policy ~range ~file:view ~sep ~schema ~needed
-              ~tracked ()
-          in
-          (cols, pm, view))
+      Morsel.fork_join
+        ~fork:(fun () -> Mmap_file.fork_view file)
+        ~absorb:(fun view -> Mmap_file.absorb ~into:file view)
+        (fun view range -> scan ~range view)
         ranges
     in
-    List.iter (fun (_, _, view) -> Mmap_file.absorb ~into:file view) parts;
-    let n_cols =
-      match parts with (cols, _, _) :: _ -> Array.length cols | [] -> 0
-    in
-    let columns =
-      Array.init n_cols (fun k ->
-          Column.concat (List.map (fun (cols, _, _) -> cols.(k)) parts))
-    in
-    let pm =
-      match List.filter_map (fun (_, pm, _) -> pm) parts with
+    ( Morsel.concat_columns (List.map fst parts),
+      match List.filter_map snd parts with
       | [] -> None
-      | segs -> Some (Posmap.concat segs)
-    in
-    (columns, pm)
-
-(* ------------------------------------------------------------------ *)
-(* Positional fetch                                                    *)
-(* ------------------------------------------------------------------ *)
+      | segs -> Some (Posmap.concat segs) )
 
 let first_source schema cols =
-  match by_source schema cols with
-  | (s, _) :: _ -> s
-  | [] -> invalid_arg "Scan_csv.fetch: no columns"
+  List.fold_left (fun a i -> min a (source schema i)) max_int cols
 
 let can_fetch ~schema ~posmap ~cols =
-  match cols with
-  | [] -> false
-  | _ ->
-    Option.is_some (Posmap.nearest_at_or_before posmap (first_source schema cols))
+  cols <> []
+  && Option.is_some (Posmap.nearest_at_or_before posmap (first_source schema cols))
 
-let fetch_interpreted ~file ~sep ~schema ~posmap ~cols ~rowids =
+(* Fetch readers take the row id. The first one positions the cursor at
+   the tracked column at or before the first requested one; the others
+   each walk their gap and convert one field. *)
+let fetch ~mode ?(policy = Scan_errors.Fail_fast) ~file ~sep ~schema ~posmap
+    ~cols ~rowids () =
   let buf = Mmap_file.bytes file in
   let cur = Csv.Cursor.create ~sep file in
-  let srcs = by_source schema cols in
+  if cols = [] then invalid_arg "Scan_csv.fetch: no columns";
   let first = first_source schema cols in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let tokenized = ref 0 and converted = ref 0 in
-  let n = Array.length rowids in
-  for k = 0 to n - 1 do
-    tick ();
-    let r = rowids.(k) in
-    (* runtime decisions, per value: consult the positional map, find the
-       navigation strategy, dispatch on the data type *)
-    match Posmap.nearest_at_or_before posmap first with
-    | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
-    | Some (tcol, positions) ->
-      Csv.Cursor.seek cur positions.(r);
-      let at = ref tcol in
-      List.iter2
-        (fun (s, i) b ->
-          while !at < s do
-            Csv.Cursor.skip_field cur;
-            incr tokenized;
-            incr at
-          done;
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          incr at;
-          (match Schema.dtype schema i with
-           | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-           | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-           | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-           | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l));
-          incr converted)
-        srcs builders
-  done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  reorder cols srcs (Array.of_list (List.map Builder.to_column builders))
-
-let fetch_jit ~file ~sep ~schema ~posmap ~cols ~rowids =
-  let buf = Mmap_file.bytes file in
-  let cur = Csv.Cursor.create ~sep file in
-  let srcs = by_source schema cols in
-  let first = first_source schema cols in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
   let tcol, positions =
     match Posmap.nearest_at_or_before posmap first with
     | Some x -> x
     | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
   in
-  let lens = if tcol = first then Posmap.lengths posmap tcol else None in
-  (* compile a per-row fetch closure: gaps and conversions baked in *)
-  let fields_per_row = ref 0 in
-  let steps =
-    let rec go at srcs builders acc =
-      match srcs, builders with
-      | [], [] -> List.rev acc
-      | (s, i) :: srcs', b :: builders' ->
-        let gap = s - at in
-        fields_per_row := !fields_per_row + gap + 1;
-        let parse =
-          match Schema.dtype schema i with
-          | Dtype.Int ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_int b (Csv.parse_int buf p l)
-          | Dtype.Float ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_float b (Csv.parse_float buf p l)
-          | Dtype.Bool ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_bool b (Csv.parse_bool buf p l)
-          | Dtype.String ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_string b (Csv.parse_string buf p l)
-        in
-        let step =
-          if gap = 0 then parse
-          else
-            fun () ->
-              Csv.Cursor.skip_fields cur gap;
-              parse ()
-        in
-        go (s + 1) srcs' builders' (step :: acc)
-      | _ -> assert false
-    in
-    go tcol srcs builders []
+  let builders = List.map (fun i -> Builder.create ~capacity:1024 (Schema.dtype schema i)) cols in
+  let origin = ref 0 and at = ref tcol in
+  let convs =
+    List.map2
+      (fun i b -> (source schema i, conversion ~mode ~policy ~origin buf schema i b))
+      cols builders
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
   in
-  let rec compose = function
-    | [] -> fun () -> ()
-    | [ f ] -> f
-    | f :: rest ->
-      let g = compose rest in
-      fun () ->
-        f ();
-        g ()
+  let seek, field =
+    match mode with
+    | Jit ->
+      ( (fun r ->
+          origin := positions.(r);
+          Csv.Cursor.seek cur positions.(r)),
+        (* the gap and the conversion baked into one closure *)
+        fun prev s f ->
+          let gap = s - prev in
+          fun _ ->
+            Csv.Cursor.skip_fields cur gap;
+            let p, l = Csv.Cursor.next_field cur in
+            f p l )
+    | Interpreted ->
+      (* runtime decisions for every row: consult the positional map, walk
+         to each requested column *)
+      ( (fun r ->
+          let tcol, positions = Option.get (Posmap.nearest_at_or_before posmap first) in
+          origin := positions.(r);
+          Csv.Cursor.seek cur positions.(r);
+          at := tcol),
+        fun _ s f _ ->
+          while !at < s do
+            Csv.Cursor.skip_field cur;
+            incr at
+          done;
+          let p, l = Csv.Cursor.next_field cur in
+          incr at;
+          f p l )
   in
-  let row_fn = compose steps in
+  let readers =
+    match mode, convs, Posmap.lengths posmap tcol with
+    | Jit, [ (s, f) ], Some lens when s = tcol && policy <> Scan_errors.Null_fill ->
+      (* a tracked column with recorded lengths needs no tokenizing at
+         all — the paper's "custom atoi" case *)
+      let read r =
+        let p = positions.(r) and l = lens.(r) in
+        Mmap_file.touch file p l;
+        f p l
+      in
+      [ { read; col = s; tok = 1; built = 1 } ]
+    | _ ->
+      let step (prev, acc) (s, f) =
+        (s + 1, { read = field prev s f; col = s; tok = s - prev + 1; built = 1 } :: acc)
+      in
+      { read = seek; col = tcol; tok = 0; built = 0 }
+      :: List.rev (snd (List.fold_left step (tcol, []) convs))
+  in
+  let steps = Array.of_list (List.map (fun r -> r.read) readers) in
   let tick = Cancel.batch_checker (Cancel.current ()) in
-  let n = Array.length rowids in
-  (* fully-direct path: a single tracked column with recorded lengths needs
-     no tokenizing at all — the paper's "custom atoi" case *)
-  (match lens, srcs, builders with
-   | Some lens, [ (_, i) ], [ b ] when tcol = first ->
-     (match Schema.dtype schema i with
-      | Dtype.Int ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_int b (Csv.parse_int buf p lens.(r))
-        done
-      | Dtype.Float ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_float b (Csv.parse_float buf p lens.(r))
-        done
-      | Dtype.Bool ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_bool b (Csv.parse_bool buf p lens.(r))
-        done
-      | Dtype.String ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_string b (Csv.parse_string buf p lens.(r))
-        done);
-     Metrics.add Metrics.csv_fields_tokenized n
-   | _ ->
-     for k = 0 to n - 1 do
-       tick ();
-       Csv.Cursor.seek cur positions.(rowids.(k));
-       row_fn ()
-     done;
-     Metrics.add Metrics.csv_fields_tokenized (n * !fields_per_row));
-  let n_cols = List.length cols in
-  Metrics.add Metrics.csv_values_converted (n * n_cols);
-  Metrics.add Metrics.scan_values_built (n * n_cols);
-  reorder cols srcs (Array.of_list (List.map Builder.to_column builders))
-
-(* Null_fill fetch: rows are physical, so a fetched field can still be
-   malformed — decode defensively, NULL and record on failure. Skip_row
-   needs no safe variant: its row ids only ever name rows the scan already
-   validated against the whole schema, so the fast kernels cannot fail. *)
-let fetch_safe ~file ~sep ~schema ~posmap ~cols ~rowids =
-  let buf = Mmap_file.bytes file in
-  let cur = Csv.Cursor.create ~sep file in
-  let srcs = by_source schema cols in
-  let first = first_source schema cols in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let tokenized = ref 0 and converted = ref 0 in
   let n = Array.length rowids in
   for k = 0 to n - 1 do
     tick ();
     let r = rowids.(k) in
-    match Posmap.nearest_at_or_before posmap first with
-    | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
-    | Some (tcol, positions) ->
-      let row_pos = positions.(r) in
-      Csv.Cursor.seek cur row_pos;
-      let at = ref tcol in
-      List.iter2
-        (fun (s, i) b ->
-          while !at < s do
-            Csv.Cursor.skip_field cur;
-            incr tokenized;
-            incr at
-          done;
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          incr at;
-          (match
-             match Schema.dtype schema i with
-             | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-             | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-             | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-             | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l)
-           with
-           | () -> ()
-           | exception Scan_errors.Error e ->
-             Scan_errors.record ~offset:row_pos ~field:s
-               ~cause:e.Scan_errors.cause;
-             Builder.add_null b);
-          incr converted)
-        srcs builders
+    for j = 0 to Array.length steps - 1 do
+      steps.(j) r
+    done
   done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  reorder cols srcs (Array.of_list (List.map Builder.to_column builders))
-
-let fetch ~mode ?(policy = Scan_errors.Fail_fast) ~file ~sep ~schema ~posmap
-    ~cols ~rowids () =
-  match policy with
-  | Scan_errors.Null_fill -> fetch_safe ~file ~sep ~schema ~posmap ~cols ~rowids
-  | Scan_errors.Fail_fast | Scan_errors.Skip_row -> (
-    match mode with
-    | Interpreted -> fetch_interpreted ~file ~sep ~schema ~posmap ~cols ~rowids
-    | Jit -> fetch_jit ~file ~sep ~schema ~posmap ~cols ~rowids)
+  report ~tokenized:(n * sum (fun r -> r.tok) readers)
+    ~built:(n * sum (fun r -> r.built) readers);
+  Array.of_list (List.map Builder.to_column builders)

@@ -1,22 +1,29 @@
 (** CSV scan kernels: the general-purpose (in-situ) and JIT access paths
     (paper §4.1).
 
-    Both kinds do the same logical work; they differ in where decisions
-    live:
+    There is one sequential-scan loop and one fetch loop. Each is driven
+    by a per-column array of field readers, built once per call; the mode
+    only chooses which reader set:
 
-    - {b Interpreted} kernels are the NoDB-style general-purpose operator:
-      one loop over source columns per row, with per-column runtime checks
-      ("is this column tracked by the positional map?", "is it requested?")
-      and a per-field data-type dispatch against the schema — the branches
-      the paper blames for in-situ overhead.
-    - {b Jit} kernels are composed at query time from monomorphic per-field
-      closures: the column loop is unrolled, the data-type conversion is
-      baked in, and tracked-position recording appears only where a tracked
-      column actually sits. This is the closure-specialization analogue of
-      the paper's generated C++ (see DESIGN.md §1).
+    - {b Interpreted} readers are the NoDB-style general-purpose operator:
+      for every field they consult the column tables ("is this column
+      tracked by the positional map?", "is it requested?") and dispatch on
+      the data type from the catalog — the branches the paper blames for
+      in-situ overhead.
+    - {b Jit} readers are monomorphic closures: the data-type conversion is
+      baked in, tracked-position recording appears only where a tracked
+      column actually sits, and runs of untouched columns fuse into one
+      skip. This is the closure-specialization analogue of the paper's
+      generated C++ (see DESIGN.md §1).
 
-    Kernels report work through {!Raw_storage.Io_stats} counters
-    [csv.fields_tokenized], [csv.values_converted], [scan.values_built]. *)
+    The error policy is a further stage over either set: [Fail_fast] adds
+    nothing, [Null_fill] wraps converting readers in record-and-NULL, and
+    [Skip_row] adds validate-only readers for the other schema columns and
+    a row-level rollback.
+
+    The loops report work through {!Raw_storage.Io_stats} counters
+    [csv.fields_tokenized], [csv.values_converted], [scan.values_built],
+    counted per row from the reader set rather than per field. *)
 
 open Raw_vector
 open Raw_storage
@@ -45,13 +52,13 @@ val seq_scan :
     recorded positions stay absolute.
 
     [policy] (default [Fail_fast]) selects the error handling. [Fail_fast]
-    runs the unmodified fast kernels and lets the typed
+    runs the plain reader set and lets the typed
     {!Raw_storage.Scan_errors.Error} propagate on the first malformed
-    field. The other policies run a policy-parametric kernel (shared by
-    both modes): [Skip_row] validates {e every} schema column per row —
-    row identity must not depend on the queried columns — and drops bad
-    rows, rolling their builder and posmap entries back; [Null_fill]
-    keeps every physical row and decodes bad requested fields to NULL.
+    field. [Skip_row] adds validate-only readers so that {e every} schema
+    column is checked per row — row identity must not depend on the
+    queried columns — and drops bad rows, rolling their builder and
+    posmap entries back; [Null_fill] wraps the converting readers so that
+    every physical row is kept and bad requested fields decode to NULL.
     Both record into {!Raw_storage.Scan_errors}. *)
 
 val count_valid_rows :
@@ -61,9 +68,9 @@ val count_valid_rows :
   ?record:bool ->
   unit ->
   int
-(** How many rows a [Skip_row] scan of this file yields — the exact
-    acceptance logic of the safe kernel, so cached row counts, positional
-    maps and scan results always agree. [record] (default [false]) says
+(** How many rows a [Skip_row] scan of this file yields — the same scan
+    loop and validation, so cached row counts, positional maps and scan
+    results always agree. [record] (default [false]) says
     whether the pass also records the errors it encounters. *)
 
 val par_scan :
@@ -99,14 +106,17 @@ val fetch :
   Column.t array
 (** Positional fetch of one or more schema columns for the given row ids
     (ascending columns; any row order — callers choose, and pay the
-    locality consequences, paper §5.3.2). For each row the kernel jumps to
-    the tracked column at or before the first requested column and parses
-    incrementally; multiple requested columns share one pass over the row
-    (multi-column shreds, §5.3.1). Raises [Failure] if the positional map
+    locality consequences, paper §5.3.2). The fetch loop runs one reader
+    set per row: the first reader jumps to the tracked column at or before
+    the first requested column, and each further reader walks its gap and
+    converts one field, so multiple requested columns share one pass over
+    the row (multi-column shreds, §5.3.1). A single JIT column that is
+    itself tracked with recorded lengths is read by one length-aware
+    reader without tokenizing. Raises [Failure] if the positional map
     tracks nothing at or before the first column.
 
-    Under [Null_fill] a defensive variant decodes bad fields to NULL and
-    records them. [Skip_row] uses the fast kernels unchanged: its row ids
+    Under [Null_fill] the converting readers are wrapped to decode bad
+    fields to NULL and record them. [Skip_row] adds nothing: its row ids
     only name rows the scan already validated schema-wide. *)
 
 val can_fetch : schema:Schema.t -> posmap:Posmap.t -> cols:int list -> bool

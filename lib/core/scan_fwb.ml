@@ -3,10 +3,7 @@ open Raw_storage
 open Raw_formats
 module Metrics = Raw_obs.Metrics
 
-let template_key ~phase ~table ~needed ~policy =
-  Printf.sprintf "fwb|%s|%s|needed=%s|err=%s" phase table
-    (String.concat "," (List.map string_of_int needed))
-    (Scan_errors.policy_to_string policy)
+let template_key = Scan_kit.template_key "fwb"
 
 (* FWB values cannot fail to decode — every fixed-width slot is a valid
    int/float/bool bit pattern — so the only malformation is a ragged file
@@ -26,168 +23,58 @@ let row_bound ~policy ?(record = true) layout file =
 
 let source_of schema i = (Schema.field schema i).Schema.source_index
 
-let count_values n_rows n_cols =
-  Metrics.add Metrics.fwb_values_read (n_rows * n_cols);
-  Metrics.add Metrics.scan_values_built (n_rows * n_cols)
-
-let read_dispatch file (dt : Dtype.t) pos : Value.t =
-  (* general-purpose read: dtype dispatched per value *)
-  match dt with
+(* General-purpose read: the field offset comes from the layout and the
+   read is dispatched on the data type, for every value. *)
+let read_dispatch file layout schema i row : Value.t =
+  let pos = Fwb.offset_of layout ~row ~field:(source_of schema i) in
+  match Schema.dtype schema i with
   | Int -> Value.Int (Fwb.read_int file pos)
   | Float -> Value.Float (Fwb.read_float file pos)
   | Bool -> Value.Bool (Fwb.read_bool file pos)
   | String -> invalid_arg "Scan_fwb: String column in FWB"
 
-let seq_scan_interpreted ~rows ~file ~layout ~schema ~needed () =
-  let lo, hi = rows in
-  let n = hi - lo in
-  let builders = List.map (fun i -> Builder.create ~capacity:(max n 1) (Schema.dtype schema i)) needed in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  for row = lo to hi - 1 do
-    tick ();
-    List.iter2
-      (fun i b ->
-        (* runtime: layout lookup, then per-value dispatch *)
-        let pos = Fwb.offset_of layout ~row ~field:(source_of schema i) in
-        Builder.add_value b (read_dispatch file (Schema.dtype schema i) pos))
-      needed builders
-  done;
-  count_values n (List.length needed);
-  Array.of_list (List.map Builder.to_column builders)
-
-let seq_scan_jit ~rows ~file ~layout ~schema ~needed () =
-  let lo, hi = rows in
-  let n = hi - lo in
+(* Sequential scans and fetches share the readers and the column loop;
+   they differ only in the row ids they visit. *)
+let scan ~mode ?ids ?lo n ~file ~layout ~schema cols =
   let rs = Fwb.row_size layout in
-  (* inline land-mask checks keep the monomorphic loops tight: with an
-     inactive token [live] is false and the check folds to one dead branch *)
-  let cancel = Cancel.current () in
-  let live = Cancel.active cancel in
-  let cols =
-    List.map
-      (fun i ->
-        Cancel.check cancel;
-        let off0 = Fwb.field_offset layout (source_of schema i) + (lo * rs) in
-        (* offsets and conversion baked into a monomorphic column loop *)
-        match Schema.dtype schema i with
-        | Dtype.Int ->
-          let a = Array.make n 0 in
-          for k = 0 to n - 1 do
-            if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-            a.(k) <- Fwb.read_int file (off0 + (k * rs))
-          done;
-          Column.of_int_array a
-        | Dtype.Float ->
-          let a = Array.make n 0. in
-          for k = 0 to n - 1 do
-            if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-            a.(k) <- Fwb.read_float file (off0 + (k * rs))
-          done;
-          Column.of_float_array a
-        | Dtype.Bool ->
-          let a = Array.make n false in
-          for k = 0 to n - 1 do
-            if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-            a.(k) <- Fwb.read_bool file (off0 + (k * rs))
-          done;
-          Column.of_bool_array a
-        | Dtype.String -> invalid_arg "Scan_fwb: String column in FWB")
-      needed
+  let reader i =
+    match (mode : Scan_csv.mode) with
+    | Interpreted -> Scan_kit.values n (Schema.dtype schema i) (read_dispatch file layout schema i)
+    | Jit -> (
+      (* the paper's "inject the binary offsets into the code" *)
+      let off = Fwb.field_offset layout (source_of schema i) in
+      match Schema.dtype schema i with
+      | Int -> Scan_kit.ints n (fun r -> Fwb.read_int file (off + (r * rs)))
+      | Float -> Scan_kit.floats n (fun r -> Fwb.read_float file (off + (r * rs)))
+      | Bool -> Scan_kit.bools n (fun r -> Fwb.read_bool file (off + (r * rs)))
+      | String -> invalid_arg "Scan_fwb: String column in FWB")
   in
-  count_values n (List.length needed);
-  if live then Metrics.add Metrics.scan_rows_scanned n;
-  Array.of_list cols
+  let columns = Scan_kit.columns ?ids ?lo n (List.map reader cols) in
+  Metrics.add Metrics.fwb_values_read (n * List.length cols);
+  Metrics.add Metrics.scan_values_built (n * List.length cols);
+  columns
 
 let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ?rows ~file ~layout
     ~schema ~needed () =
-  let rows =
-    match rows with
-    | Some r -> r
-    | None -> (0, row_bound ~policy layout file)
+  let lo, hi =
+    match rows with Some r -> r | None -> (0, row_bound ~policy layout file)
   in
-  (match (mode : Scan_csv.mode) with
-   | Interpreted -> seq_scan_interpreted
-   | Jit -> seq_scan_jit)
-    ~rows ~file ~layout ~schema ~needed ()
+  scan ~mode ~lo (hi - lo) ~file ~layout ~schema needed
 
-(* Morsel-driven parallel scan: contiguous row ranges (fixed arithmetic),
-   one sequential kernel per range on its own domain, columns concatenated
-   in range order. Bit-identical to the sequential scan. *)
+(* Contiguous row ranges (fixed arithmetic) as morsels. *)
 let par_scan ~mode ?(policy = Scan_errors.Fail_fast) ~parallelism ~file
     ~layout ~schema ~needed () =
   let bound = row_bound ~policy layout file in
-  let ranges =
-    if parallelism <= 1 then []
-    else Morsel.split_range ~lo:0 ~hi:bound ~n:parallelism
-  in
-  match ranges with
-  | [] | [ _ ] ->
-    seq_scan ~mode ~rows:(0, bound) ~file ~layout ~schema ~needed ()
+  let scan rows file = seq_scan ~mode ~rows ~file ~layout ~schema ~needed () in
+  match if parallelism <= 1 then [] else Morsel.split_range ~lo:0 ~hi:bound ~n:parallelism with
+  | [] | [ _ ] -> scan (0, bound) file
   | ranges ->
-    let parts =
-      Morsel.map_domains
-        (fun rows ->
-          let view = Mmap_file.fork_view file in
-          let cols = seq_scan ~mode ~rows ~file:view ~layout ~schema ~needed () in
-          (cols, view))
-        ranges
-    in
-    List.iter (fun (_, view) -> Mmap_file.absorb ~into:file view) parts;
-    let n_cols = match parts with (cols, _) :: _ -> Array.length cols | [] -> 0 in
-    Array.init n_cols (fun k ->
-        Column.concat (List.map (fun (cols, _) -> cols.(k)) parts))
+    Morsel.concat_columns
+      (Morsel.fork_join
+         ~fork:(fun () -> Mmap_file.fork_view file)
+         ~absorb:(fun view -> Mmap_file.absorb ~into:file view)
+         (fun view rows -> scan rows view)
+         ranges)
 
-let fetch_interpreted ~file ~layout ~schema ~cols ~rowids =
-  let n = Array.length rowids in
-  let builders = List.map (fun i -> Builder.create ~capacity:n (Schema.dtype schema i)) cols in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  for k = 0 to n - 1 do
-    tick ();
-    let row = rowids.(k) in
-    List.iter2
-      (fun i b ->
-        let pos = Fwb.offset_of layout ~row ~field:(source_of schema i) in
-        Builder.add_value b (read_dispatch file (Schema.dtype schema i) pos))
-      cols builders
-  done;
-  count_values n (List.length cols);
-  Array.of_list (List.map Builder.to_column builders)
-
-let fetch_jit ~file ~layout ~schema ~cols ~rowids =
-  let n = Array.length rowids in
-  let rs = Fwb.row_size layout in
-  let cancel = Cancel.current () in
-  let out =
-    List.map
-      (fun i ->
-        Cancel.check cancel;
-        let off0 = Fwb.field_offset layout (source_of schema i) in
-        match Schema.dtype schema i with
-        | Dtype.Int ->
-          let a = Array.make n 0 in
-          for k = 0 to n - 1 do
-            a.(k) <- Fwb.read_int file (off0 + (rowids.(k) * rs))
-          done;
-          Column.of_int_array a
-        | Dtype.Float ->
-          let a = Array.make n 0. in
-          for k = 0 to n - 1 do
-            a.(k) <- Fwb.read_float file (off0 + (rowids.(k) * rs))
-          done;
-          Column.of_float_array a
-        | Dtype.Bool ->
-          let a = Array.make n false in
-          for k = 0 to n - 1 do
-            a.(k) <- Fwb.read_bool file (off0 + (rowids.(k) * rs))
-          done;
-          Column.of_bool_array a
-        | Dtype.String -> invalid_arg "Scan_fwb: String column in FWB")
-      cols
-  in
-  count_values n (List.length cols);
-  Array.of_list out
-
-let fetch ~mode =
-  match (mode : Scan_csv.mode) with
-  | Interpreted -> fetch_interpreted
-  | Jit -> fetch_jit
+let fetch ~mode ~file ~layout ~schema ~cols ~rowids =
+  scan ~mode ~ids:rowids (Array.length rowids) ~file ~layout ~schema cols

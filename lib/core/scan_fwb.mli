@@ -1,15 +1,16 @@
 (** Fixed-width binary scan kernels (paper §4.1-4.2).
 
     For this format the location of every data element is known in advance,
-    so no positional map exists in either kernel. The difference under
-    study:
+    so no positional map exists. Sequential scans and fetches share one
+    column loop ({!Scan_kit.columns}) over per-column readers; they differ
+    only in the row ids they visit. The mode chooses the reader set:
 
-    - {b Interpreted}: row-major loop; for every value, the field offset is
-      obtained through the layout at runtime and the read is dispatched on
-      the data type — the general-purpose operator.
+    - {b Interpreted}: for every value, the field offset is obtained
+      through the layout at runtime and the read is dispatched on the data
+      type into a builder — the general-purpose operator.
     - {b Jit}: the paper's "inject the binary offsets into the code":
-      per-column closures with base offset and stride baked in, each a
-      monomorphic tight loop. *)
+      base offset and stride baked into a monomorphic reader that stores
+      into an unboxed array. *)
 
 open Raw_vector
 open Raw_storage

@@ -3,14 +3,7 @@ open Raw_storage
 open Raw_formats
 module Metrics = Raw_obs.Metrics
 
-let template_key ~phase ~table ~needed ~policy =
-  Printf.sprintf "hep|%s|%s|needed=%s|err=%s" phase table
-    (String.concat "," (List.map string_of_int needed))
-    (Scan_errors.policy_to_string policy)
-
-let count n_rows n_cols =
-  Metrics.add Metrics.hep_fields_read (n_rows * n_cols);
-  Metrics.add Metrics.scan_values_built (n_rows * n_cols)
+let template_key = Scan_kit.template_key "hep"
 
 (* [rowids] are always actual entry ids; [policy] only governs what a full
    enumeration ([rowids = None]) means. A HEP record whose structure is
@@ -26,179 +19,87 @@ let entry_ids ~policy reader = function
        Hep.Reader.record_invalid_entries reader;
        Hep.Reader.valid_entries reader)
 
+(* Events and particles share one column loop. A table is described by
+   [jit n col], the monomorphic reader selected once per column, and by
+   [value col row], the general-purpose read that dispatches on the column
+   for every value. *)
+let scan ~mode ~schema ~jit ~value ~ids needed =
+  let n = Array.length ids in
+  let reader col =
+    match (mode : Scan_csv.mode) with
+    | Jit -> jit n col
+    | Interpreted -> Scan_kit.values n (Schema.dtype schema col) (value col)
+  in
+  let columns = Scan_kit.columns ~ids n (List.map reader needed) in
+  Metrics.add Metrics.hep_fields_read (n * List.length needed);
+  Metrics.add Metrics.scan_values_built (n * List.length needed);
+  columns
+
+let event_field reader col =
+  match col with
+  | 0 -> Hep.Reader.read_event_id reader
+  | 1 -> Hep.Reader.read_run_number reader
+  | _ -> invalid_arg "Scan_hep.scan_events: bad column"
+
 let scan_events ~mode ?(policy = Scan_errors.Fail_fast) ~reader ~needed
     ~rowids () =
-  let ids = entry_ids ~policy reader rowids in
-  let n = Array.length ids in
-  (* inline land-mask checks, as in Scan_fwb: dead branch when inactive *)
-  let cancel = Cancel.current () in
-  let live = Cancel.active cancel in
-  let out =
-    match (mode : Scan_csv.mode) with
-    | Jit ->
-      (* per-field reader selected once; monomorphic loops *)
-      List.map
-        (fun col ->
-          Cancel.check cancel;
-          let read =
-            match col with
-            | 0 -> Hep.Reader.read_event_id reader
-            | 1 -> Hep.Reader.read_run_number reader
-            | _ -> invalid_arg "Scan_hep.scan_events: bad column"
-          in
-          let a = Array.make n 0 in
-          for k = 0 to n - 1 do
-            if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-            a.(k) <- read ids.(k)
-          done;
-          Column.of_int_array a)
-        needed
-    | Interpreted ->
-      (* general-purpose: field dispatched per value *)
-      List.map
-        (fun col ->
-          Cancel.check cancel;
-          let b = Builder.create ~capacity:n Dtype.Int in
-          for k = 0 to n - 1 do
-            if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-            let v =
-              match col with
-              | 0 -> Hep.Reader.read_event_id reader ids.(k)
-              | 1 -> Hep.Reader.read_run_number reader ids.(k)
-              | _ -> invalid_arg "Scan_hep.scan_events: bad column"
-            in
-            Builder.add_int b v
-          done;
-          Builder.to_column b)
-        needed
+  scan ~mode ~schema:Format_kind.hep_event_schema
+    ~jit:(fun n col -> Scan_kit.ints n (event_field reader col))
+    ~value:(fun col r -> Value.Int (event_field reader col r))
+    ~ids:(entry_ids ~policy reader rowids) needed
+
+let pfield_col col : Hep.pfield =
+  match col with
+  | 1 -> Hep.Pt
+  | 2 -> Hep.Eta
+  | 3 -> Hep.Phi
+  | _ -> invalid_arg "Scan_hep.scan_particles: bad column"
+
+let all_particles (entry_of, _) = function
+  | Some ids -> ids
+  | None -> Array.init (Array.length entry_of) (fun i -> i)
+
+let scan_particles ~mode ~reader ~coll ~index ~needed ~rowids =
+  let entry_of, item_of = index in
+  let event r = Hep.Reader.read_event_id reader entry_of.(r) in
+  let field f r =
+    Hep.Reader.read_particle_field reader ~entry:entry_of.(r) coll
+      ~item:item_of.(r) f
   in
-  count n (List.length needed);
-  if live then Metrics.add Metrics.scan_rows_scanned n;
-  Array.of_list out
+  scan ~mode ~schema:Format_kind.hep_particle_schema
+    ~jit:(fun n col ->
+      if col = 0 then Scan_kit.ints n event
+      else Scan_kit.floats n (field (pfield_col col)))
+    ~value:(fun col r ->
+      if col = 0 then Value.Int (event r)
+      else Value.Float (field (pfield_col col) r))
+    ~ids:(all_particles index rowids) needed
 
-(* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel scans                                        *)
-(*                                                                     *)
-(* The record index (entry ids, or dense particle row ids) is the      *)
-(* morsel axis: contiguous slices of the id array, one worker domain   *)
-(* per slice against a forked reader, columns concatenated in slice    *)
-(* order — bit-identical to the sequential scan.                       *)
-(* ------------------------------------------------------------------ *)
-
-let id_slices ids ~parallelism =
-  Morsel.split_range ~lo:0 ~hi:(Array.length ids) ~n:parallelism
-  |> List.map (fun (lo, hi) -> Array.sub ids lo (hi - lo))
-
-let stitch ~reader parts =
-  List.iter
-    (fun (_, r) ->
-      Mmap_file.absorb ~into:(Hep.Reader.file reader) (Hep.Reader.file r))
-    parts;
-  let n_cols = match parts with (cols, _) :: _ -> Array.length cols | [] -> 0 in
-  Array.init n_cols (fun k ->
-      Column.concat (List.map (fun (cols, _) -> cols.(k)) parts))
+(* The record index (entry ids, or dense particle row ids) is the morsel
+   axis: contiguous slices of the id array, one worker domain per slice
+   against a forked reader. *)
+let par ~parallelism ~reader work ids =
+  let n = Array.length ids in
+  match if parallelism <= 1 then [] else Morsel.split_range ~lo:0 ~hi:n ~n:parallelism with
+  | [] | [ _ ] -> work reader ids
+  | slices ->
+    Morsel.concat_columns
+      (Morsel.fork_join
+         ~fork:(fun () -> Hep.Reader.fork_view reader)
+         ~absorb:(fun r ->
+           Mmap_file.absorb ~into:(Hep.Reader.file reader) (Hep.Reader.file r))
+         (fun r (lo, hi) -> work r (Array.sub ids lo (hi - lo)))
+         slices)
 
 let par_scan_events ~mode ?(policy = Scan_errors.Fail_fast) ~parallelism
     ~reader ~needed ~rowids () =
   (* resolve the enumeration (and its error recording) exactly once *)
-  let ids = entry_ids ~policy reader rowids in
-  let slices = if parallelism <= 1 then [] else id_slices ids ~parallelism in
-  match slices with
-  | [] | [ _ ] -> scan_events ~mode ~reader ~needed ~rowids:(Some ids) ()
-  | slices ->
-    stitch ~reader
-      (Morsel.map_domains
-         (fun slice ->
-           let r = Hep.Reader.fork_view reader in
-           (scan_events ~mode ~reader:r ~needed ~rowids:(Some slice) (), r))
-         slices)
+  par ~parallelism ~reader
+    (fun reader ids -> scan_events ~mode ~reader ~needed ~rowids:(Some ids) ())
+    (entry_ids ~policy reader rowids)
 
-let scan_particles ~mode ~reader ~coll ~index:(entry_of, item_of) ~needed ~rowids =
-  let ids =
-    match rowids with
-    | Some ids -> ids
-    | None -> Array.init (Array.length entry_of) (fun i -> i)
-  in
-  let n = Array.length ids in
-  let cancel = Cancel.current () in
-  let live = Cancel.active cancel in
-  let pfield_col col : Hep.pfield =
-    match col with
-    | 1 -> Hep.Pt
-    | 2 -> Hep.Eta
-    | 3 -> Hep.Phi
-    | _ -> invalid_arg "Scan_hep.scan_particles: bad column"
-  in
-  let out =
-    match (mode : Scan_csv.mode) with
-    | Jit ->
-      List.map
-        (fun col ->
-          Cancel.check cancel;
-          if col = 0 then begin
-            let a = Array.make n 0 in
-            for k = 0 to n - 1 do
-              if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-              a.(k) <- Hep.Reader.read_event_id reader entry_of.(ids.(k))
-            done;
-            Column.of_int_array a
-          end
-          else begin
-            let f = pfield_col col in
-            let a = Array.make n 0. in
-            for k = 0 to n - 1 do
-              if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-              let r = ids.(k) in
-              a.(k) <-
-                Hep.Reader.read_particle_field reader ~entry:entry_of.(r) coll
-                  ~item:item_of.(r) f
-            done;
-            Column.of_float_array a
-          end)
-        needed
-    | Interpreted ->
-      List.map
-        (fun col ->
-          Cancel.check cancel;
-          let dt = Schema.dtype Format_kind.hep_particle_schema col in
-          let b = Builder.create ~capacity:n dt in
-          for k = 0 to n - 1 do
-            if live && k land 0xFFF = 0xFFF then Cancel.check cancel;
-            let r = ids.(k) in
-            match col with
-            | 0 ->
-              Builder.add_int b (Hep.Reader.read_event_id reader entry_of.(r))
-            | c ->
-              Builder.add_float b
-                (Hep.Reader.read_particle_field reader ~entry:entry_of.(r) coll
-                   ~item:item_of.(r) (pfield_col c))
-          done;
-          Builder.to_column b)
-        needed
-  in
-  count n (List.length needed);
-  if live then Metrics.add Metrics.scan_rows_scanned n;
-  Array.of_list out
-
-let par_scan_particles ~mode ~parallelism ~reader ~coll ~index ~needed ~rowids
-    =
-  let entry_of, _ = index in
-  let ids =
-    match rowids with
-    | Some ids -> ids
-    | None -> Array.init (Array.length entry_of) (fun i -> i)
-  in
-  let slices =
-    if parallelism <= 1 then [] else id_slices ids ~parallelism
-  in
-  match slices with
-  | [] | [ _ ] -> scan_particles ~mode ~reader ~coll ~index ~needed ~rowids
-  | slices ->
-    stitch ~reader
-      (Morsel.map_domains
-         (fun slice ->
-           let r = Hep.Reader.fork_view reader in
-           ( scan_particles ~mode ~reader:r ~coll ~index ~needed
-               ~rowids:(Some slice),
-             r ))
-         slices)
+let par_scan_particles ~mode ~parallelism ~reader ~coll ~index ~needed ~rowids =
+  par ~parallelism ~reader
+    (fun reader ids ->
+      scan_particles ~mode ~reader ~coll ~index ~needed ~rowids:(Some ids))
+    (all_particles index rowids)

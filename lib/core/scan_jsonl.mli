@@ -2,10 +2,15 @@
 
     Schema field names are dotted paths into the objects ("user.id").
     Unlike CSV, a column's location inside a row is not positionally
-    stable, so the kernels match keys; what JIT specialization buys here is
-    the per-path emitter — data-type conversion and builder dispatch are
-    baked into one closure per wanted path, where the interpreted kernel
-    re-dispatches on the schema for every value. Absent fields yield NULL.
+    stable, so the kernels match keys through a path trie whose leaves are
+    per-column emitters (the field readers of this format). The mode
+    chooses the emitter set: a JIT emitter has the data-type conversion
+    and builder baked into one monomorphic closure, an interpreted one
+    looks the column's type up in the catalog and dispatches for every
+    value. The error policy wraps either set ([Null_fill]: record-and-NULL
+    around each emitter; [Skip_row]: emitters for every schema column and
+    a row rollback). One sequential loop serves every policy. Absent fields
+    yield NULL.
 
     The positional-map analogue indexes row starts; {!fetch} jumps straight
     to the requested rows. *)
@@ -38,8 +43,8 @@ val valid_row_starts :
   ?record:bool ->
   unit ->
   int array
-(** The row starts a [Skip_row] scan keeps — the exact acceptance logic of
-    the safe kernel, so cached row counts and scan results agree. [record]
+(** The row starts a [Skip_row] scan keeps — the same scan loop and
+    validation, so cached row counts and scan results agree. [record]
     (default [false]) says whether the pass also records the errors. *)
 
 val fetch :
@@ -54,7 +59,7 @@ val fetch :
   Column.t array
 (** Under [Null_fill], a structurally broken row fetches as all-NULL and is
     recorded; [Skip_row] row ids only ever name rows the scan validated, so
-    both other policies use the unmodified fast path. *)
+    under both other policies a structural error escapes. *)
 
 val template_key :
   phase:string -> table:string -> needed:int list ->

@@ -67,6 +67,34 @@ let cmp_values (op : Kernels.cmp) a b =
   | Eq -> Stdlib.(c = 0)
   | Ne -> Stdlib.(c <> 0)
 
+let bool_column out valid =
+  if Bytes.contains valid '\000' then Column.make ~valid (Column.Bool_data out)
+  else Column.of_bool_array out
+
+let negate_cmp : Kernels.cmp -> Kernels.cmp = function
+  | Lt -> Ge
+  | Le -> Gt
+  | Gt -> Le
+  | Ge -> Lt
+  | Eq -> Ne
+  | Ne -> Eq
+
+(* Kleene AND ([dominant = false]) / OR ([dominant = true]): a valid
+   dominant operand decides the row; otherwise any NULL makes it NULL. *)
+let kleene ~dominant ca cb =
+  let n = Column.length ca in
+  let ba = Column.bool_array ca and bb = Column.bool_array cb in
+  let out = Array.make n (Stdlib.not dominant) and valid = Bytes.make n '\001' in
+  for i = 0 to Stdlib.( - ) n 1 do
+    let va = Column.is_valid ca i and vb = Column.is_valid cb i in
+    if Stdlib.( || )
+        (Stdlib.( && ) va (Bool.equal ba.(i) dominant))
+        (Stdlib.( && ) vb (Bool.equal bb.(i) dominant))
+    then out.(i) <- dominant
+    else if Stdlib.not (Stdlib.( && ) va vb) then Bytes.set valid i '\000'
+  done;
+  bool_column out valid
+
 let rec eval e chunk =
   let n = Chunk.n_rows chunk in
   match e with
@@ -81,22 +109,22 @@ let rec eval e chunk =
        Kernels.arith_col op (eval a chunk) (eval b chunk)
      | _, _ -> Kernels.arith_col op (eval a chunk) (eval b chunk))
   | Cmp (op, a, b) ->
+    (* SQL three-valued logic: a comparison with NULL is NULL *)
     let ca = eval a chunk and cb = eval b chunk in
-    let out = Array.make n false in
+    let out = Array.make n false and valid = Bytes.make n '\001' in
     for i = 0 to Stdlib.( - ) n 1 do
-      out.(i) <- cmp_values op (Column.get ca i) (Column.get cb i)
+      match Column.get ca i, Column.get cb i with
+      | Value.Null, _ | _, Value.Null -> Bytes.set valid i '\000'
+      | x, y -> out.(i) <- cmp_values op x y
     done;
-    Column.of_bool_array out
-  | And (a, b) ->
-    let ba = Column.bool_array (eval a chunk)
-    and bb = Column.bool_array (eval b chunk) in
-    Column.of_bool_array (Array.map2 Stdlib.( && ) ba bb)
-  | Or (a, b) ->
-    let ba = Column.bool_array (eval a chunk)
-    and bb = Column.bool_array (eval b chunk) in
-    Column.of_bool_array (Array.map2 Stdlib.( || ) ba bb)
+    bool_column out valid
+  | And (a, b) -> kleene ~dominant:false (eval a chunk) (eval b chunk)
+  | Or (a, b) -> kleene ~dominant:true (eval a chunk) (eval b chunk)
   | Not a ->
-    Column.of_bool_array (Array.map Stdlib.not (Column.bool_array (eval a chunk)))
+    let c = eval a chunk in
+    bool_column
+      (Array.map Stdlib.not (Column.bool_array c))
+      (Bytes.init n (fun i -> if Column.is_valid c i then '\001' else '\000'))
 
 let merge_sels a b =
   (* union of two ascending index arrays *)
@@ -128,29 +156,22 @@ let rec eval_filter e chunk sel =
     eval_filter b chunk (Some sa)
   | Or (a, b) ->
     merge_sels (eval_filter a chunk sel) (eval_filter b chunk sel)
-  | Not a ->
-    let inner = eval_filter a chunk sel in
-    let candidates =
-      match sel with
-      | Some s -> Sel.to_array s
-      | None -> Array.init (Chunk.n_rows chunk) (fun i -> i)
-    in
-    let inner_set = Hashtbl.create (Sel.length inner) in
-    Sel.iter (fun i -> Hashtbl.replace inner_set i ()) inner;
-    Sel.of_array_unchecked
-      (Array.of_list
-         (List.filter
-            (fun i -> Stdlib.not (Hashtbl.mem inner_set i))
-            (Array.to_list candidates)))
+  (* NOT keeps only the rows whose operand is FALSE, never NULL ones:
+     push it down to the comparisons (De Morgan holds in Kleene logic) *)
+  | Not (Cmp (op, a, b)) -> eval_filter (Cmp (negate_cmp op, a, b)) chunk sel
+  | Not (And (a, b)) -> eval_filter (Or (Not a, Not b)) chunk sel
+  | Not (Or (a, b)) -> eval_filter (And (Not a, Not b)) chunk sel
+  | Not (Not a) -> eval_filter a chunk sel
   | Const (Value.Bool true) ->
     (match sel with Some s -> s | None -> Sel.all (Chunk.n_rows chunk))
   | Const (Value.Bool false) -> Sel.empty
   | e ->
     (* generic fallback: evaluate to a boolean column *)
-    let mask = Column.bool_array (eval e chunk) in
-    let keep i = mask.(i) in
+    let c = eval e chunk in
+    let mask = Column.bool_array c in
+    let keep i = Stdlib.( && ) mask.(i) (Column.is_valid c i) in
     (match sel with
-     | None -> Sel.of_bool_mask mask
+     | None -> Sel.of_bool_mask (Array.mapi (fun i _ -> keep i) mask)
      | Some s ->
        Sel.of_array_unchecked
          (Array.of_list (List.filter keep (Array.to_list (Sel.to_array s)))))

@@ -241,11 +241,9 @@ let group_by ~keys ~aggs input =
         done_ := true;
         (* first-seen group order; each group holds (key values, accs) *)
         let order : (Value.t list * acc array) list ref = ref [] in
-        let n_groups = ref 0 in
         let new_group key =
           let a = Array.of_list (List.map (fun (op, _) -> acc_create op) aggs) in
           order := (key, a) :: !order;
-          incr n_groups;
           a
         in
         let update_row accs agg_cols i =
@@ -311,38 +309,36 @@ let group_by ~keys ~aggs input =
         in
         drain ();
         input.close_fn ();
+        (* no groups still yields the key and aggregate columns, empty *)
         let groups_in_order = List.rev !order in
-        if !n_groups = 0 then Some Chunk.empty
-        else begin
-          let n_keys = List.length keys in
-          let key_cols =
-            List.init n_keys (fun k ->
-                let vs =
-                  List.map (fun (key, _) -> List.nth key k) groups_in_order
-                in
-                let dt =
-                  match List.find_opt (fun v -> not (Value.is_null v)) vs with
-                  | Some v -> Option.get (Value.dtype v)
-                  | None -> Dtype.Int
-                in
-                Column.of_values dt vs)
-          in
-          let agg_cols =
-            List.mapi
-              (fun j (op, _) ->
-                let vs =
-                  List.map (fun (_, accs) -> acc_result accs.(j)) groups_in_order
-                in
-                let dt =
-                  match List.find_opt (fun v -> not (Value.is_null v)) vs with
-                  | Some v -> result_dtype op v
-                  | None -> Dtype.Int
-                in
-                Column.of_values dt vs)
-              aggs
-          in
-          Some (Chunk.of_columns (key_cols @ agg_cols))
-        end
+        let n_keys = List.length keys in
+        let key_cols =
+          List.init n_keys (fun k ->
+              let vs =
+                List.map (fun (key, _) -> List.nth key k) groups_in_order
+              in
+              let dt =
+                match List.find_opt (fun v -> not (Value.is_null v)) vs with
+                | Some v -> Option.get (Value.dtype v)
+                | None -> Dtype.Int
+              in
+              Column.of_values dt vs)
+        in
+        let agg_cols =
+          List.mapi
+            (fun j (op, _) ->
+              let vs =
+                List.map (fun (_, accs) -> acc_result accs.(j)) groups_in_order
+              in
+              let dt =
+                match List.find_opt (fun v -> not (Value.is_null v)) vs with
+                | Some v -> result_dtype op v
+                | None -> Dtype.Int
+              in
+              Column.of_values dt vs)
+            aggs
+        in
+        Some (Chunk.of_columns (key_cols @ agg_cols))
       end)
 
 (* ---------- join ---------- *)

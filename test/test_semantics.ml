@@ -1,0 +1,180 @@
+(* SQL semantics regressions: GROUP BY over an empty input and NOT over
+   NULL (three-valued logic), across formats and the serving tier. *)
+
+open Raw_vector
+open Raw_core
+open Test_util
+module Jsons = Raw_obs.Jsons
+
+(* The same 4-row table (a, b) in each format. *)
+let rows = [ (1, 100); (2, 600); (3, 300); (4, 200) ]
+
+let db_of fmt =
+  let db = Raw_db.create () in
+  let columns = [ ("a", Dtype.Int); ("b", Dtype.Int) ] in
+  (match fmt with
+   | `Csv ->
+     let path = write_csv_rows (List.map (fun (a, b) -> [ a; b ]) rows) in
+     Raw_db.register_csv db ~name:"t" ~path ~columns ()
+   | `Fwb ->
+     let path = fresh_path ".fwb" in
+     Raw_formats.Fwb.write_file ~path
+       (Raw_formats.Fwb.layout [| Dtype.Int; Dtype.Int |])
+       (List.to_seq (List.map (fun (a, b) -> [| Value.Int a; Value.Int b |]) rows));
+     Raw_db.register_fwb db ~name:"t" ~path ~columns
+   | `Jsonl ->
+     let path = fresh_path ".jsonl" in
+     Out_channel.with_open_text path (fun oc ->
+         List.iter (fun (a, b) -> Printf.fprintf oc "{\"a\": %d, \"b\": %d}\n" a b) rows);
+     Raw_db.register_jsonl db ~name:"t" ~path ~columns);
+  db
+
+let formats = [ ("csv", `Csv); ("fwb", `Fwb); ("jsonl", `Jsonl) ]
+let empty_group_by = "SELECT b, COUNT(*) FROM t WHERE a > 99 GROUP BY b"
+
+let one_shot_empty_group_by (name, fmt) =
+  Alcotest.test_case (name ^ ": GROUP BY over no rows, one-shot") `Quick
+    (fun () ->
+      let c = Raw_db.sql (db_of fmt) empty_group_by in
+      Alcotest.(check int) "rows" 0 (Chunk.n_rows c);
+      Alcotest.(check int) "key and aggregate columns" 2 (Chunk.n_cols c);
+      (* the grouped query still answers once rows qualify *)
+      let c = Raw_db.sql (db_of fmt) "SELECT b, COUNT(*) FROM t WHERE a > 3 GROUP BY b" in
+      Alcotest.(check (list (list value_testable))) "one group"
+        [ [ Value.Int 200; Value.Int 1 ] ] (rows_of_chunk c))
+
+let served_empty_group_by (name, fmt) =
+  Alcotest.test_case (name ^ ": GROUP BY over no rows, served") `Slow (fun () ->
+      let socket_path = fresh_path ".sock" in
+      let db = db_of fmt in
+      let server =
+        Thread.create (fun () -> Server.serve ~batch_window:0.0 ~socket_path db) ()
+      in
+      let c = Test_server.connect_when_ready socket_path in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Server.Client.shutdown c);
+          Server.Client.close c;
+          Thread.join server)
+        (fun () ->
+          (* twice: computed, then from the result cache *)
+          for _ = 1 to 2 do
+            match Server.Client.query c empty_group_by with
+            | Error e -> Alcotest.failf "query: %s" (Server.Client.err_to_string e)
+            | Ok j ->
+              Alcotest.(check bool) "ok" true (Jsons.member "ok" j = Some (Jsons.Bool true));
+              Alcotest.(check (list (list int))) "no rows" [] (Test_server.int_rows j);
+              (match Jsons.member "columns" j with
+               | Some (Jsons.List cols) ->
+                 Alcotest.(check int) "two columns" 2 (List.length cols)
+               | _ -> Alcotest.failf "no columns in %s" (Jsons.to_string j))
+          done))
+
+(* ---------------- NOT over NULL ---------------- *)
+
+(* Predicates over the nullable column [b] (and the never-null [a]), each
+   with a naive three-valued model: [None] = NULL. *)
+let ( &&& ) x y =
+  match x, y with
+  | Some false, _ | _, Some false -> Some false
+  | Some true, Some true -> Some true
+  | _ -> None
+
+let ( ||| ) x y =
+  match x, y with
+  | Some true, _ | _, Some true -> Some true
+  | Some false, Some false -> Some false
+  | _ -> None
+
+let on_b f b = Option.map f b
+
+(* [(sql, over b alone, model)] *)
+let predicates =
+  [ ("b < 500", true, fun _ b -> on_b (fun b -> b < 500) b);
+    ("b >= 250", true, fun _ b -> on_b (fun b -> b >= 250) b);
+    ("b = 300", true, fun _ b -> on_b (fun b -> b = 300) b);
+    ("NOT (b < 300)", true, fun _ b -> on_b (fun b -> not (b < 300)) b);
+    ("b + 1 > 301", true, fun _ b -> on_b (fun b -> b + 1 > 301) b);
+    ("b < 500 AND b > 150", true, fun _ b -> on_b (fun b -> b < 500 && b > 150) b);
+    ("b < 500 AND a > 1", false, fun a b -> on_b (fun b -> b < 500) b &&& Some (a > 1));
+    ("b > 150 OR a = 2", false, fun a b -> on_b (fun b -> b > 150) b ||| Some (a = 2)) ]
+
+(* For every predicate p, WHERE p keeps the rows where p is TRUE and
+   WHERE NOT p those where it is FALSE — never the NULL ones. Over [b]
+   alone that means COUNT WHERE p + COUNT WHERE NOT p = COUNT(b). *)
+let three_valued db cells =
+  let count sql =
+    match Raw_db.scalar db sql with
+    | Value.Int n -> n
+    | v -> Alcotest.failf "%s: %s" sql (Value.to_string v)
+  in
+  let non_null = count "SELECT COUNT(b) FROM t" in
+  non_null = List.length (List.filter (fun (_, b) -> b <> None) cells)
+  && List.for_all
+       (fun (p, b_only, model) ->
+         let want v = List.length (List.filter (fun (a, b) -> model a b = Some v) cells) in
+         let yes = count (Printf.sprintf "SELECT COUNT(*) FROM t WHERE %s" p) in
+         let no = count (Printf.sprintf "SELECT COUNT(*) FROM t WHERE NOT (%s)" p) in
+         yes = want true && no = want false
+         && ((not b_only) || yes + no = non_null))
+       predicates
+
+let cells_gen =
+  QCheck2.Gen.(list_size (int_range 1 40) (pair (int_range 0 5) (option (int_range 0 600))))
+
+let prop_not_csv =
+  qtest "NOT over NULL: p and NOT p partition the non-NULL rows (CSV, Null_fill)"
+    ~count:30 cells_gen (fun cells ->
+      let path = fresh_path ".csv" in
+      Raw_formats.Csv.write_file ~path ~header:None
+        ~rows:
+          (List.to_seq
+             (List.map
+                (fun (a, b) ->
+                  [ string_of_int a; Option.fold ~none:"bad" ~some:string_of_int b ])
+                cells))
+        ();
+      let config = { Config.default with Config.on_error = Raw_storage.Scan_errors.Null_fill } in
+      let db = Raw_db.create ~config () in
+      Raw_db.register_csv db ~name:"t" ~path
+        ~columns:[ ("a", Dtype.Int); ("b", Dtype.Int) ] ();
+      three_valued db cells)
+
+let prop_not_jsonl =
+  qtest "NOT over NULL: p and NOT p partition the non-NULL rows (JSONL, missing)"
+    ~count:30 cells_gen (fun cells ->
+      let path = fresh_path ".jsonl" in
+      Out_channel.with_open_text path (fun oc ->
+          List.iter
+            (fun (a, b) ->
+              match b with
+              | Some b -> Printf.fprintf oc "{\"a\": %d, \"b\": %d}\n" a b
+              | None -> Printf.fprintf oc "{\"a\": %d}\n" a)
+            cells);
+      let db = Raw_db.create () in
+      Raw_db.register_jsonl db ~name:"t" ~path
+        ~columns:[ ("a", Dtype.Int); ("b", Dtype.Int) ];
+      three_valued db cells)
+
+let not_repro =
+  Alcotest.test_case "NOT (b < 500) skips the NULL row" `Quick (fun () ->
+      let path = fresh_path ".csv" in
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc "1,100\n2,600\n3,x\n4,200\n");
+      let config = { Config.default with Config.on_error = Raw_storage.Scan_errors.Null_fill } in
+      let db = Raw_db.create ~config () in
+      Raw_db.register_csv db ~name:"t" ~path
+        ~columns:[ ("a", Dtype.Int); ("b", Dtype.Int) ] ();
+      check_value "count" (Value.Int 1)
+        (Raw_db.scalar db "SELECT COUNT(*) FROM t WHERE NOT (b < 500)");
+      Alcotest.(check (list (list value_testable))) "NOT keeps NULL as NULL"
+        [ [ Value.Int 1; Value.Bool false ]; [ Value.Int 2; Value.Bool true ];
+          [ Value.Int 3; Value.Null ]; [ Value.Int 4; Value.Bool false ] ]
+        (rows_of_chunk (Raw_db.sql db "SELECT a, NOT (b < 500) FROM t")))
+
+let suites =
+  [
+    ( "semantics.group_by_empty",
+      List.map one_shot_empty_group_by formats @ List.map served_empty_group_by formats );
+    ("semantics.three_valued", [ not_repro; prop_not_csv; prop_not_jsonl ]);
+  ]
