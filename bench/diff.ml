@@ -30,6 +30,10 @@
      at least 1ms must stay under 1 + --tolerance. Random spikes average
      out across labels; a real slowdown shifts every ratio and moves the
      geomean with it.
+   - The CSV JIT/interpreted micro ratio ([micro.csv.seq_scan jit] over
+     [micro.csv.seq_scan interpreted]) must not grow past the baseline's
+     by more than --micro-tolerance: the JIT kernel keeps its lead over
+     the interpreted baseline whatever the machine speed.
    - The micro anchors themselves regress when a single kernel slows
      down relative to the fleet (its ratio divided by the geomean
      exceeds 1 + --micro-tolerance): a uniform machine-speed change
@@ -240,6 +244,27 @@ let compare_experiment ~norm ~wall_tol ~io_tol ~micro_tol ~inject id
             ~ok:(adj <= 1. +. micro_tol)
             "%s: %.1f -> %.1f ns/run (%.2fx the fleet)" name bv fv adj)
     base_m;
+  (* the paper's central mechanism, gated as a ratio: machine speed
+     cancels out, so a JIT kernel that loses its lead over the
+     interpreted one trips even when both anchors sit inside the fleet *)
+  let jit_ratio m =
+    match
+      ( List.assoc_opt "micro.csv.seq_scan jit.ns_per_run" m,
+        List.assoc_opt "micro.csv.seq_scan interpreted.ns_per_run" m )
+    with
+    | Some j, Some i when j > 0. && i > 0. -> Some (j /. i)
+    | _ -> None
+  in
+  (match jit_ratio base_m, jit_ratio fresh_m with
+  | Some b, Some f ->
+    let adj = f /. b in
+    check ~severity:adj
+      ~ok:(adj <= 1. +. micro_tol)
+      "micro.csv.seq_scan jit/interpreted: %.2f -> %.2f (%.2fx the baseline \
+       ratio)"
+      b f adj
+  | Some _, None -> check ~ok:false "micro.csv.seq_scan jit/interpreted: anchors missing from fresh run"
+  | None, _ -> ());
   Printf.printf "  %d label(s), %d metric(s) compared\n" (List.length labels)
     (List.length base_m)
 

@@ -168,23 +168,20 @@ let walk_jit ~convert file _schema =
   let buf = Raw_storage.Mmap_file.bytes file in
   let cur = Raw_formats.Csv.Cursor.create file in
   let sink = ref 0 in
-  (* the composed row function: unrolled columns, conversions baked in *)
-  let parse0 () =
-    let p, l = Raw_formats.Csv.Cursor.next_field cur in
+  let starts = Array.make (last_col + 1) 0 and ends = Array.make (last_col + 1) 0 in
+  (* the composed row function: one word-at-a-time split of the row,
+     then the touched columns unrolled with their conversions baked in *)
+  let parse c =
+    let p = starts.(c) in
     sink := !sink + p;
-    if convert then sink := !sink + Raw_formats.Csv.parse_int buf p l
-    else sink := !sink + l
-  in
-  let record20 () =
-    let p, _l = Raw_formats.Csv.Cursor.next_field cur in
-    sink := !sink + p
+    if convert then sink := !sink + Raw_formats.Csv.parse_int buf p (ends.(c) - p)
+    else sink := !sink + (ends.(c) - p)
   in
   let row_fn () =
-    parse0 ();
-    Raw_formats.Csv.Cursor.skip_fields cur 9;
-    parse0 () (* column 10: needed and tracked *);
-    Raw_formats.Csv.Cursor.skip_fields cur 9;
-    record20 ();
+    Raw_formats.Csv.Cursor.split cur (last_col + 1) starts ends;
+    parse 0;
+    parse 10 (* column 10: needed and tracked *);
+    sink := !sink + starts.(20);
     Raw_formats.Csv.Cursor.skip_line cur
   in
   while not (Raw_formats.Csv.Cursor.at_eof cur) do

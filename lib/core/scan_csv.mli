@@ -10,11 +10,15 @@
       tracked by the positional map?", "is it requested?") and dispatch on
       the data type from the catalog — the branches the paper blames for
       in-situ overhead.
-    - {b Jit} readers are monomorphic closures: the data-type conversion is
-      baked in, tracked-position recording appears only where a tracked
-      column actually sits, and runs of untouched columns fuse into one
-      skip. This is the closure-specialization analogue of the paper's
-      generated C++ (see DESIGN.md §1).
+    - {b Jit} readers start each row with one word-at-a-time
+      {!Raw_formats.Csv.Cursor.split} of the fields up to the last one the
+      scan touches, then run one monomorphic closure per touched column
+      that converts (or records) straight from its span: the data-type
+      conversion is baked in, tracked-position recording appears only
+      where a tracked column actually sits, and untouched columns cost
+      nothing past the split. This is the closure-specialization analogue
+      of the paper's generated C++ (see DESIGN.md §1). The interpreted
+      readers keep the byte-at-a-time {!Raw_formats.Csv.Cursor.next_field}.
 
     The error policy is a further stage over either set: [Fail_fast] adds
     nothing, [Null_fill] wraps converting readers in record-and-NULL, and
@@ -108,9 +112,12 @@ val fetch :
     (ascending columns; any row order — callers choose, and pay the
     locality consequences, paper §5.3.2). The fetch loop runs one reader
     set per row: the first reader jumps to the tracked column at or before
-    the first requested column, and each further reader walks its gap and
-    converts one field, so multiple requested columns share one pass over
-    the row (multi-column shreds, §5.3.1). A single JIT column that is
+    the first requested column, and each further reader converts one
+    requested field, so multiple requested columns share one pass over the
+    row (multi-column shreds, §5.3.1). The JIT first reader also splits
+    the row from there to the last requested column in one
+    word-at-a-time pass; the interpreted readers walk each gap field by
+    field. A single JIT column that is
     itself tracked with recorded lengths is read by one length-aware
     reader without tokenizing. Raises [Failure] if the positional map
     tracks nothing at or before the first column.

@@ -36,8 +36,12 @@ val render_value : Value.t -> string
     data-type conversion functions a JIT access path bakes into the scan
     operator. Malformed input raises the typed
     [Raw_storage.Scan_errors.Error] carrying the field's byte offset, so
-    scan kernels can apply the active error policy; [parse_float] falls
-    back to [float_of_string] for unusual syntax. *)
+    scan kernels can apply the active error policy. [parse_int] rejects
+    values outside [[min_int, max_int]] as [bad int] instead of wrapping.
+    [parse_float] returns exactly what [float_of_string] does: its fast
+    path takes plain decimals of at most 15 digits, and everything else
+    (longer mantissas, exponents, unusual syntax) falls back to
+    [float_of_string]. *)
 
 val parse_int : Bytes.t -> int -> int -> int
 val parse_float : Bytes.t -> int -> int -> float
@@ -57,8 +61,6 @@ module Cursor : sig
       range [[pos, limit)] — {!at_eof} holds at [limit] — so a morsel worker
       can scan its slice of the file with the standard row loop. *)
 
-  val file : t -> Mmap_file.t
-  val sep : t -> char
   val pos : t -> int
   val seek : t -> int -> unit
   val at_eof : t -> bool
@@ -75,7 +77,23 @@ module Cursor : sig
   (** Like {!next_field} without returning the span (cheaper: no length
       bookkeeping by callers). *)
 
-  val skip_fields : t -> int -> unit
+  val split : t -> int -> int array -> int array -> unit
+  (** [split t n starts ends] finds the next [n] field spans of the row at
+      the cursor 8 bytes at a time, writing field [k]'s bytes
+      [[starts.(k), ends.(k))] for [k < n], and leaves the cursor exactly
+      where [n] calls of {!next_field} would: past the [n]-th field's
+      separator, or on the row's terminator / EOF. As with
+      {!next_field}, fields past the end of the row are empty, at the
+      terminator. Raises [Invalid_argument] if either array holds fewer
+      than [n] entries.
+
+      The row's span is touched once instead of once per field, so the
+      same pages fault in the same order ({!Raw_storage.Mmap_file.faults}
+      and simulated I/O are unchanged) but
+      {!Raw_storage.Mmap_file.hits}, which counts the pages of every
+      touch call, grows by about one per split rather than one per
+      field. *)
+
   val at_end_of_line : t -> bool
 
   val skip_line : t -> unit
@@ -83,7 +101,8 @@ module Cursor : sig
 end
 
 val count_rows : Mmap_file.t -> int
-(** Number of newline-terminated rows (a final unterminated row counts). *)
+(** Number of newline-terminated rows (a final unterminated row counts),
+    counting newlines 8 bytes at a time. Does no page accounting. *)
 
 val row_aligned_ranges : Mmap_file.t -> n:int -> (int * int) list
 (** [row_aligned_ranges file ~n] cuts the file into at most [n] byte ranges

@@ -253,6 +253,55 @@ let corpus_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Integer overflow                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Values outside [min_int, max_int] are malformed ints, not silently
+   wrapped: two rows overflow (max_int + 1 and a 19-digit value), the
+   extremes themselves parse. *)
+let overflow_rows =
+  [ ("1", "5"); ("9999999999999999999", "7"); ("-4611686018427387904", "9");
+    ("4611686018427387904", "11"); ("4611686018427387903", "13") ]
+
+let reg_overflow format db =
+  let text =
+    match format with
+    | `Csv -> List.map (fun (a, b) -> a ^ "," ^ b ^ "\n") overflow_rows
+    | `Jsonl ->
+      List.map (fun (a, b) -> Printf.sprintf "{\"a\": %s, \"b\": %s}\n" a b) overflow_rows
+  in
+  let path = fresh_path (match format with `Csv -> ".csv" | `Jsonl -> ".jsonl") in
+  Out_channel.with_open_bin path (fun oc -> List.iter (Out_channel.output_string oc) text);
+  let columns = [ ("a", Dtype.Int); ("b", Dtype.Int) ] in
+  match format with
+  | `Csv -> Raw_db.register_csv db ~name:"t" ~path ~columns ()
+  | `Jsonl -> Raw_db.register_jsonl db ~name:"t" ~path ~columns
+
+let overflow_tests =
+  List.concat_map
+    (fun (name, format) ->
+      let reg = reg_overflow format in
+      [
+        Alcotest.test_case (name ^ ": fail_fast rejects an out-of-range int")
+          `Quick (fun () ->
+            expect_data_error ~cause:"bad int" (db_with reg) "SELECT MIN(a) FROM t");
+        Alcotest.test_case (name ^ ": null_fill records and nulls it") `Quick
+          (fun () ->
+            let db = db_with ~policy:Scan_errors.Null_fill reg in
+            check_value "count" (Value.Int 5) (Raw_db.scalar db "SELECT COUNT(*) FROM t");
+            let r = Raw_db.query db "SELECT MIN(a), MAX(a) FROM t" in
+            check_value "min" (Value.Int min_int) (Column.get (Chunk.column r.chunk 0) 0);
+            check_value "max" (Value.Int max_int) (Column.get (Chunk.column r.chunk 1) 0);
+            Alcotest.(check (list (pair string int)))
+              "errors" [ ("bad int", 2) ] (errors_of r).by_cause);
+        Alcotest.test_case (name ^ ": skip_row drops the row") `Quick (fun () ->
+            let db = db_with ~policy:Scan_errors.Skip_row reg in
+            check_value "count" (Value.Int 3) (Raw_db.scalar db "SELECT COUNT(*) FROM t");
+            check_value "sum" (Value.Int 27) (Raw_db.scalar db "SELECT SUM(b) FROM t"));
+      ])
+    [ ("csv", `Csv); ("jsonl", `Jsonl) ]
+
+(* ------------------------------------------------------------------ *)
 (* Deterministic fault injection                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -513,6 +562,7 @@ let prop_tests =
 let suites =
   [
     ("faults:corpus", corpus_tests);
+    ("faults:overflow", overflow_tests);
     ("faults:injection", injection_tests);
     ("faults:posmap", posmap_tests);
     ("faults:props", prop_tests);

@@ -122,10 +122,13 @@ let cursor_tests =
         Alcotest.(check (list (pair int int))) "empty file"
           []
           (Csv.row_aligned_ranges (mmap_of_string "") ~n:4));
-    Alcotest.test_case "skip_fields and seek" `Quick (fun () ->
+    Alcotest.test_case "split and seek" `Quick (fun () ->
         let f = mmap_of_string "1,2,3,4\n" in
         let cur = Csv.Cursor.create f in
-        Csv.Cursor.skip_fields cur 2;
+        let starts = Array.make 2 0 and ends = Array.make 2 0 in
+        Csv.Cursor.split cur 2 starts ends;
+        Alcotest.(check (list (pair int int))) "spans" [ (0, 1); (2, 3) ]
+          [ (starts.(0), ends.(0)); (starts.(1), ends.(1)) ];
         let p, l = Csv.Cursor.next_field cur in
         Alcotest.(check string) "third" "3"
           (Bytes.sub_string (Mmap_file.bytes f) p l);

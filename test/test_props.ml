@@ -20,6 +20,42 @@ let prop_parse_float =
       let got = Raw_formats.Csv.parse_float (Bytes.of_string s) 0 (String.length s) in
       Float.abs (got -. float_of_string s) <= 1e-9 *. Float.max 1.0 (Float.abs x))
 
+(* Digit strings of every length up to 21, signed or not: in range they
+   parse exactly as [int_of_string], out of range they are a [bad int],
+   never a wrapped value. *)
+let prop_parse_int_range =
+  qtest "csv.parse_int agrees with int_of_string, overflow included" ~count:2000
+    (Gen.pair (Gen.oneofl [ ""; "-"; "+" ])
+       (Gen.string_size ~gen:Gen.numeral (Gen.int_range 1 21)))
+    (fun (sign, digits) ->
+      let s = sign ^ digits in
+      let got =
+        match Raw_formats.Csv.parse_int (Bytes.of_string s) 0 (String.length s) with
+        | v -> Some v
+        | exception Raw_storage.Scan_errors.Error _ -> None
+      in
+      got = int_of_string_opt s)
+
+(* Decimals with up to 20 significant digits, either side of the point:
+   the result is bit for bit [float_of_string]'s, whichever path it
+   takes. *)
+let prop_parse_float_exact =
+  qtest "csv.parse_float is bit-identical to float_of_string" ~count:2000
+    (let open Gen in
+     let digits lo hi = string_size ~gen:numeral (int_range lo hi) in
+     let* sign = oneofl [ ""; "-"; "+" ] in
+     let* int_part = digits 0 16 in
+     let+ frac = opt (digits 0 12) in
+     let int_part = if int_part = "" && frac = None then "0" else int_part in
+     sign ^ int_part ^ Option.fold ~none:"" ~some:(fun f -> "." ^ f) frac)
+    (fun s ->
+      let got =
+        match Raw_formats.Csv.parse_float (Bytes.of_string s) 0 (String.length s) with
+        | v -> Some (Int64.bits_of_float v)
+        | exception Raw_storage.Scan_errors.Error _ -> None
+      in
+      got = Option.map Int64.bits_of_float (float_of_string_opt s))
+
 (* ---------------- selection vectors ---------------- *)
 
 let mask_gen = Gen.array_size (Gen.int_range 0 200) Gen.bool
@@ -618,6 +654,140 @@ let prop_csv_edges =
       && Column.equal jit.(0) want_a
       && Column.equal jit.(1) want_b)
 
+(* ---------------- word-at-a-time splitter ---------------- *)
+
+(* Bytes that stress the SWAR masks: every separator the scans accept,
+   both terminators, digits, ['\x0b'] (the cheap zero-byte test's false
+   positive after a ['\n']) and bytes with the high bit set. *)
+let csv_bytes_gen sep =
+  let open Gen in
+  let byte =
+    frequency
+      [ (6, map (fun d -> Char.chr (48 + d)) (int_range 0 9));
+        (3, return sep); (1, return '\n'); (1, return '\r');
+        (1, oneofl [ ','; ';'; '|'; '\t' ]); (1, return '\x0b');
+        (1, map Char.chr (int_range 0x80 0xff)) ]
+  in
+  string_size ~gen:byte (int_range 0 80)
+
+let split_case_gen =
+  let open Gen in
+  let* sep = oneofl [ ','; ';'; '|'; '\t' ] in
+  let* text = csv_bytes_gen sep in
+  let len = String.length text in
+  let* pos = int_range 0 len in
+  let* limit = opt (int_range pos len) in
+  let+ n = int_range 0 12 in
+  (sep, text, pos, limit, n)
+
+let small_pages = { Raw_storage.Mmap_file.Config.default with page_size = 4 }
+
+(* [split n] finds what [n] calls of [next_field] find, leaves the cursor
+   in the same place, and faults the same pages (small pages, so rows
+   straddle them); with a bounded residency the eviction order matters
+   too. *)
+let prop_split_matches_next_field =
+  qtest "Cursor.split matches next_field calls" ~count:1000 split_case_gen
+    (fun (sep, text, pos, limit, n) ->
+      let module C = Raw_formats.Csv.Cursor in
+      let module M = Raw_storage.Mmap_file in
+      List.for_all
+        (fun residency_capacity ->
+          let config = { small_pages with residency_capacity } in
+          let file () = M.of_bytes ~config ~name:"t" (Bytes.of_string text) in
+          let f1 = file () and f2 = file () in
+          (* warm a few pages first so the bounded residency has history *)
+          List.iter (fun f -> M.touch f 0 (min 9 (String.length text))) [ f1; f2 ];
+          let c1 = C.create ~sep ~pos ?limit f1 in
+          let want = List.init n (fun _ -> C.next_field c1) in
+          let c2 = C.create ~sep ~pos ?limit f2 in
+          let starts = Array.make n (-1) and ends = Array.make n (-1) in
+          C.split c2 n starts ends;
+          let got = List.init n (fun k -> (starts.(k), ends.(k) - starts.(k))) in
+          got = want && C.pos c1 = C.pos c2 && M.faults f1 = M.faults f2
+          && M.resident_pages f1 = M.resident_pages f2)
+        [ None; Some 2 ])
+
+(* Whole rows through [split]: CRLF, short rows and no trailing newline,
+   against the per-field cursor. *)
+let prop_split_rows =
+  qtest "Cursor.split walks rows like next_field" ~count:300
+    (Gen.triple
+       (Gen.list_size (Gen.int_range 0 12)
+          (Gen.list_size (Gen.int_range 0 9) (Gen.string_size ~gen:Gen.numeral (Gen.int_range 0 19))))
+       (Gen.pair Gen.bool Gen.bool) (Gen.int_range 0 10))
+    (fun (rows, (crlf, trail), n) ->
+      let module C = Raw_formats.Csv.Cursor in
+      let eol = if crlf then "\r\n" else "\n" in
+      let body = String.concat eol (List.map (String.concat ",") rows) in
+      let text = if trail && rows <> [] then body ^ eol else body in
+      let f = Raw_storage.Mmap_file.of_bytes ~name:"t" (Bytes.of_string text) in
+      let c1 = C.create f and c2 = C.create f in
+      let starts = Array.make n 0 and ends = Array.make n 0 in
+      let ok = ref true in
+      while !ok && not (C.at_eof c1) do
+        let want = List.init n (fun _ -> C.next_field c1) in
+        C.split c2 n starts ends;
+        ok := List.init n (fun k -> (starts.(k), ends.(k) - starts.(k))) = want
+              && C.pos c1 = C.pos c2;
+        C.skip_line c1;
+        C.skip_line c2
+      done;
+      !ok && C.at_eof c2)
+
+let prop_count_rows =
+  qtest "Csv.count_rows matches a naive newline count" ~count:500
+    (Gen.bind (Gen.oneofl [ ','; '|' ]) csv_bytes_gen)
+    (fun text ->
+      let naive =
+        let n = ref 0 in
+        String.iter (fun c -> if c = '\n' then incr n) text;
+        if text <> "" && text.[String.length text - 1] <> '\n' then !n + 1 else !n
+      in
+      let f = Raw_storage.Mmap_file.of_bytes ~name:"t" (Bytes.of_string text) in
+      Raw_formats.Csv.count_rows f = naive
+      (* the false positive of the cheap zero-byte test, at every offset *)
+      && List.for_all
+           (fun k ->
+             let s = String.make k '1' ^ "\n\x0b\n\x0b1234567" in
+             Raw_formats.Csv.count_rows
+               (Raw_storage.Mmap_file.of_bytes ~name:"t" (Bytes.of_string s))
+             = 3)
+           (List.init 9 Fun.id))
+
+(* The JIT kernels touch a whole row (or fetch span) at once; page faults
+   and simulated I/O must still equal the interpreted kernels', under the
+   default residency and a bounded one. *)
+let prop_jit_faults_match =
+  qtest "JIT CSV scan and fetch fault like the interpreted ones" ~count:60
+    (Gen.triple small_grid_gen (Gen.int_range 8 64) Gen.bool)
+    (fun ((n, m), page_size, bounded) ->
+      let module M = Raw_storage.Mmap_file in
+      (* at least two columns, so the fetch splits rather than taking the
+         length-aware single-column read, which touches no separator *)
+      let m = max m 2 in
+      let rows = List.init n (fun r -> List.init m (fun c -> (r * 7919) + (c * 13))) in
+      let path = write_csv_rows rows in
+      let config =
+        { M.Config.default with page_size; residency_capacity = (if bounded then Some 3 else None) }
+      in
+      let schema = Schema.of_pairs (int_cols m) in
+      let needed = [ m / 2 ] and tracked = Raw_formats.Posmap.every_k ~k:2 ~n_cols:m in
+      let run mode =
+        let file = M.open_file ~config path in
+        let _, pm =
+          Raw_core.Scan_csv.seq_scan ~mode ~file ~sep:',' ~schema ~needed ~tracked ()
+        in
+        let scan = (M.faults file, M.simulated_io_seconds file) in
+        M.drop_cache file;
+        let rowids = Array.init ((n + 1) / 2) (fun i -> 2 * i) in
+        ignore
+          (Raw_core.Scan_csv.fetch ~mode ~file ~sep:',' ~schema ~posmap:(Option.get pm)
+             ~cols:(List.sort_uniq compare [ 1 mod m; m - 1 ]) ~rowids ());
+        (scan, (M.faults file, M.simulated_io_seconds file))
+      in
+      run Raw_core.Scan_csv.Interpreted = run Raw_core.Scan_csv.Jit)
+
 (* ---------------- parallel scans vs sequential ---------------- *)
 
 (* Run [f], returning its result plus the Io_stats work-counter delta it
@@ -814,6 +984,8 @@ let suites =
       [
         prop_parse_int;
         prop_parse_float;
+        prop_parse_int_range;
+        prop_parse_float_exact;
         prop_sel_partition;
         prop_sel_compose;
         prop_lru_bounded;
@@ -830,6 +1002,10 @@ let suites =
         prop_jsonl_extract;
         prop_btree;
         prop_csv_edges;
+        prop_split_matches_next_field;
+        prop_split_rows;
+        prop_count_rows;
+        prop_jit_faults_match;
         prop_parallel_csv;
         prop_parallel_fwb;
         prop_parallel_hep;
