@@ -6,7 +6,9 @@
 
    With no ids, every BENCH_<id>.json found in BASELINE_DIR is compared.
    Exit codes: 0 no regression, 1 regression detected, 2 usage error /
-   unreadable file / scale mismatch (results are not comparable).
+   unreadable file / scale mismatch / a sample lacking one of label,
+   wall_seconds, io_seconds, compile_seconds, rows_scanned, result_rows
+   or counters (results are not comparable).
 
    What is compared, per sample label (a label can repeat — sweeps take
    the best of N reps, and cold/warm pairs share a query string — so
@@ -105,6 +107,12 @@ let samples_of path json =
         | Some l -> l
         | None -> die_usage (Printf.sprintf "bench/diff: %s: unlabeled sample" path)
       in
+      (* not compared, but part of the sample schema every bench writes *)
+      (match J.member "counters" s with
+      | Some (J.Obj _) -> ()
+      | _ ->
+        die_usage
+          (Printf.sprintf "bench/diff: %s: sample missing \"counters\"" path));
       let a =
         {
           wall = fl "wall_seconds";

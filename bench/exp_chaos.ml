@@ -46,105 +46,10 @@ let duels = 2
    than the default-knob side, or the armor has a hot-path cost. *)
 let gate_fraction = 0.97
 
-(* ------------------------------------------------------------------ *)
-(* Chaos driver: a raw fd client that follows a Net_fault action. The
-   well-formed request targets t30, so chaos contends on the same table
-   the even-numbered good clients share scans on.                       *)
-(* ------------------------------------------------------------------ *)
-
-module Raw_conn = struct
-  type t = { fd : Unix.file_descr; mutable pending : string }
-
-  let connect socket_path =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
-    | () -> { fd; pending = "" }
-    | exception e ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      raise e
-
-  let send t s =
-    let len = String.length s in
-    let off = ref 0 in
-    while !off < len do
-      off := !off + Unix.write_substring t.fd s !off (len - !off)
-    done
-
-  let read_line ?(timeout = 10.) t =
-    let deadline = Unix.gettimeofday () +. timeout in
-    let rec go () =
-      match String.index_opt t.pending '\n' with
-      | Some i ->
-        let line = String.sub t.pending 0 i in
-        t.pending <-
-          String.sub t.pending (i + 1) (String.length t.pending - i - 1);
-        `Line line
-      | None -> (
-        let now = Unix.gettimeofday () in
-        if now >= deadline then `Timeout
-        else
-          match
-            Unix.select [ t.fd ] [] [] (Float.min 0.25 (deadline -. now))
-          with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | [], _, _ -> go ()
-          | _ -> (
-            let b = Bytes.create 65536 in
-            match Unix.read t.fd b 0 65536 with
-            | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _)
-              ->
-              `Eof
-            | 0 -> `Eof
-            | n ->
-              t.pending <- t.pending ^ Bytes.sub_string b 0 n;
-              go ()))
-    in
-    go ()
-
-  let close t =
-    (try Unix.shutdown t.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    try Unix.close t.fd with Unix.Unix_error _ -> ()
-end
-
-let run_action socket_path action =
-  let request =
-    "{\"id\": 26, \"sql\": \"SELECT COUNT(*) FROM t30 WHERE col0 < 500\"}\n"
-  in
-  let half = String.length request / 2 in
-  (* chaos clients assert nothing about their own fate — being torn,
-     reaped or refused is their job; the try swallows the fallout *)
-  try
-    let rc = Raw_conn.connect socket_path in
-    Fun.protect
-      ~finally:(fun () -> Raw_conn.close rc)
-      (fun () ->
-        match action with
-        | Net_fault.Well_formed ->
-          Raw_conn.send rc request;
-          ignore (Raw_conn.read_line ~timeout:10. rc)
-        | Net_fault.Torn_write s ->
-          Raw_conn.send rc (String.sub request 0 half);
-          Thread.delay s;
-          Raw_conn.send rc
-            (String.sub request half (String.length request - half));
-          ignore (Raw_conn.read_line ~timeout:10. rc)
-        | Net_fault.Stall s ->
-          Thread.delay s;
-          Raw_conn.send rc request;
-          ignore (Raw_conn.read_line ~timeout:10. rc)
-        | Net_fault.Disconnect_mid_request ->
-          Raw_conn.send rc (String.sub request 0 half)
-        | Net_fault.Disconnect_before_read -> Raw_conn.send rc request
-        | Net_fault.Garbage g ->
-          Raw_conn.send rc (g ^ "\n");
-          ignore (Raw_conn.read_line ~timeout:10. rc)
-        | Net_fault.Oversized n ->
-          Raw_conn.send rc (String.make n 'x' ^ "\n");
-          ignore (Raw_conn.read_line ~timeout:10. rc)
-        | Net_fault.Wrong_shape w ->
-          Raw_conn.send rc (w ^ "\n");
-          ignore (Raw_conn.read_line ~timeout:10. rc))
-  with Unix.Unix_error _ | Sys_error _ -> ()
+(* The chaos clients' well-formed request targets t30, so chaos contends
+   on the same table the even-numbered good clients share scans on. *)
+let chaos_request =
+  "{\"id\": 26, \"sql\": \"SELECT COUNT(*) FROM t30 WHERE col0 < 500\"}\n"
 
 (* ------------------------------------------------------------------ *)
 (* Servers and the measured workload                                   *)
@@ -378,7 +283,8 @@ let run_solo clients ~fault phase =
             (fun () ->
               let s = Net_fault.stream f ~client in
               while not (Atomic.get stop_chaos) do
-                run_action socket_path (Net_fault.plan f s)
+                Chaos_client.run_action ~request:chaos_request socket_path
+                  (Net_fault.plan f s)
               done)
             ())
   in

@@ -642,7 +642,7 @@ let serve_main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
     if Raw_db.tables db = [] then
       failwith "no tables registered; pass --csv/--jsonl/--fwb/--ibx/--hep";
     (* printed (and flushed) before serving so a supervisor — e.g. the CI
-       smoke job — can wait for readiness on this line *)
+       smoke driver — can wait for readiness on this line *)
     Format.printf "rawq: serving [%s] on %s@."
       (String.concat ", " (Raw_db.tables db))
       socket;

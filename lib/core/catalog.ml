@@ -218,8 +218,7 @@ let hep_reader t entry =
       | Some r -> r
       | None ->
         let r =
-          Hep.Reader.open_file ~config:t.config.mmap
-            ~object_cache_capacity:t.config.hep_object_cache entry.path
+          Hep.Reader.open_file ~config:t.config.mmap entry.path
         in
         Hashtbl.replace t.hep_readers entry.path r;
         r

@@ -4,9 +4,7 @@ type t = {
   mmap : Mmap_file.Config.t;
   chunk_rows : int;
   compile_seconds : float;
-  posmap_every : int;
   shred_pool_columns : int;
-  hep_object_cache : int;
   parallelism : int;
   on_error : Scan_errors.policy;
   deadline : float option;
@@ -15,7 +13,6 @@ type t = {
   observe : bool;
   profile : bool;
   history_path : string option;
-  history_max_bytes : int;
   approx : float option;
   approx_seed : int;
   max_request_bytes : int;
@@ -31,9 +28,7 @@ let default =
     mmap = Mmap_file.Config.default;
     chunk_rows = 4096;
     compile_seconds = 0.01;
-    posmap_every = 10;
     shred_pool_columns = 256;
-    hep_object_cache = 4096;
     parallelism = 1;
     on_error = Scan_errors.Fail_fast;
     deadline = None;
@@ -42,7 +37,6 @@ let default =
     observe = false;
     profile = false;
     history_path = None;
-    history_max_bytes = 16 * 1024 * 1024;
     approx = None;
     approx_seed = 42;
     max_request_bytes = 1024 * 1024;
@@ -64,12 +58,8 @@ let validate t =
   else if t.chunk_rows < 1 then err "chunk_rows must be >= 1 (got %d)" t.chunk_rows
   else if t.compile_seconds < 0. then
     err "compile_seconds must be >= 0 (got %g)" t.compile_seconds
-  else if t.posmap_every < 1 then
-    err "posmap_every must be >= 1 (got %d)" t.posmap_every
   else if t.shred_pool_columns < 1 then
     err "shred_pool_columns must be >= 1 (got %d)" t.shred_pool_columns
-  else if t.hep_object_cache < 1 then
-    err "hep_object_cache must be >= 1 (got %d)" t.hep_object_cache
   else if t.mmap.Mmap_file.Config.page_size < 1 then
     err "mmap page_size must be >= 1 (got %d)" t.mmap.Mmap_file.Config.page_size
   else if t.mmap.Mmap_file.Config.io_seconds_per_page < 0. then
@@ -88,9 +78,7 @@ let validate t =
           match t.max_concurrent with
           | Some n when n < 1 -> err "max_concurrent must be >= 1 (got %d)" n
           | _ ->
-            if t.history_max_bytes < 1 then
-              err "history_max_bytes must be >= 1 (got %d)" t.history_max_bytes
-            else if t.history_path = Some "" then
+            if t.history_path = Some "" then
               err "history_path must not be empty (use None to disable)"
             else (
               (* NaN first: it compares false against everything, so the

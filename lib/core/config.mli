@@ -16,10 +16,7 @@ type t = {
           paper measures ~2 s with GCC against ~170 s cold queries (~1%);
           the default 0.01 s keeps the same order of proportion at laptop
           scale. *)
-  posmap_every : int;
-      (** default positional-map granularity: track every k-th column *)
   shred_pool_columns : int;  (** LRU capacity of the column-shred pool *)
-  hep_object_cache : int;  (** LRU capacity of the HEP object cache *)
   parallelism : int;
       (** domains used by morsel-driven full scans (CSV, FWB, HEP). 1
           (default) runs the sequential kernels on the calling domain;
@@ -68,13 +65,9 @@ type t = {
   history_path : string option;
       (** append one {!Raw_obs.History} record per query (including failed
           and cancelled ones) to this JSONL file — the workload-history
-          substrate for [rawq report] and cost-model calibration. [None]
+          substrate for [rawq report] and cost-model calibration. The file
+          rotates at {!Raw_obs.History.append}'s default bound. [None]
           (default) disables the store entirely; queries pay nothing. *)
-  history_max_bytes : int;
-      (** rotation bound for the history file: when an append would push
-          it past this size it is first renamed to [<path>.1] (replacing
-          any previous one), so on-disk history is bounded by roughly
-          twice this. Default 16 MiB. *)
   approx : float option;
       (** online aggregation: when set, eligible scalar-aggregate queries
           (COUNT/SUM/AVG, single table, no GROUP BY) scan morsels in a

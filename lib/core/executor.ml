@@ -101,7 +101,6 @@ let strategy_of_name = function
    be joined against the prediction here). *)
 type prediction = {
   p_choice : string;
-  p_table : string;
   p_sel : float;
   p_n_rows : int;
   p_n_filter : int;
@@ -117,17 +116,15 @@ let prediction_of_decisions decisions =
     let flt k = Option.bind (get k) float_of_string_opt in
     let int k = Option.bind (get k) int_of_string_opt in
     match
-      ( get "table",
-        flt "selectivity",
+      ( flt "selectivity",
         int "n_rows",
         int "n_filter_cols",
         int "n_post_cols" )
     with
-    | Some table, Some sel, Some n_rows, Some n_filter, Some n_post ->
+    | Some sel, Some n_rows, Some n_filter, Some n_post ->
       Some
         {
           p_choice = d.Decisions.choice;
-          p_table = table;
           p_sel = sel;
           p_n_rows = n_rows;
           p_n_filter = n_filter;
@@ -286,8 +283,6 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
       (match sel_obs with
        | None -> (cost_predicted, None, None)
        | Some sel ->
-         Table_stats.note_selectivity (Catalog.stats cat) ~table:p.p_table
-           sel;
          let preferred = Cost_model.choose (costs_at sel) in
          let preferred_name = Cost_model.strategy_name preferred in
          if preferred_name = p.p_choice then (cost_predicted, Some false, None)
@@ -319,7 +314,7 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
         | Some p -> p.p_choice
         | None -> Planner.shred_strategy_to_string options.Planner.shreds
       in
-      Raw_obs.History.append ~path ~max_bytes:cfg.Config.history_max_bytes
+      Raw_obs.History.append ~path
         {
           Raw_obs.History.ts = Unix.gettimeofday ();
           shape = Logical.fingerprint logical;

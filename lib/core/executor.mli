@@ -82,10 +82,8 @@ val run :
 
     Feedback: when the planner resolved an [Adaptive] strategy, the run
     joins the prediction (decision record) against the measured filter
-    row flow: the observed selectivity feeds
-    {!Table_stats.note_selectivity}, and a choice the cost model would
-    reverse at the observed selectivity bumps
-    [planner.mispredict.<chosen>]. When {!Config.history_path} is set,
+    row flow: a choice the cost model would reverse at the observed
+    selectivity bumps [planner.mispredict.<chosen>]. When {!Config.history_path} is set,
     one {!Raw_obs.History} record per run — completed, failed, cancelled
     or deadline-exceeded alike — is appended there with the full
     predicted-vs-actual account. *)

@@ -2,16 +2,9 @@ open Raw_vector
 
 type col_stats = { min_v : float; max_v : float; n_rows : int; n_valid : int }
 
-type t = {
-  cols : (string * int, col_stats) Hashtbl.t;
-  (* per-table EWMA of selectivities measured by the executor's filter
-     row-flow counters — the calibration feedback channel. Captured here so
-     a future estimator can blend it with the uniformity model; today it is
-     recorded and reported, not yet consumed by [selectivity]. *)
-  observed_sel : (string, float) Hashtbl.t;
-}
+type t = { cols : (string * int, col_stats) Hashtbl.t }
 
-let create () = { cols = Hashtbl.create 32; observed_sel = Hashtbl.create 8 }
+let create () = { cols = Hashtbl.create 32 }
 
 let observe t ~table ~col column =
   let numeric =
@@ -44,19 +37,6 @@ let observe t ~table ~col column =
 
 let get t ~table ~col = Hashtbl.find_opt t.cols (table, col)
 
-let note_selectivity t ~table sel =
-  if Float.is_finite sel then begin
-    let sel = Float.max 0. (Float.min 1. sel) in
-    let v =
-      match Hashtbl.find_opt t.observed_sel table with
-      | None -> sel
-      | Some prev -> (0.7 *. prev) +. (0.3 *. sel)
-    in
-    Hashtbl.replace t.observed_sel table v
-  end
-
-let observed_selectivity t ~table = Hashtbl.find_opt t.observed_sel table
-
 let selectivity s (op : Kernels.cmp) x =
   let clamp v = Float.max 0. (Float.min 1. v) in
   let width = s.max_v -. s.min_v in
@@ -77,8 +57,6 @@ let selectivity s (op : Kernels.cmp) x =
     | Kernels.Eq -> clamp (1. /. (width +. 1.))
     | Kernels.Ne -> clamp (1. -. (1. /. (width +. 1.)))
 
-let clear t =
-  Hashtbl.reset t.cols;
-  Hashtbl.reset t.observed_sel
+let clear t = Hashtbl.reset t.cols
 
 let size t = Hashtbl.length t.cols

@@ -30,20 +30,8 @@ val selectivity : col_stats -> Kernels.cmp -> float -> float
     uniform distribution over [min_v, max_v]; clamped to [0, 1]. Equality
     uses [1 / (max - min + 1)]. *)
 
-val note_selectivity : t -> table:string -> float -> unit
-(** Record a selectivity {e measured} by the executor (filter-chain
-    rows-out / rows-in) for a table, folded into a per-table exponential
-    moving average (weight 0.3 to the new sample, clamped to [[0, 1]]).
-    This is the calibration feedback channel: {!Cost_model} still
-    estimates from the uniformity model, and {!Raw_obs.Calibration}
-    quantifies the gap; a future estimator can blend this in. *)
-
-val observed_selectivity : t -> table:string -> float option
-(** The accumulated EWMA of measured selectivities, if any query has been
-    measured against the table. *)
-
 val clear : t -> unit
-(** Drops column stats and observed selectivities. *)
+(** Drops all column stats. *)
 
 val size : t -> int
 (** Number of (table, column) stats entries. *)

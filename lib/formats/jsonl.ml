@@ -156,6 +156,20 @@ let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
    intermediate Buffer, so the input span counts as copied bytes *)
 let site_unescape = Prof_gate.site "jsonl.unescape"
 
+(* the code unit of exactly four hex digits at [i], or -1 (no
+   int_of_string: it also accepts '_' separators) *)
+let hex4 buf i =
+  let rec go k acc =
+    if k = 4 then acc
+    else
+      match Bytes.get buf (i + k) with
+      | '0' .. '9' as c -> go (k + 1) ((acc * 16) + Char.code c - 48)
+      | 'a' .. 'f' as c -> go (k + 1) ((acc * 16) + Char.code c - 87)
+      | 'A' .. 'F' as c -> go (k + 1) ((acc * 16) + Char.code c - 55)
+      | _ -> -1
+  in
+  go 0 0
+
 let unescape buf pos len =
   Prof_gate.copy site_unescape len;
   let out = Buffer.create len in
@@ -175,26 +189,28 @@ let unescape buf pos len =
        | 'f' -> Buffer.add_char out '\012'
        | 'u' ->
          if !i + 5 < stop then begin
+           let code = hex4 buf (!i + 2) in
+           if code < 0 then
+             Scan_errors.fail ~offset:!i ~field:(-1)
+               ~cause:"json: bad \\u escape";
+           (* a high surrogate joins the low one escaped right after it
+              into one code point; any other surrogate becomes U+FFFD *)
            let code =
-             match
-               int_of_string_opt ("0x" ^ Bytes.sub_string buf (!i + 2) 4)
-             with
-             | Some c -> c
-             | None ->
-               Scan_errors.fail ~offset:!i ~field:(-1)
-                 ~cause:"json: bad \\u escape"
+             if
+               code land 0xFC00 = 0xD800
+               && !i + 11 < stop
+               && Bytes.get buf (!i + 6) = '\\'
+               && Bytes.get buf (!i + 7) = 'u'
+               && hex4 buf (!i + 8) land 0xFC00 = 0xDC00
+             then begin
+               let lo = hex4 buf (!i + 8) in
+               i := !i + 6;
+               0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+             end
+             else if code land 0xF800 = 0xD800 then 0xFFFD
+             else code
            in
-           (* BMP code points only; encode as UTF-8 *)
-           if code < 0x80 then Buffer.add_char out (Char.chr code)
-           else if code < 0x800 then begin
-             Buffer.add_char out (Char.chr (0xC0 lor (code lsr 6)));
-             Buffer.add_char out (Char.chr (0x80 lor (code land 0x3F)))
-           end
-           else begin
-             Buffer.add_char out (Char.chr (0xE0 lor (code lsr 12)));
-             Buffer.add_char out (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-             Buffer.add_char out (Char.chr (0x80 lor (code land 0x3F)))
-           end;
+           Buffer.add_utf_8_uchar out (Uchar.of_int code);
            i := !i + 4
          end
          else

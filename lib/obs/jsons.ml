@@ -74,6 +74,20 @@ let to_string t =
 
 exception Bad of string
 
+(* the code unit of exactly four hex digits at [i], or -1 (no
+   int_of_string: it also accepts '_' separators) *)
+let hex4 s i =
+  let rec go k acc =
+    if k = 4 then acc
+    else
+      match s.[i + k] with
+      | '0' .. '9' as c -> go (k + 1) ((acc * 16) + Char.code c - 48)
+      | 'a' .. 'f' as c -> go (k + 1) ((acc * 16) + Char.code c - 87)
+      | 'A' .. 'F' as c -> go (k + 1) ((acc * 16) + Char.code c - 55)
+      | _ -> -1
+  in
+  go 0 0
+
 let parse s =
   let n = String.length s in
   let pos = ref 0 in
@@ -125,26 +139,27 @@ let parse s =
           | 'f' -> Buffer.add_char buf '\012'; go ()
           | 'u' ->
             if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
+            let code = hex4 s !pos in
+            if code < 0 then fail "bad \\u escape";
             pos := !pos + 4;
+            (* a high surrogate joins the low one escaped right after it
+               into one code point; any other surrogate becomes U+FFFD *)
             let code =
-              match int_of_string_opt ("0x" ^ hex) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
+              if
+                code land 0xFC00 = 0xD800
+                && !pos + 6 <= n
+                && s.[!pos] = '\\'
+                && s.[!pos + 1] = 'u'
+                && hex4 s (!pos + 2) land 0xFC00 = 0xDC00
+              then begin
+                let lo = hex4 s (!pos + 2) in
+                pos := !pos + 6;
+                0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
+              end
+              else if code land 0xF800 = 0xD800 then 0xFFFD
+              else code
             in
-            (* decode to UTF-8 (no surrogate-pair handling; the emitter
-               only writes \u for control characters) *)
-            if code < 0x80 then Buffer.add_char buf (Char.chr code)
-            else if code < 0x800 then begin
-              Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end
-            else begin
-              Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char buf
-                (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-            end;
+            Buffer.add_utf_8_uchar buf (Uchar.of_int code);
             go ()
           | _ -> fail "bad escape")
         | c -> Buffer.add_char buf c; go ()

@@ -11,10 +11,11 @@
     independent substream from a label, so concurrent chaos clients each
     own a deterministic stream keyed by [(seed, client_id)] regardless of
     scheduling. {!plan} draws one {!action} from the configured mix — the
-    socket fuzzer in [test/test_server_chaos.ml] and the [chaos-smoke] CI
-    job both consume it, and the client retry layer borrows {!jitter} for
-    its backoff so retry storms de-synchronize deterministically under
-    test. *)
+    socket fuzzer in [test/test_server_chaos.ml], the e26 bench and the
+    [chaos] phase of [test/smoke/smoke.ml] all consume it through one
+    raw-socket client ([test/chaos_client]), and the client retry layer
+    borrows {!jitter} for its backoff so retry storms de-synchronize
+    deterministically under test. *)
 
 (** One thing a chaos driver does to a connection in place of (or around)
     a well-formed request. *)

@@ -415,10 +415,8 @@ let config_tests =
       ("parallelism", { Config.default with Config.parallelism = 0 });
       ("chunk_rows", { Config.default with Config.chunk_rows = 0 });
       ("compile_seconds", { Config.default with Config.compile_seconds = -1. });
-      ("posmap_every", { Config.default with Config.posmap_every = 0 });
       ( "shred_pool_columns",
         { Config.default with Config.shred_pool_columns = 0 } );
-      ("hep_object_cache", { Config.default with Config.hep_object_cache = 0 });
       ( "page_size",
         {
           Config.default with

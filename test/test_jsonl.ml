@@ -20,9 +20,28 @@ let parser_tests =
         (match Jsonl.parse {|{"s":"a\"b\\c\nd"}|} with
          | Jsonl.Object [ ("s", String "a\"b\\c\nd") ] -> ()
          | _ -> Alcotest.fail "escapes");
-        match Jsonl.parse {|"é"|} with
-        | Jsonl.String "\xc3\xa9" -> ()
-        | _ -> Alcotest.fail "unicode escape");
+        (match Jsonl.parse {|"é"|} with
+         | Jsonl.String "\xc3\xa9" -> ()
+         | _ -> Alcotest.fail "raw UTF-8");
+        List.iter
+          (fun (body, want) ->
+            (match Jsonl.parse ("\"" ^ body ^ "\"") with
+             | Jsonl.String got -> Alcotest.(check string) ("parse " ^ body) want got
+             | _ -> Alcotest.fail "not a string");
+            Alcotest.(check string) ("unescape " ^ body) want
+              (Jsonl.unescape (Bytes.of_string body) 0 (String.length body)))
+          [
+            ({|\u00e9|}, "\xc3\xa9");
+            ({|\u00E9|}, "\xc3\xa9");
+            (* a surrogate pair is one 4-byte sequence, not two 3-byte ones *)
+            ({|\ud83d\ude00|}, "\xf0\x9f\x98\x80");
+            ({|a\uD83D\uDE00b|}, "a\xf0\x9f\x98\x80b");
+            (* lone surrogates decode to U+FFFD *)
+            ({|\ud83d|}, "\xef\xbf\xbd");
+            ({|\ud83dA|}, "\xef\xbf\xbdA");
+            ({|\ud83d\u0041|}, "\xef\xbf\xbdA");
+            ({|\ude00\ud83d|}, "\xef\xbf\xbd\xef\xbf\xbd");
+          ]);
     Alcotest.test_case "empty object and array" `Quick (fun () ->
         Alcotest.(check bool) "obj" true (Jsonl.parse "{}" = Jsonl.Object []);
         Alcotest.(check bool) "arr" true (Jsonl.parse "[]" = Jsonl.Array []));
@@ -34,7 +53,9 @@ let parser_tests =
                  ignore (Jsonl.parse s);
                  false
                with Scan_errors.Error _ -> true))
-          [ "{"; "{\"a\" 1}"; "{\"a\":}"; "[1,"; "\"unterminated"; "{} junk" ]);
+          [ "{"; "{\"a\" 1}"; "{\"a\":}"; "[1,"; "\"unterminated"; "{} junk";
+            (* exactly four hex digits: int_of_string would take the '_' *)
+            {|"\u1_23"|}; {|"\u+123"|}; {|"\u12g4"|}; {|"\ud83d\u1_23"|} ]);
     Alcotest.test_case "writer roundtrips through parser" `Quick (fun () ->
         let path = fresh_path ".jsonl" in
         Jsonl.write_file ~path
@@ -267,6 +288,19 @@ let sql_tests =
         check_value "payload of matched" (Int (18 * 11))
           (Raw_core.Raw_db.scalar db
              "SELECT MAX(j.payload) FROM j JOIN c ON j.key = c.k"));
+    Alcotest.test_case "escaped surrogate pair matches its SQL literal" `Quick
+      (fun () ->
+        (* the form Python's default json.dumps writes for U+1F600 *)
+        let path = fresh_path ".jsonl" in
+        Out_channel.with_open_bin path (fun oc ->
+            output_string oc
+              "{\"id\": 1, \"s\": \"\\ud83d\\ude00\"}\n{\"id\": 2, \"s\": \"x\"}\n");
+        let db = Raw_core.Raw_db.create () in
+        Raw_core.Raw_db.register_jsonl db ~name:"e" ~path
+          ~columns:[ ("id", Dtype.Int); ("s", Dtype.String) ];
+        check_value "row found" (Int 1)
+          (Raw_core.Raw_db.scalar db
+             "SELECT MAX(id) FROM e WHERE s = '\xf0\x9f\x98\x80'"));
   ]
 
 (* ---------------- flattened child tables (arrays of objects) --------- *)

@@ -458,6 +458,28 @@ let export_suite =
         Alcotest.(check bool) "root first" true
           (String.length text > 5 && String.sub text 0 5 = "query");
         Alcotest.(check bool) "child indented" true (contains text "\n  plan"));
+    Alcotest.test_case "json \\u escapes decode to UTF-8" `Quick (fun () ->
+        List.iter
+          (fun (body, want) ->
+            match Jsons.parse ("\"" ^ body ^ "\"") with
+            | Ok (Jsons.Str got) -> Alcotest.(check string) body want got
+            | _ -> Alcotest.failf "%s: not a string" body)
+          [
+            ({|\u00e9|}, "\xc3\xa9");
+            (* a surrogate pair is one 4-byte sequence, not two 3-byte ones *)
+            ({|\ud83d\ude00|}, "\xf0\x9f\x98\x80");
+            ({|a\uD83D\uDE00b|}, "a\xf0\x9f\x98\x80b");
+            (* lone surrogates decode to U+FFFD *)
+            ({|\ud83d|}, "\xef\xbf\xbd");
+            ({|\ud83d\u0041|}, "\xef\xbf\xbdA");
+            ({|\ude00|}, "\xef\xbf\xbd");
+          ];
+        (* exactly four hex digits: int_of_string would take the '_' *)
+        List.iter
+          (fun body ->
+            Alcotest.(check bool) ("reject " ^ body) true
+              (Result.is_error (Jsons.parse ("\"" ^ body ^ "\""))))
+          [ {|\u1_23|}; {|\u+123|}; {|\u12g4|}; {|\ud83d\u1_23|} ]);
   ]
 
 (* ------------------------------------------------------------------ *)
