@@ -156,20 +156,6 @@ let is_ws c = c = ' ' || c = '\t' || c = '\n' || c = '\r'
    intermediate Buffer, so the input span counts as copied bytes *)
 let site_unescape = Prof_gate.site "jsonl.unescape"
 
-(* the code unit of exactly four hex digits at [i], or -1 (no
-   int_of_string: it also accepts '_' separators) *)
-let hex4 buf i =
-  let rec go k acc =
-    if k = 4 then acc
-    else
-      match Bytes.get buf (i + k) with
-      | '0' .. '9' as c -> go (k + 1) ((acc * 16) + Char.code c - 48)
-      | 'a' .. 'f' as c -> go (k + 1) ((acc * 16) + Char.code c - 87)
-      | 'A' .. 'F' as c -> go (k + 1) ((acc * 16) + Char.code c - 55)
-      | _ -> -1
-  in
-  go 0 0
-
 let unescape buf pos len =
   Prof_gate.copy site_unescape len;
   let out = Buffer.create len in
@@ -189,29 +175,14 @@ let unescape buf pos len =
        | 'f' -> Buffer.add_char out '\012'
        | 'u' ->
          if !i + 5 < stop then begin
-           let code = hex4 buf (!i + 2) in
+           let code, used =
+             Raw_obs.Jsons.decode_u (Bytes.get buf) (!i + 2) stop
+           in
            if code < 0 then
              Scan_errors.fail ~offset:!i ~field:(-1)
                ~cause:"json: bad \\u escape";
-           (* a high surrogate joins the low one escaped right after it
-              into one code point; any other surrogate becomes U+FFFD *)
-           let code =
-             if
-               code land 0xFC00 = 0xD800
-               && !i + 11 < stop
-               && Bytes.get buf (!i + 6) = '\\'
-               && Bytes.get buf (!i + 7) = 'u'
-               && hex4 buf (!i + 8) land 0xFC00 = 0xDC00
-             then begin
-               let lo = hex4 buf (!i + 8) in
-               i := !i + 6;
-               0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
-             end
-             else if code land 0xF800 = 0xD800 then 0xFFFD
-             else code
-           in
            Buffer.add_utf_8_uchar out (Uchar.of_int code);
-           i := !i + 4
+           i := !i + used
          end
          else
            Scan_errors.fail ~offset:!i ~field:(-1)

@@ -74,19 +74,34 @@ let to_string t =
 
 exception Bad of string
 
-(* the code unit of exactly four hex digits at [i], or -1 (no
-   int_of_string: it also accepts '_' separators) *)
-let hex4 s i =
-  let rec go k acc =
-    if k = 4 then acc
-    else
-      match s.[i + k] with
-      | '0' .. '9' as c -> go (k + 1) ((acc * 16) + Char.code c - 48)
-      | 'a' .. 'f' as c -> go (k + 1) ((acc * 16) + Char.code c - 87)
-      | 'A' .. 'F' as c -> go (k + 1) ((acc * 16) + Char.code c - 55)
-      | _ -> -1
+let decode_u get i stop =
+  (* exactly four hex digits; int_of_string would also accept '_' *)
+  let hex4 i =
+    let rec go k acc =
+      if k = 4 then acc
+      else
+        match get (i + k) with
+        | '0' .. '9' as c -> go (k + 1) ((acc * 16) + Char.code c - 48)
+        | 'a' .. 'f' as c -> go (k + 1) ((acc * 16) + Char.code c - 87)
+        | 'A' .. 'F' as c -> go (k + 1) ((acc * 16) + Char.code c - 55)
+        | _ -> -1
+    in
+    go 0 0
   in
-  go 0 0
+  let code = hex4 i in
+  if code < 0 then (-1, 4)
+  else if
+    code land 0xFC00 = 0xD800
+    && i + 10 <= stop
+    && get (i + 4) = '\\'
+    && get (i + 5) = 'u'
+  then
+    let lo = hex4 (i + 6) in
+    if lo >= 0 && lo land 0xFC00 = 0xDC00 then
+      (0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00), 10)
+    else (0xFFFD, 4)
+  else if code land 0xF800 = 0xD800 then (0xFFFD, 4)
+  else (code, 4)
 
 let parse s =
   let n = String.length s in
@@ -139,26 +154,9 @@ let parse s =
           | 'f' -> Buffer.add_char buf '\012'; go ()
           | 'u' ->
             if !pos + 4 > n then fail "truncated \\u escape";
-            let code = hex4 s !pos in
+            let code, used = decode_u (String.get s) !pos n in
             if code < 0 then fail "bad \\u escape";
-            pos := !pos + 4;
-            (* a high surrogate joins the low one escaped right after it
-               into one code point; any other surrogate becomes U+FFFD *)
-            let code =
-              if
-                code land 0xFC00 = 0xD800
-                && !pos + 6 <= n
-                && s.[!pos] = '\\'
-                && s.[!pos + 1] = 'u'
-                && hex4 s (!pos + 2) land 0xFC00 = 0xDC00
-              then begin
-                let lo = hex4 s (!pos + 2) in
-                pos := !pos + 6;
-                0x10000 + ((code - 0xD800) lsl 10) + (lo - 0xDC00)
-              end
-              else if code land 0xF800 = 0xD800 then 0xFFFD
-              else code
-            in
+            pos := !pos + used;
             Buffer.add_utf_8_uchar buf (Uchar.of_int code);
             go ()
           | _ -> fail "bad escape")

@@ -23,6 +23,15 @@ val parse : string -> (t, string) result
     without a fraction or exponent that fit in [int] parse as {!Int},
     everything else as {!Float}. *)
 
+val decode_u : (int -> char) -> int -> int -> int * int
+(** [decode_u get i stop] decodes the [\u] escape whose four hex digits
+    start at [i] in an input read through [get] and ending at [stop];
+    the caller has checked that the four bytes exist. Returns the code
+    point and the bytes consumed from [i]: 10 when a high surrogate
+    joins the low one escaped right after it, else 4. A lone surrogate
+    decodes to U+FFFD; the code point is [-1] when the four bytes are not
+    exactly hex digits. Shared with the JSONL reader. *)
+
 (** {1 Shallow accessors}
 
     Total lookups for picking records apart; all return [None] on a kind

@@ -7,11 +7,11 @@ module Net_fault = Raw_storage.Net_fault
 module Raw_conn = struct
   type t = { fd : Unix.file_descr; mutable pending : string }
 
-  (* A refused or absent socket is retried for up to [retry_for] seconds,
-     so a caller can race a server that is still starting; after that the
-     last error is raised. *)
-  let connect ?(retry_for = 10.) socket_path =
-    let deadline = Unix.gettimeofday () +. retry_for in
+  (* A refused or absent socket is retried for up to 10 s, the retry the
+     server chaos tests have always used, so a caller can race a server
+     that is still starting; after that the last error is raised. *)
+  let connect socket_path =
+    let deadline = Unix.gettimeofday () +. 10. in
     let rec go () =
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       match Unix.connect fd (Unix.ADDR_UNIX socket_path) with
