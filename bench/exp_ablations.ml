@@ -52,7 +52,7 @@ let e15 () =
         let r1 = run db o q1 in
         let r2 = run db o q2 in
         let entries =
-          match (Catalog.get (Raw_db.catalog db) "t30").Catalog.posmap with
+          match (Catalog.get (Raw_db.catalog db) "t30").Catalog.state.Catalog.posmap with
           | Some pm ->
             Array.length (Raw_formats.Posmap.tracked pm)
             * Raw_formats.Posmap.n_rows pm

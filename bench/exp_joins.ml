@@ -140,7 +140,7 @@ let e12 () =
       let faults =
         List.fold_left
           (fun acc t ->
-            match (Catalog.get (Raw_db.catalog db) t).Catalog.file with
+            match (Catalog.get (Raw_db.catalog db) t).Catalog.state.Catalog.file with
             | Some f -> acc + Raw_storage.Mmap_file.faults f
             | None -> acc)
           0 [ "f1"; "f2" ]

@@ -74,7 +74,7 @@ let () =
         name
         (Shred_pool.size (Catalog.shreds cat))
         (Template_cache.size (Catalog.templates cat))
-        (match (Catalog.get cat "logs").posmap with
+        (match (Catalog.get cat "logs").state.posmap with
          | Some pm ->
            Printf.sprintf "tracks %d columns"
              (Array.length (Raw_formats.Posmap.tracked pm))

@@ -45,196 +45,151 @@ let all_schema_cols (entry : Catalog.entry) =
   List.init (Schema.arity entry.schema) (fun i -> i)
 
 (* ------------------------------------------------------------------ *)
-(* Whole-column scans (no positional map involved / posmap building)   *)
+(* Raw reads                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Full-table read of [cols]; CSV also builds a positional map over
-   [tracked] when the entry has none yet. Complete columns feed the
-   statistics store as a side effect. *)
+type rows = All | Ids of int array
+
+let need what = function
+  | Some x -> x
+  | None -> failwith ("Access.read: " ^ what)
+
+(* Read [cols] of every row ([All], through the morsel-parallel kernels)
+   or of [Ids rowids] (a point fetch, through the sequential ones). A CSV
+   [All] read also builds a positional map over [tracked] when the entry
+   has none; a CSV fetch needs that map, a JSONL fetch the row starts. *)
+let read cat ~mode ~(entry : Catalog.entry) ~tracked ~cols rows =
+  let smode = scan_mode mode and policy = policy cat in
+  let phase, ids, shape =
+    match rows with
+    | All -> ("seq", None, [ ("phase", "full") ])
+    | Ids r ->
+      ("fetch", Some r, [ ("phase", "fetch"); ("rows", string_of_int (Array.length r)) ])
+  in
+  Decisions.record ~site:"scan.kernel"
+    ~choice:(Scan_csv.mode_to_string smode)
+    (("table", entry.name) :: ("format", Format_kind.to_string entry.format) :: shape);
+  (* charge this read's generated kernel; [prefix] keeps IBX and JSONL
+     child-table kernels apart from their base formats' *)
+  let jit ?(prefix = "") fmt template_key =
+    charge_template cat ~mode ~kind:(fmt ^ ".jit")
+      (template_key ~phase:(prefix ^ phase) ~table:entry.name ~needed:cols
+         ~policy)
+  in
+  match entry.format with
+  | Format_kind.Csv { sep } -> (
+    match rows with
+    | All ->
+      let posmap = entry.state.posmap in
+      let build_pm = posmap = None && tracked <> [] && mode <> External in
+      Decisions.record ~site:"posmap"
+        ~choice:
+          (if build_pm then "build" else if posmap <> None then "have" else "skip")
+        [ ("table", entry.name); ("tracked", string_of_int (List.length tracked)) ];
+      let tracked = if build_pm then tracked else [] in
+      jit "csv" (Scan_csv.template_key ~sep ~tracked);
+      let columns, pm =
+        Scan_csv.par_scan ~mode:smode ~policy ~parallelism:(parallelism cat)
+          ~file:(Catalog.file cat entry) ~sep ~schema:entry.schema ~needed:cols
+          ~tracked ()
+      in
+      Option.iter (Catalog.set_posmap cat entry) pm;
+      columns
+    | Ids rowids ->
+      let posmap = need "CSV fetch without positional map" entry.state.posmap in
+      let tracked = Array.to_list (Posmap.tracked posmap) in
+      Decisions.record ~site:"posmap" ~choice:"use"
+        [ ("table", entry.name); ("tracked", string_of_int (List.length tracked)) ];
+      jit "csv" (Scan_csv.template_key ~sep ~tracked);
+      Scan_csv.fetch ~mode:smode ~policy ~file:(Catalog.file cat entry) ~sep
+        ~schema:entry.schema ~posmap ~cols ~rowids ())
+  | Format_kind.Jsonl -> (
+    jit "jsonl" Scan_jsonl.template_key;
+    match rows with
+    | All ->
+      let columns, starts =
+        Scan_jsonl.seq_scan ~mode:smode ~policy ~file:(Catalog.file cat entry)
+          ~schema:entry.schema ~needed:cols ()
+      in
+      if mode <> External && entry.state.row_starts = None then
+        Catalog.set_row_starts cat entry starts;
+      columns
+    | Ids rowids ->
+      let row_starts = need "JSONL fetch without row index" entry.state.row_starts in
+      Scan_jsonl.fetch ~mode:smode ~policy ~file:(Catalog.file cat entry)
+        ~schema:entry.schema ~row_starts ~cols ~rowids ())
+  | Format_kind.Jsonl_array _ ->
+    jit ~prefix:"arr-" "jsonl" Scan_jsonl.template_key;
+    Scan_jsonl.scan_array ~mode:smode ~policy ~file:(Catalog.file cat entry)
+      ~schema:entry.schema ~index:(Catalog.jarr_index cat entry) ~needed:cols
+      ~rowids:ids ()
+  | Format_kind.Fwb -> (
+    jit "fwb" Scan_fwb.template_key;
+    let file = Catalog.file cat entry and layout = Catalog.fwb_layout entry in
+    match rows with
+    | All ->
+      Scan_fwb.par_scan ~mode:smode ~policy ~parallelism:(parallelism cat) ~file
+        ~layout ~schema:entry.schema ~needed:cols ()
+    | Ids rowids ->
+      Scan_fwb.fetch ~mode:smode ~file ~layout ~schema:entry.schema ~cols ~rowids)
+  | Format_kind.Ibx ->
+    (* the data region is FWB; its layout comes from the footer *)
+    let meta = Catalog.ibx_meta cat entry in
+    jit ~prefix:"ibx-" "fwb" Scan_fwb.template_key;
+    let rowids =
+      match rows with All -> Array.init meta.Ibx.n_rows Fun.id | Ids r -> r
+    in
+    Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
+      ~layout:meta.Ibx.layout ~schema:entry.schema ~cols ~rowids
+  | Format_kind.Hep_events -> (
+    jit "hep" Scan_hep.template_key;
+    let reader = Catalog.hep_reader cat entry in
+    match rows with
+    | All ->
+      Scan_hep.par_scan_events ~mode:smode ~policy ~parallelism:(parallelism cat)
+        ~reader ~needed:cols ~rowids:None ()
+    | Ids rowids ->
+      Scan_hep.scan_events ~mode:smode ~reader ~needed:cols
+        ~rowids:(Some (hep_entry_rowids cat ~entry rowids)) ())
+  | Format_kind.Hep_particles coll -> (
+    jit "hep" Scan_hep.template_key;
+    let reader = Catalog.hep_reader cat entry
+    and index = Catalog.hep_index cat entry in
+    match rows with
+    | All ->
+      Scan_hep.par_scan_particles ~mode:smode ~parallelism:(parallelism cat)
+        ~reader ~coll ~index ~needed:cols ~rowids:None
+    | Ids _ ->
+      Scan_hep.scan_particles ~mode:smode ~reader ~coll ~index ~needed:cols
+        ~rowids:ids)
+
+(* A full-table [read]; its complete columns feed the statistics store. *)
 let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
-  let smode = scan_mode mode in
   Trace.with_span ~cat:"scan" "scan.full"
     ~args:
       [
         ("table", entry.name);
         ("format", Format_kind.to_string entry.format);
-        ("kernel", Scan_csv.mode_to_string smode);
+        ("kernel", Scan_csv.mode_to_string (scan_mode mode));
       ]
   @@ fun () ->
-  Decisions.record ~site:"scan.kernel"
-    ~choice:(Scan_csv.mode_to_string smode)
-    [
-      ("table", entry.name);
-      ("format", Format_kind.to_string entry.format);
-      ("phase", "full");
-    ];
-  let observe columns =
-    List.iteri
-      (fun k c ->
-        Table_stats.observe (Catalog.stats cat) ~table:entry.name ~col:c
-          columns.(k))
-      cols;
-    columns
-  in
-  observe
-  @@
-  match entry.format with
-  | Format_kind.Csv { sep } ->
-    let build_pm = entry.posmap = None && tracked <> [] && mode <> External in
-    Decisions.record ~site:"posmap"
-      ~choice:
-        (if build_pm then "build"
-         else if entry.posmap <> None then "have"
-         else "skip")
-      [ ("table", entry.name); ("tracked", string_of_int (List.length tracked)) ];
-    let tracked = if build_pm then tracked else [] in
-    charge_template cat ~mode ~kind:"csv.jit"
-      (Scan_csv.template_key ~phase:"seq" ~table:entry.name ~sep ~needed:cols
-         ~tracked ~policy:(policy cat));
-    let columns, pm =
-      Scan_csv.par_scan ~mode:smode ~policy:(policy cat)
-        ~parallelism:(parallelism cat) ~file:(Catalog.file cat entry) ~sep
-        ~schema:entry.schema ~needed:cols ~tracked ()
-    in
-    (match pm with Some pm -> Catalog.set_posmap cat entry pm | None -> ());
-    columns
-  | Format_kind.Jsonl ->
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    let columns, starts =
-      Scan_jsonl.seq_scan ~mode:smode ~policy:(policy cat)
-        ~file:(Catalog.file cat entry) ~schema:entry.schema ~needed:cols ()
-    in
-    if mode <> External && entry.row_starts = None then begin
-      if Catalog.reserve_bytes cat (8 * Array.length starts) then
-        entry.row_starts <- Some starts
-      else Metrics.incr Metrics.gov_fallback_posmap
-    end;
-    columns
-  | Format_kind.Jsonl_array _ ->
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"arr-seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_jsonl.scan_array ~mode:smode ~policy:(policy cat)
-      ~file:(Catalog.file cat entry) ~schema:entry.schema
-      ~index:(Catalog.jarr_index cat entry) ~needed:cols ~rowids:None ()
-  | Format_kind.Fwb ->
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_fwb.par_scan ~mode:smode ~policy:(policy cat)
-      ~parallelism:(parallelism cat) ~file:(Catalog.file cat entry)
-      ~layout:(Catalog.fwb_layout entry) ~schema:entry.schema ~needed:cols ()
-  | Format_kind.Ibx ->
-    (* the data region is FWB; its layout comes from the footer *)
-    let meta = Catalog.ibx_meta cat entry in
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"ibx-seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
-      ~layout:meta.Ibx.layout ~schema:entry.schema ~cols
-      ~rowids:(Array.init meta.Ibx.n_rows (fun i -> i))
-  | Format_kind.Hep_events ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_hep.par_scan_events ~mode:smode ~policy:(policy cat)
-      ~parallelism:(parallelism cat) ~reader:(Catalog.hep_reader cat entry)
-      ~needed:cols ~rowids:None ()
-  | Format_kind.Hep_particles coll ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_hep.par_scan_particles ~mode:smode ~parallelism:(parallelism cat)
-      ~reader:(Catalog.hep_reader cat entry) ~coll
-      ~index:(Catalog.hep_index cat entry) ~needed:cols ~rowids:None
-
-(* Point fetch of [cols] at [rowids] straight from the raw file. CSV
-   requires a positional map that can reach the columns. *)
-let raw_fetch cat ~mode ~(entry : Catalog.entry) ~cols ~rowids =
-  let smode = scan_mode mode in
-  Decisions.record ~site:"scan.kernel"
-    ~choice:(Scan_csv.mode_to_string smode)
-    [
-      ("table", entry.name);
-      ("format", Format_kind.to_string entry.format);
-      ("phase", "fetch");
-      ("rows", string_of_int (Array.length rowids));
-    ];
-  match entry.format with
-  | Format_kind.Csv { sep } ->
-    let posmap =
-      match entry.posmap with
-      | Some pm -> pm
-      | None -> failwith "Access.raw_fetch: CSV fetch without positional map"
-    in
-    Decisions.record ~site:"posmap" ~choice:"use"
-      [
-        ("table", entry.name);
-        ("tracked", string_of_int (Array.length (Posmap.tracked posmap)));
-      ];
-    charge_template cat ~mode ~kind:"csv.jit"
-      (Scan_csv.template_key ~phase:"fetch" ~table:entry.name ~sep ~needed:cols
-         ~tracked:(Array.to_list (Posmap.tracked posmap)) ~policy:(policy cat));
-    Scan_csv.fetch ~mode:smode ~policy:(policy cat)
-      ~file:(Catalog.file cat entry) ~sep ~schema:entry.schema ~posmap ~cols
-      ~rowids ()
-  | Format_kind.Jsonl ->
-    let row_starts =
-      match entry.row_starts with
-      | Some s -> s
-      | None -> failwith "Access.raw_fetch: JSONL fetch without row index"
-    in
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_jsonl.fetch ~mode:smode ~policy:(policy cat)
-      ~file:(Catalog.file cat entry) ~schema:entry.schema ~row_starts ~cols
-      ~rowids ()
-  | Format_kind.Jsonl_array _ ->
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"arr-fetch" ~table:entry.name
-         ~needed:cols ~policy:(policy cat));
-    Scan_jsonl.scan_array ~mode:smode ~policy:(policy cat)
-      ~file:(Catalog.file cat entry) ~schema:entry.schema
-      ~index:(Catalog.jarr_index cat entry) ~needed:cols ~rowids:(Some rowids)
-      ()
-  | Format_kind.Fwb ->
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
-      ~layout:(Catalog.fwb_layout entry) ~schema:entry.schema ~cols ~rowids
-  | Format_kind.Ibx ->
-    let meta = Catalog.ibx_meta cat entry in
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"ibx-fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
-      ~layout:meta.Ibx.layout ~schema:entry.schema ~cols ~rowids
-  | Format_kind.Hep_events ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_hep.scan_events ~mode:smode ~reader:(Catalog.hep_reader cat entry)
-      ~needed:cols ~rowids:(Some (hep_entry_rowids cat ~entry rowids)) ()
-  | Format_kind.Hep_particles coll ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_hep.scan_particles ~mode:smode ~reader:(Catalog.hep_reader cat entry)
-      ~coll ~index:(Catalog.hep_index cat entry) ~needed:cols ~rowids:(Some rowids)
+  let columns = read cat ~mode ~entry ~tracked ~cols All in
+  List.iteri
+    (fun k c ->
+      Table_stats.observe (Catalog.stats cat) ~table:entry.name ~col:c
+        columns.(k))
+    cols;
+  columns
 
 (* Can a CSV positional fetch reach these columns? Non-CSV formats always
    compute positions. *)
 let fetchable (entry : Catalog.entry) cols =
   match entry.format with
   | Format_kind.Csv _ ->
-    (match entry.posmap with
+    (match entry.state.posmap with
      | None -> false
      | Some posmap -> Scan_csv.can_fetch ~schema:entry.schema ~posmap ~cols)
-  | Format_kind.Jsonl -> entry.row_starts <> None
+  | Format_kind.Jsonl -> entry.state.row_starts <> None
   | Format_kind.Jsonl_array _ | Format_kind.Fwb | Format_kind.Ibx
   | Format_kind.Hep_events | Format_kind.Hep_particles _ ->
     true
@@ -243,14 +198,16 @@ let fetchable (entry : Catalog.entry) cols =
 (* DBMS mode                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let ensure_loaded cat (entry : Catalog.entry) =
-  match entry.loaded with
-  | Some _ -> ()
+(* every schema column, loaded on first use *)
+let loaded cat (entry : Catalog.entry) =
+  match entry.state.loaded with
+  | Some columns -> columns
   | None ->
     let cols = all_schema_cols entry in
     let columns = full_scan cat ~mode:Dbms ~entry ~tracked:[] ~cols in
     Metrics.add Metrics.dbms_columns_loaded (Array.length columns);
-    entry.loaded <- Some columns
+    Catalog.set_loaded entry columns;
+    columns
 
 (* ------------------------------------------------------------------ *)
 (* fetch_columns                                                       *)
@@ -259,8 +216,7 @@ let ensure_loaded cat (entry : Catalog.entry) =
 let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
   match mode with
   | Dbms ->
-    ensure_loaded cat entry;
-    let loaded = Option.get entry.loaded in
+    let loaded = loaded cat entry in
     Metrics.add Metrics.dbms_values_gathered (Array.length rowids * List.length cols);
     Array.of_list (List.map (fun c -> Column.gather loaded.(c) rowids) cols)
   | External ->
@@ -343,7 +299,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
           ("columns", string_of_int (List.length streaming));
           ("reason", "memory_budget");
         ];
-      let packed = raw_fetch cat ~mode ~entry ~cols:streaming ~rowids in
+      let packed = read cat ~mode ~entry ~tracked ~cols:streaming (Ids rowids) in
       List.iteri (fun k c -> Hashtbl.replace results c packed.(k)) streaming
     end;
     if reachable <> [] then begin
@@ -374,7 +330,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
           let members = List.rev !members in
           let cols = List.map fst members in
           if Array.length missing > 0 then begin
-            let packed = raw_fetch cat ~mode ~entry ~cols ~rowids:missing in
+            let packed = read cat ~mode ~entry ~tracked ~cols (Ids missing) in
             List.iteri
               (fun k (_, shred) -> Column.scatter shred missing packed.(k))
               members

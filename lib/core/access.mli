@@ -31,8 +31,22 @@ val base_scan : Catalog.t -> Catalog.entry -> Operator.t
     cardinality metadata. Real data reads happen in the scan operators
     attached above by the planner. *)
 
-val ensure_loaded : Catalog.t -> Catalog.entry -> unit
-(** DBMS mode: load every schema column into memory (idempotent). *)
+type rows = All | Ids of int array
+
+val read :
+  Catalog.t ->
+  mode:mode ->
+  entry:Catalog.entry ->
+  tracked:int list ->
+  cols:int list ->
+  rows ->
+  Column.t array
+(** [cols] of every row ([All], morsel-parallel kernels) or of [Ids
+    rowids] (point fetch, sequential kernels), straight from the raw file.
+    One [scan.kernel] decision and, in [Jit] mode, one template charge.
+    A CSV [All] read builds a positional map over [tracked] if the entry
+    has none; a CSV fetch needs one, a JSONL fetch the row starts
+    ([Failure] otherwise). *)
 
 val fetch_columns :
   Catalog.t ->

@@ -3,11 +3,10 @@ open Raw_storage
 open Raw_formats
 module Metrics = Raw_obs.Metrics
 
-type entry = {
-  name : string;
-  path : string;
-  format : Format_kind.t;
-  schema : Schema.t;
+(* Every structure RAW derives from one version of a raw file. An entry
+   holds exactly one; invalidation swaps in a fresh one whole, so nothing
+   derived from the old bytes can survive a rewrite. *)
+type state = {
   mutable file : Mmap_file.t option;
   mutable hep : Hep.Reader.t option;
   mutable posmap : Posmap.t option;
@@ -18,8 +17,20 @@ type entry = {
   mutable jarr_index : (int array * int array) option;
   mutable ibx : Ibx.meta option;
   mutable identity : File_id.t option;
-      (* dev/ino/mtime/size stamped when the file was opened; every cached
-         structure above is valid only for this version of the file *)
+      (* dev/ino/mtime/size stamped when the file was opened *)
+}
+
+let fresh_state () =
+  { file = None; hep = None; posmap = None; loaded = None; n_rows = None;
+    hep_index = None; row_starts = None; jarr_index = None; ibx = None;
+    identity = None }
+
+type entry = {
+  name : string;
+  path : string;
+  format : Format_kind.t;
+  schema : Schema.t;
+  mutable state : state;
 }
 
 type t = {
@@ -33,14 +44,16 @@ type t = {
   budget : Mem_budget.t option;
 }
 
-(* every open file, deduped by identity (the four HEP views share one) *)
-let open_files t =
-  Hashtbl.fold
-    (fun _ e acc ->
-      match e.file with
-      | Some f -> if List.memq f acc then acc else f :: acc
-      | None -> acc)
-    t.entries []
+(* the files behind [entries], each once (the four HEP views share one) *)
+let files entries =
+  List.fold_left
+    (fun acc e ->
+      match e.state.file with
+      | Some f when not (List.memq f acc) -> f :: acc
+      | Some _ | None -> acc)
+    [] entries
+
+let open_files t = files (List.of_seq (Hashtbl.to_seq_values t.entries))
 
 let sorted_entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
@@ -62,8 +75,8 @@ let register_consumers t budget =
     ~usage:(fun () -> Template_cache.byte_usage t.templates)
     ~shrink:(fun ~need -> Template_cache.evict_cold t.templates ~need);
   let posmap_bytes e =
-    (match e.posmap with Some pm -> Posmap.byte_size pm | None -> 0)
-    + match e.row_starts with Some s -> 8 * Array.length s | None -> 0
+    (match e.state.posmap with Some pm -> Posmap.byte_size pm | None -> 0)
+    + match e.state.row_starts with Some s -> 8 * Array.length s | None -> 0
   in
   Mem_budget.register budget ~name:"posmaps" ~priority:3
     ~usage:(fun () ->
@@ -76,8 +89,8 @@ let register_consumers t budget =
         (fun e ->
           let b = posmap_bytes e in
           if !freed < need && b > 0 then begin
-            e.posmap <- None;
-            e.row_starts <- None;
+            e.state.posmap <- None;
+            e.state.row_starts <- None;
             freed := !freed + b;
             Metrics.incr Metrics.gov_evictions;
             Io_stats.incr "gov.evictions.posmaps";
@@ -158,22 +171,7 @@ let register t ~name ~path ~format ~schema =
     | _ -> schema
   in
   Hashtbl.replace t.entries name
-    {
-      name;
-      path;
-      format;
-      schema;
-      file = None;
-      hep = None;
-      posmap = None;
-      loaded = None;
-      n_rows = None;
-      hep_index = None;
-      row_starts = None;
-      jarr_index = None;
-      ibx = None;
-      identity = None;
-    }
+    { name; path; format; schema; state = fresh_state () }
 
 let register_hep t ~name_prefix ~path =
   let empty = Schema.make [] in
@@ -201,16 +199,16 @@ let tables t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.entries [] |> List.sort String.compare
 
 let file t entry =
-  match entry.file with
+  match entry.state.file with
   | Some f -> f
   | None ->
     let f = Mmap_file.open_file ~config:t.config.mmap entry.path in
-    entry.file <- Some f;
-    entry.identity <- File_id.stat entry.path;
+    entry.state.file <- Some f;
+    entry.state.identity <- File_id.stat entry.path;
     f
 
 let hep_reader t entry =
-  match entry.hep with
+  match entry.state.hep with
   | Some r -> r
   | None ->
     let r =
@@ -223,10 +221,10 @@ let hep_reader t entry =
         Hashtbl.replace t.hep_readers entry.path r;
         r
     in
-    entry.hep <- Some r;
+    entry.state.hep <- Some r;
     (* share the underlying mapped file so page accounting is unified *)
-    entry.file <- Some (Hep.Reader.file r);
-    entry.identity <- File_id.stat entry.path;
+    entry.state.file <- Some (Hep.Reader.file r);
+    entry.state.identity <- File_id.stat entry.path;
     r
 
 let dtypes_of_schema schema =
@@ -239,7 +237,7 @@ let fwb_layout entry =
   | _ -> invalid_arg "Catalog.fwb_layout: not an FWB table"
 
 let ibx_meta t entry =
-  match entry.ibx with
+  match entry.state.ibx with
   | Some m -> m
   | None ->
     (match entry.format with
@@ -247,8 +245,8 @@ let ibx_meta t entry =
        let m =
          Ibx.read_meta (file t entry) ~dtypes:(dtypes_of_schema entry.schema)
        in
-       entry.ibx <- Some m;
-       entry.n_rows <- Some m.Ibx.n_rows;
+       entry.state.ibx <- Some m;
+       entry.state.n_rows <- Some m.Ibx.n_rows;
        m
      | _ -> invalid_arg "Catalog.ibx_meta: not an IBX table")
 
@@ -277,19 +275,26 @@ let build_hep_index t entry coll =
   (Buffer_int.contents entries, Buffer_int.contents items)
 
 let hep_index t entry =
-  match entry.hep_index with
+  match entry.state.hep_index with
   | Some idx -> idx
   | None ->
     (match entry.format with
      | Format_kind.Hep_particles coll ->
        let idx = build_hep_index t entry coll in
-       entry.hep_index <- Some idx;
-       entry.n_rows <- Some (Array.length (fst idx));
+       entry.state.hep_index <- Some idx;
+       entry.state.n_rows <- Some (Array.length (fst idx));
        idx
      | _ -> invalid_arg "Catalog.hep_index: not a HEP particle table")
 
+(* Row starts are the JSONL positional map: retained only if the budget
+   can hold them, else counted as a governance fallback. *)
+let set_row_starts t entry starts =
+  if reserve_bytes t (8 * Array.length starts) then
+    entry.state.row_starts <- Some starts
+  else Metrics.incr Metrics.gov_fallback_posmap
+
 let jsonl_row_starts t entry =
-  match entry.row_starts with
+  match entry.state.row_starts with
   | Some starts -> starts
   | None ->
     let starts =
@@ -303,13 +308,11 @@ let jsonl_row_starts t entry =
           ~record:true ()
       | _ -> Jsonl.row_starts (file t entry)
     in
-    if reserve_bytes t (8 * Array.length starts) then
-      entry.row_starts <- Some starts
-    else Metrics.incr Metrics.gov_fallback_posmap;
+    set_row_starts t entry starts;
     starts
 
 let jarr_index t entry =
-  match entry.jarr_index with
+  match entry.state.jarr_index with
   | Some idx -> idx
   | None ->
     (match entry.format with
@@ -319,13 +322,13 @@ let jarr_index t entry =
            ~row_starts:(jsonl_row_starts t entry)
            ~array_path:(String.split_on_char '.' array_path)
        in
-       entry.jarr_index <- Some idx;
-       entry.n_rows <- Some (Array.length (fst idx));
+       entry.state.jarr_index <- Some idx;
+       entry.state.n_rows <- Some (Array.length (fst idx));
        idx
      | _ -> invalid_arg "Catalog.jarr_index: not a JSONL child table")
 
 let n_rows t entry =
-  match entry.n_rows with
+  match entry.state.n_rows with
   | Some n -> n
   | None ->
     let policy = t.config.Config.on_error in
@@ -344,30 +347,20 @@ let n_rows t entry =
       | Format_kind.Jsonl -> Array.length (jsonl_row_starts t entry)
       | Format_kind.Jsonl_array _ -> Array.length (fst (jarr_index t entry))
       | Format_kind.Fwb ->
-        let layout = fwb_layout entry in
-        let f = file t entry in
-        (match policy with
-         | Scan_errors.Fail_fast -> Fwb.n_rows layout f
-         | Scan_errors.Skip_row | Scan_errors.Null_fill ->
-           let tb = Fwb.trailing_bytes layout f in
-           if tb > 0 then
-             Scan_errors.record
-               ~offset:(Mmap_file.length f - tb)
-               ~field:(-1) ~cause:"fwb: trailing bytes";
-           Fwb.n_rows_floor layout f)
+        Scan_fwb.row_bound ~policy (fwb_layout entry) (file t entry)
       | Format_kind.Ibx -> (ibx_meta t entry).Ibx.n_rows
       | Format_kind.Hep_events ->
         Array.length (hep_entry_ids t (hep_reader t entry))
       | Format_kind.Hep_particles _ -> Array.length (fst (hep_index t entry))
     in
-    entry.n_rows <- Some n;
+    entry.state.n_rows <- Some n;
     n
 
 (* A positional map is only retained if the budget can hold it; otherwise
    the next query re-tokenizes (counted as a governance fallback). *)
 let set_posmap t entry pm =
   if reserve_bytes t (Posmap.byte_size pm) then begin
-    entry.posmap <- Some pm;
+    entry.state.posmap <- Some pm;
     Raw_obs.Decisions.record ~site:"governance" ~choice:"retain_posmap"
       [
         ("table", entry.name);
@@ -384,22 +377,19 @@ let set_posmap t entry pm =
       ]
   end
 
-let drop_file_caches t =
-  Hashtbl.iter
-    (fun _ e ->
-      match e.file with Some f -> Mmap_file.drop_cache f | None -> ())
-    t.entries
+let set_loaded entry columns = entry.state.loaded <- Some columns
+
+let drop_file_caches t = List.iter Mmap_file.drop_cache (open_files t)
 
 let forget_data_state t =
   Hashtbl.iter
     (fun _ e ->
-      e.posmap <- None;
-      e.loaded <- None;
-      e.row_starts <- None;
-      e.jarr_index <- None;
-      match e.hep with
-      | Some r -> Hep.Reader.clear_object_cache r
-      | None -> ())
+      let s = e.state in
+      s.posmap <- None;
+      s.loaded <- None;
+      s.row_starts <- None;
+      s.jarr_index <- None;
+      Option.iter Hep.Reader.clear_object_cache s.hep)
     t.entries;
   Shred_pool.clear t.shreds
 
@@ -412,30 +402,19 @@ let forget_adaptive_state t =
 (* File identity and invalidation (PR 6)                               *)
 (* ------------------------------------------------------------------ *)
 
-let identity entry = entry.identity
-
 (* Drop every per-file structure for every entry sharing [path] (the four
    HEP views share one file). Pooled shreds hold the stale values too, so
-   those tables' shreds go with it. Does nothing to stats/templates: the
-   selectivity EWMA re-adapts, and compiled templates key on schema, not
-   content. *)
+   those tables' shreds go with it. Does nothing to stats/templates: column
+   stats only steer cost estimates and the next complete-column scan
+   replaces them, and compiled templates key on schema, not content. *)
 let invalidate_path t path =
   let touched = ref [] in
   Hashtbl.iter
     (fun _ e ->
       if String.equal e.path path then begin
-        if e.identity <> None || e.file <> None then
+        if e.state.identity <> None || e.state.file <> None then
           touched := e.name :: !touched;
-        e.file <- None;
-        e.hep <- None;
-        e.posmap <- None;
-        e.loaded <- None;
-        e.n_rows <- None;
-        e.hep_index <- None;
-        e.row_starts <- None;
-        e.jarr_index <- None;
-        e.ibx <- None;
-        e.identity <- None;
+        e.state <- fresh_state ();
         let stale =
           Shred_pool.fold
             (fun (k : Shred_pool.key) _ acc ->
@@ -452,7 +431,7 @@ let refresh_path t path =
   let stamped =
     Hashtbl.fold
       (fun _ e acc ->
-        if acc = None && String.equal e.path path then e.identity else acc)
+        if acc = None && String.equal e.path path then e.state.identity else acc)
       t.entries None
   in
   match stamped with

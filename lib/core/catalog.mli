@@ -11,11 +11,9 @@ open Raw_vector
 open Raw_storage
 open Raw_formats
 
-type entry = {
-  name : string;
-  path : string;
-  format : Format_kind.t;
-  schema : Schema.t;
+(** Everything derived from one version of an entry's raw file. Only the
+    catalog writes it; {!invalidate_path} replaces it whole. *)
+type state = private {
   mutable file : Mmap_file.t option;
   mutable hep : Hep.Reader.t option;
   mutable posmap : Posmap.t option;
@@ -31,7 +29,16 @@ type entry = {
   mutable ibx : Ibx.meta option;  (** IBX footer + index metadata *)
   mutable identity : File_id.t option;
       (** dev/ino/mtime/size stamped when the file was opened — the version
-          of the file every cached structure above was derived from *)
+          of the file every cached structure above was derived from;
+          [None] while the file is unopened *)
+}
+
+type entry = private {
+  name : string;
+  path : string;
+  format : Format_kind.t;
+  schema : Schema.t;
+  mutable state : state;
 }
 
 type t
@@ -108,14 +115,26 @@ val set_posmap : t -> entry -> Posmap.t -> unit
     discarded and [gov.fallbacks.posmap] counted: the next query
     re-tokenizes instead. *)
 
+val set_row_starts : t -> entry -> int array -> unit
+(** Retain a JSONL table's row starts (its positional map) under the same
+    rule as {!set_posmap}. *)
+
+val set_loaded : entry -> Column.t array -> unit
+(** Keep the DBMS-mode loaded columns (schema order). *)
+
+val files : entry list -> Mmap_file.t list
+(** The files these entries have opened, each once (the four HEP views
+    share one). *)
+
 (** {1 Cache control (benchmarks need clean slates)} *)
 
 val drop_file_caches : t -> unit
 (** Simulated page caches of all registered files become cold. *)
 
 val forget_data_state : t -> unit
-(** Drops positional maps, DBMS-loaded columns, the shred pool and the HEP
-    object caches, but keeps compiled templates — the state of a session
+(** Drops positional maps, JSONL row starts and child-table element
+    indexes, DBMS-loaded columns, the shred pool and the HEP object
+    caches, but keeps compiled templates — the state of a session
     whose data caches were reset while the generated-library cache (which
     only depends on query/file shapes, paper §4.2) stays warm. Benchmarks
     use this between measurements of the same query shape. *)
@@ -131,11 +150,6 @@ val forget_adaptive_state : t -> unit
     the old bytes are all wrong. Entries are stamped with a
     {!Raw_storage.File_id} when their file is opened; {!refresh_path}
     re-stats and drops everything on mismatch. *)
-
-val identity : entry -> File_id.t option
-(** The stamp taken when the entry's file was opened; [None] if the file
-    has not been opened (or was invalidated) — nothing cached depends on
-    it in that case. *)
 
 val invalidate_path : t -> string -> string list
 (** Unconditionally drop all per-file state (mmap handle, posmap, loaded

@@ -54,28 +54,32 @@ let degraded_of_counters counters =
         | _ -> Some (Printf.sprintf "%s x%d" k n))
     (List.sort compare counters)
 
+(* an exhausted operator yields the 0-column empty chunk; give empty
+   results their proper schema-shaped arity *)
+let fix_empty schema chunk =
+  if Chunk.n_rows chunk = 0 && Chunk.n_cols chunk <> Schema.arity schema then
+    Chunk.create
+      (Array.of_list
+         (List.map
+            (fun (f : Schema.field) -> Column.of_values f.dtype [])
+            (Schema.fields schema)))
+  else chunk
+
 let entry_files cat logical =
-  (* tables may share a file (the four HEP views); dedupe by identity *)
-  List.fold_left
-    (fun acc t ->
-      let entry = Catalog.get cat t in
-      match entry.Catalog.file with
-      | Some f -> if List.memq f acc then acc else f :: acc
-      | None -> acc)
-    [] (Logical.tables logical)
+  Catalog.files (List.map (Catalog.get cat) (Logical.tables logical))
 
 let io_of_files cat logical =
   List.fold_left
     (fun acc f -> acc +. Mmap_file.simulated_io_seconds f)
     0. (entry_files cat logical)
 
-let counter_delta ~before key =
-  let v0 = match List.assoc_opt key before with Some x -> x | None -> 0. in
-  let v = match List.assoc_opt key (Io_stats.snapshot ()) with
-    | Some x -> x
-    | None -> 0.
-  in
-  v -. v0
+(* every counter that moved since [before], with how far *)
+let counter_deltas ~before =
+  List.filter_map
+    (fun (k, v) ->
+      let v0 = match List.assoc_opt k before with Some x -> x | None -> 0. in
+      if v -. v0 <> 0. then Some (k, v -. v0) else None)
+    (Io_stats.snapshot ())
 
 (* The access-path component of a history record: the formats scanned,
    deduplicated and joined ("csv", "hep", "csv+jsonl", ...). *)
@@ -243,7 +247,8 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
   let compile_seconds =
     Template_cache.take_charged_seconds (Catalog.templates cat)
   in
-  let delta k = counter_delta ~before k in
+  let moved = counter_deltas ~before in
+  let delta k = Option.value (List.assoc_opt k moved) ~default:0. in
   let rows_scanned =
     (* scan.rows_scanned only ticks under an armed cancel token (it funds
        partial-progress accounting); fall back to the rows that entered
@@ -295,14 +300,9 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
      readers can tell "not profiled" from "profiled, allocated nothing" *)
   let copied_delta () =
     List.fold_left
-      (fun acc (k, v) ->
-        if String.starts_with ~prefix:"bytes.copied." k then
-          let v0 =
-            match List.assoc_opt k before with Some x -> x | None -> 0.
-          in
-          acc +. (v -. v0)
-        else acc)
-      0. (Io_stats.snapshot ())
+      (fun acc (k, d) ->
+        if String.starts_with ~prefix:"bytes.copied." k then acc +. d else acc)
+      0. moved
   in
   let if_profiled v = if cfg.Config.profile then Some (v ()) else None in
   let append_history ~status ~result_rows ~degraded =
@@ -377,35 +377,15 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
        | Cancel.Stop Cancel.User -> raise (Resource_error.Cancelled progress)
        | e -> raise e)
   in
-  (* an exhausted operator yields the 0-column empty chunk; give empty
-     results their proper schema-shaped arity *)
-  let chunk =
-    if Chunk.n_rows chunk = 0 && Chunk.n_cols chunk <> Schema.arity schema then
-      Chunk.create
-        (Array.of_list
-           (List.map
-              (fun (f : Schema.field) -> Column.of_values f.dtype [])
-              (Schema.fields schema)))
-    else chunk
-  in
+  let chunk = fix_empty schema chunk in
   Metrics.add_float Metrics.io_simulated_seconds io_seconds;
   Metrics.observe Metrics.query_seconds
     (cpu_seconds +. io_seconds +. compile_seconds);
-  let after = Io_stats.snapshot () in
-  let deltas =
-    List.filter_map
-      (fun (k, v) ->
-        let v0 =
-          match List.assoc_opt k before with Some x -> x | None -> 0.
-        in
-        if v -. v0 <> 0. then Some (k, v -. v0) else None)
-      after
-  in
   (* worker-domain wall clocks are a breakdown, not a work metric *)
   let domain_seconds, counters =
     List.partition
       (fun (k, _) -> String.starts_with ~prefix:domain_prefix k)
-      deltas
+      (counter_deltas ~before)
   in
   let degraded = degraded_of_counters counters in
   append_history ~status:Raw_obs.History.Completed

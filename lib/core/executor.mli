@@ -88,6 +88,10 @@ val run :
     or deadline-exceeded alike — is appended there with the full
     predicted-vs-actual account. *)
 
+val fix_empty : Schema.t -> Chunk.t -> Chunk.t
+(** An exhausted operator yields the 0-column empty chunk; this gives an
+    empty result the columns of [schema]. Other chunks pass through. *)
+
 val pp_report : Format.formatter -> report -> unit
 (** Result rows (with header) followed by the timing line. *)
 

@@ -18,6 +18,10 @@ let capabilities = function
   | Ibx -> [ Sequential_scan; Index_scan ]
   | Hep_events | Hep_particles _ -> [ Sequential_scan; Index_scan ]
 
+let textual = function
+  | Csv _ | Jsonl | Jsonl_array _ -> true
+  | Fwb | Ibx | Hep_events | Hep_particles _ -> false
+
 let to_string = function
   | Csv { sep } -> Printf.sprintf "csv(sep=%C)" sep
   | Jsonl -> "jsonl"

@@ -26,6 +26,11 @@ type t =
 type capability = Sequential_scan | Index_scan
 
 val capabilities : t -> capability list
+
+val textual : t -> bool
+(** Values are parsed from text (CSV, JSONL): the cost model prices their
+    reads and positional jumps above the binary formats'. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -479,14 +479,7 @@ let resolve_adaptive cat (logical : Logical.t) =
         (List.concat_map Expr.columns_used conjuncts)
     in
     let n_post = List.length columns - List.length filter_positions in
-    let textual =
-      match entry.Catalog.format with
-      | Format_kind.Csv _ | Format_kind.Jsonl | Format_kind.Jsonl_array _ ->
-        true
-      | Format_kind.Fwb | Format_kind.Ibx | Format_kind.Hep_events
-      | Format_kind.Hep_particles _ ->
-        false
-    in
+    let textual = Format_kind.textual entry.Catalog.format in
     let costs =
       Cost_model.selection_costs ~n_rows:(Catalog.n_rows cat entry)
         ~n_filter_cols:(List.length filter_positions)

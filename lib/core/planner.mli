@@ -53,6 +53,9 @@ val default : options
 val shred_strategy_to_string : shred_strategy -> string
 val join_policy_to_string : join_policy -> string
 
+val has_join : Logical.t -> bool
+(** Whether the plan joins two inputs anywhere. *)
+
 val plan : Catalog.t -> options -> Logical.t -> Operator.t * Schema.t
 (** The executable operator tree and its output schema. The operator is
     single-use (drain it once). *)

@@ -10,12 +10,12 @@ let template_key = Scan_kit.template_key "fwb"
    length. [Fail_fast] raises on it ({!Raw_formats.Fwb.n_rows}); the
    lenient policies scan the whole rows and record the tail once per
    enumerating pass. *)
-let row_bound ~policy ?(record = true) layout file =
+let row_bound ~policy layout file =
   match (policy : Scan_errors.policy) with
   | Fail_fast -> Fwb.n_rows layout file
   | Skip_row | Null_fill ->
     let tb = Fwb.trailing_bytes layout file in
-    if tb > 0 && record then
+    if tb > 0 then
       Scan_errors.record
         ~offset:(Mmap_file.length file - tb)
         ~field:(-1) ~cause:"fwb: trailing bytes";

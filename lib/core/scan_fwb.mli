@@ -16,6 +16,11 @@ open Raw_vector
 open Raw_storage
 open Raw_formats
 
+val row_bound : policy:Scan_errors.policy -> Fwb.layout -> Mmap_file.t -> int
+(** The number of whole rows in [file]. On a ragged file length
+    [Fail_fast] raises; the lenient policies record the trailing bytes and
+    count only the whole rows. *)
+
 val seq_scan :
   mode:Scan_csv.mode ->
   ?policy:Scan_errors.policy ->

@@ -244,10 +244,15 @@ module Trace_ring = struct
         List.filter (fun x -> now -. x.captured <= t.max_age) t.entries)
 end
 
+(* A session's next request is read only after its reply is written, so
+   the queue holds at most one request per session and the session cap
+   already bounds it. This bounds it when the cap is off or set above
+   it: four times the default cap of 256. *)
+let max_pending = 1024
+
 type t = {
   db : Raw_db.t;
   batch_window : float;
-  max_pending : int;
   cache_results : bool;
   (* armor knobs, copied out of the db's Config at serve time *)
   max_request_bytes : int;
@@ -656,7 +661,7 @@ let submit t session_id ~trace ~timing sql =
   let accepted =
     Mutex.protect t.qm (fun () ->
         if t.stopping then `Stopping
-        else if List.length t.queue >= t.max_pending then `Full
+        else if List.length t.queue >= max_pending then `Full
         else begin
           t.queue <- p :: t.queue;
           Condition.signal t.qc;
@@ -671,11 +676,11 @@ let submit t session_id ~trace ~timing sql =
     Decisions.record_into t.log ~site:"server.shed" ~choice:"queue_full"
       [
         ("session", string_of_int session_id);
-        ("max_pending", string_of_int t.max_pending);
+        ("max_pending", string_of_int max_pending);
       ];
     err ~kind:"overloaded" ~retry_after:(retry_hint t) 5
       (Printf.sprintf "overloaded: %d requests queued; retry later"
-         t.max_pending)
+         max_pending)
 
 (* p50/p95/p99 of a (possibly delta) snapshot; keys omitted when the
    histogram is empty there, so "p99 present" means "requests happened". *)
@@ -1059,8 +1064,7 @@ let ticker_loop t =
   in
   loop ()
 
-let serve ?(batch_window = 0.002) ?(max_pending = 1024) ?(cache_results = true)
-    ~socket_path db =
+let serve ?(batch_window = 0.002) ?(cache_results = true) ~socket_path db =
   (* a client vanishing mid-write must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
@@ -1070,7 +1074,6 @@ let serve ?(batch_window = 0.002) ?(max_pending = 1024) ?(cache_results = true)
     {
       db;
       batch_window;
-      max_pending;
       cache_results;
       max_request_bytes = cfg.Config.max_request_bytes;
       request_timeout = cfg.Config.request_timeout;

@@ -50,8 +50,10 @@
     - at most [Config.max_sessions] sessions run concurrently; a
       connection past the cap receives one code-5 line with
       ["retry_after"] and is closed (shed at the door, counted under
-      [server.shed_sessions]). Past [max_pending] queued requests the
-      response is the same shed shape ([server.shed_requests]).
+      [server.shed_sessions]). Past 1024 queued requests the response
+      is the same shed shape ([server.shed_requests]); with one request
+      in flight per session, only a session cap above 1024 (or none)
+      can reach that.
       Per-session in-flight is structurally 1: a session's requests are
       read and answered strictly in order, so pipelined bytes wait in
       the kernel buffer and user-space buffering stays bounded by
@@ -134,7 +136,6 @@
 
 val serve :
   ?batch_window:float ->
-  ?max_pending:int ->
   ?cache_results:bool ->
   socket_path:string ->
   Raw_db.t ->
@@ -142,9 +143,7 @@ val serve :
 (** Listen on [socket_path] (an existing socket file is replaced) and
     block until a client requests shutdown. [batch_window] (seconds,
     default 2 ms) is the shared-scan batching window — 0 disables
-    batching delay; [max_pending] (default 1024) bounds the queue, beyond
-    which requests are rejected with code 5 and a [retry_after] hint;
-    [cache_results] (default [true]) enables the result cache. The armor
+    batching delay; [cache_results] (default [true]) enables the result cache. The armor
     knobs ([max_request_bytes], [request_timeout], [idle_timeout],
     [max_sessions]) come from the database's {!Config}. Raises
     [Unix.Unix_error] if the socket cannot be bound. *)

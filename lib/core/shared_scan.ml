@@ -21,16 +21,8 @@ type group_result = {
    files, and its build side must be fully drained before the probe side
    streams, which breaks the one-traversal-feeds-all shape. *)
 let shareable_table plan =
-  let rec no_join = function
-    | Logical.Join _ -> false
-    | Logical.Scan _ -> true
-    | Logical.Filter (_, c) | Logical.Project (_, c)
-    | Logical.Order_by (_, c) | Logical.Limit (_, c) ->
-      no_join c
-    | Logical.Aggregate { input; _ } -> no_join input
-  in
   match Logical.tables plan with
-  | [ t ] when no_join plan -> Some t
+  | [ t ] when not (Planner.has_join plan) -> Some t
   | _ -> None
 
 let rec scan_columns acc = function
@@ -40,17 +32,6 @@ let rec scan_columns acc = function
     scan_columns acc c
   | Logical.Aggregate { input; _ } -> scan_columns acc input
   | Logical.Join { left; right; _ } -> scan_columns (scan_columns acc left) right
-
-(* an exhausted operator yields the 0-column empty chunk; give empty
-   results their proper schema-shaped arity (same fix as Executor) *)
-let fix_empty schema chunk =
-  if Chunk.n_rows chunk = 0 && Chunk.n_cols chunk <> Schema.arity schema then
-    Chunk.create
-      (Array.of_list
-         (List.map
-            (fun (f : Schema.field) -> Column.of_values f.dtype [])
-            (Schema.fields schema)))
-  else chunk
 
 let index_in union c =
   let rec go i = function
@@ -91,7 +72,7 @@ let eval_member ~chunk_rows ~union ~master plan schema =
     | Logical.Limit (n, c) -> Operator.limit n (go c)
     | Logical.Join _ -> invalid_arg "Shared_scan: join plans are not shareable"
   in
-  { chunk = fix_empty schema (Operator.to_chunk (go plan)); schema }
+  { chunk = Executor.fix_empty schema (Operator.to_chunk (go plan)); schema }
 
 let run_group cat options plans =
   let table =

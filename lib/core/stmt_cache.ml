@@ -64,7 +64,7 @@ let result_key cat plan =
     | Some entry -> (
       (* a still-unopened file gets a fresh stat: the stamp must name the
          version the (imminent) execution will read *)
-      match Catalog.identity entry with
+      match entry.Catalog.state.Catalog.identity with
       | Some id -> Some (table ^ "=" ^ File_id.to_string id)
       | None ->
         Option.map (fun id -> table ^ "=" ^ File_id.to_string id)

@@ -331,43 +331,3 @@ let aggregate op col sel =
     invalid_arg
       (Printf.sprintf "Kernels.aggregate: %s over non-numeric column"
          (agg_to_string op))
-
-(* ---------- hashing ---------- *)
-
-let null_hash = 0x2545F491
-
-let hash_int (x : int) =
-  (* Fibonacci hashing mix, then clear sign bit. *)
-  let h = x * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land max_int
-
-let hash_column col sel =
-  let idx =
-    match sel with
-    | Some s -> Sel.to_array s
-    | None -> Array.init (Column.length col) (fun i -> i)
-  in
-  let valid = valid_fn col in
-  match Column.data col with
-  | Column.Int_data a ->
-    Array.map (fun i -> if valid i then hash_int a.(i) else null_hash) idx
-  | Column.Float_data a ->
-    Array.map
-      (fun i ->
-        if valid i then hash_int (Int64.to_int (Int64.bits_of_float a.(i)))
-        else null_hash)
-      idx
-  | Column.Bool_data a ->
-    Array.map
-      (fun i -> if valid i then hash_int (if a.(i) then 1 else 0) else null_hash)
-      idx
-  | Column.String_data a ->
-    Array.map
-      (fun i -> if valid i then hash_int (Hashtbl.hash a.(i)) else null_hash)
-      idx
-
-let combine_hash a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Kernels.combine_hash: length mismatch";
-  Array.init (Array.length a) (fun i ->
-      hash_int (a.(i) lxor ((b.(i) * 31) + 0x9E3779B9)))

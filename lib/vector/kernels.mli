@@ -37,10 +37,3 @@ val aggregate : agg -> Column.t -> Sel.t option -> Value.t
 (** [Null] when no valid rows qualify (except [Count], which yields
     [Int 0]). [Sum]/[Avg]/[Max]/[Min] require a numeric column ([Max]/[Min]
     also accept strings and bools, ordered as in {!Value.compare}). *)
-
-val hash_column : Column.t -> Sel.t option -> int array
-(** One non-negative hash per (selected) row; NULL rows hash to a fixed
-    sentinel. Used by the hash-join and group-by operators. *)
-
-val combine_hash : int array -> int array -> int array
-(** Pairwise combination for multi-column keys. *)

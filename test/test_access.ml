@@ -20,6 +20,127 @@ let fetch cat mode cols rowids =
     ~tracked:(Raw_formats.Posmap.every_k ~k:2 ~n_cols:6)
     ~cols ~rowids
 
+let fwb_cat () =
+  let path = fresh_path ".fwb" in
+  let dtypes = [| Dtype.Int; Dtype.Float; Dtype.Int |] in
+  Raw_formats.Fwb.generate ~path ~n_rows:25 ~dtypes ~seed:21 ();
+  let cat = Catalog.create () in
+  Catalog.register cat ~name:"t" ~path ~format:Format_kind.Fwb
+    ~schema:(Schema.of_pairs [ ("a", Dtype.Int); ("x", Dtype.Float); ("b", Dtype.Int) ]);
+  cat
+
+let hep_cat () =
+  let path = fresh_path ".hep" in
+  Raw_formats.Hep.generate ~path ~n_events:30 ~seed:22 ();
+  let cat = Catalog.create () in
+  Catalog.register_hep cat ~name_prefix:"h" ~path;
+  cat
+
+let table_over format path pairs =
+  let cat = Catalog.create () in
+  Catalog.register cat ~name:"t" ~path ~format ~schema:(Schema.of_pairs pairs);
+  (cat, "t")
+
+let jsonl_table format pairs line =
+  let path = fresh_path ".jsonl" in
+  Out_channel.with_open_bin path (fun oc ->
+      for i = 0 to 9 do output_string oc (line i ^ "\n") done);
+  table_over format path pairs
+
+let ibx_table () =
+  let path = fresh_path ".ibx" in
+  Raw_formats.Ibx.write_file ~path ~dtypes:[| Dtype.Int; Dtype.Int |]
+    ~indexed_field:0
+    (Seq.init 20 (fun i -> [| Value.Int i; Value.Int (i * 3) |]));
+  table_over Format_kind.Ibx path (int_cols 2)
+
+(* The decisions of a full read and two same-shape fetches of column 1:
+   [key] is the template key up to its phase (e.g. ["fwb|ibx-"]), [extra]
+   its attributes before [needed], and [posmap] the number of columns a
+   CSV positional map tracks. *)
+let expected_reads ?(extra = "") ?posmap ~table ~format key =
+  let kind = List.hd (String.split_on_char '|' key) in
+  let kernel phase =
+    Printf.sprintf "scan.kernel: jit (table=%s, format=%s, phase=%s)" table
+      format phase
+  in
+  let pm choice =
+    Option.to_list
+      (Option.map
+         (Printf.sprintf "posmap: %s (table=%s, tracked=%d)" choice table)
+         posmap)
+  in
+  let template choice phase charged =
+    Printf.sprintf
+      "template_cache: %s (kind=%s.jit, key=%s%s|%s|%sneeded=1|err=fail%s)"
+      choice kind key phase table extra charged
+  in
+  let compile phase = template "compile" phase ", charged_seconds=0.01" in
+  let fetch = kernel "fetch, rows=2" in
+  List.concat
+    [ kernel "full" :: pm "build"; [ compile "seq"; fetch ]; pm "use";
+      [ compile "fetch"; fetch ]; pm "use"; [ template "hit" "fetch" "" ] ]
+
+(* A full read compiles, the first fetch compiles, a second fetch of the
+   same shape at other rows hits. The kernel, posmap and template-cache
+   decisions are pinned verbatim, so a changed template key or kernel
+   choice shows here. *)
+let reads_once_per_shape (name, table, expected) =
+  let cat, table = table () in
+  let entry = Catalog.get cat table in
+  let read rows =
+    ignore
+      (Access.read cat ~mode:Access.Jit ~entry
+         ~tracked:(Raw_formats.Posmap.every_k ~k:2 ~n_cols:6)
+         ~cols:[ 1 ] rows)
+  in
+  let d = Raw_obs.Decisions.create () in
+  Raw_obs.Decisions.with_handle d (fun () ->
+      read Access.All;
+      read (Access.Ids [| 1; 2 |]);
+      read (Access.Ids [| 3; 0 |]));
+  let tc = Catalog.templates cat in
+  Alcotest.(check (pair int int)) (name ^ ": misses, hits") (2, 1)
+    (Template_cache.misses tc, Template_cache.hits tc);
+  let pinned = [ "scan.kernel"; "posmap"; "template_cache" ] in
+  Alcotest.(check (list string)) (name ^ ": decisions") expected
+    (List.filter_map
+       (fun (r : Raw_obs.Decisions.record) ->
+         if List.mem r.site pinned then
+           Some (Format.asprintf "%a" Raw_obs.Decisions.pp r)
+         else None)
+       (Raw_obs.Decisions.records d))
+
+let every_format =
+  [
+    ( "csv",
+      (fun () -> (grid_cat (), "t")),
+      expected_reads ~posmap:3 ~extra:"sep=','|tracked=0,2,4|" ~table:"t"
+        ~format:"csv(sep=',')" "csv|" );
+    ( "jsonl",
+      (fun () ->
+        jsonl_table Format_kind.Jsonl (int_cols 2) (fun i ->
+            Printf.sprintf {|{"col0":%d,"col1":%d}|} i (i * 7))),
+      expected_reads ~table:"t" ~format:"jsonl" "jsonl|" );
+    ( "jsonl array",
+      (fun () ->
+        jsonl_table
+          (Format_kind.Jsonl_array { array_path = "items" })
+          [ ("parent", Dtype.Int); ("q", Dtype.Int) ]
+          (fun i -> Printf.sprintf {|{"items":[{"q":%d},{"q":7}]}|} i)),
+      expected_reads ~table:"t" ~format:"jsonl[items]" "jsonl|arr-" );
+    ( "fwb",
+      (fun () -> (fwb_cat (), "t")),
+      expected_reads ~table:"t" ~format:"fwb" "fwb|" );
+    ("ibx", ibx_table, expected_reads ~table:"t" ~format:"ibx" "fwb|ibx-");
+    ( "hep events",
+      (fun () -> (hep_cat (), "h_events")),
+      expected_reads ~table:"h_events" ~format:"hep:events" "hep|" );
+    ( "hep particles",
+      (fun () -> (hep_cat (), "h_muons")),
+      expected_reads ~table:"h_muons" ~format:"hep:muons" "hep|" );
+  ]
+
 let access_csv_tests =
   List.map
     (fun mode ->
@@ -40,17 +161,17 @@ let access_csv_tests =
       Alcotest.test_case "posmap built once and reused" `Quick (fun () ->
           let cat = grid_cat () in
           let entry = Catalog.get cat "t" in
-          Alcotest.(check bool) "no posmap initially" true (entry.posmap = None);
+          Alcotest.(check bool) "no posmap initially" true (entry.state.posmap = None);
           ignore (fetch cat Access.Jit [ 0 ] (Array.init 20 Fun.id));
-          (match entry.posmap with
+          (match entry.state.posmap with
            | None -> Alcotest.fail "posmap not built"
            | Some pm ->
              Alcotest.(check (array int)) "tracked every 2" [| 0; 2; 4 |]
                (Raw_formats.Posmap.tracked pm);
              Alcotest.(check int) "rows" 20 (Raw_formats.Posmap.n_rows pm));
-          let pm1 = entry.posmap in
+          let pm1 = entry.state.posmap in
           ignore (fetch cat Access.Jit [ 3 ] [| 1 |]);
-          Alcotest.(check bool) "same posmap" true (entry.posmap == pm1));
+          Alcotest.(check bool) "same posmap" true (entry.state.posmap == pm1));
       Alcotest.test_case "shred pool avoids re-reading the file" `Quick (fun () ->
           let cat = grid_cat () in
           let rowids = [| 1; 5; 9 |] in
@@ -171,22 +292,6 @@ let op_tests =
 
 (* ---------------- FWB / HEP access parity ---------------- *)
 
-let fwb_cat () =
-  let path = fresh_path ".fwb" in
-  let dtypes = [| Dtype.Int; Dtype.Float; Dtype.Int |] in
-  Raw_formats.Fwb.generate ~path ~n_rows:25 ~dtypes ~seed:21 ();
-  let cat = Catalog.create () in
-  Catalog.register cat ~name:"t" ~path ~format:Format_kind.Fwb
-    ~schema:(Schema.of_pairs [ ("a", Dtype.Int); ("x", Dtype.Float); ("b", Dtype.Int) ]);
-  cat
-
-let hep_cat () =
-  let path = fresh_path ".hep" in
-  Raw_formats.Hep.generate ~path ~n_events:30 ~seed:22 ();
-  let cat = Catalog.create () in
-  Catalog.register_hep cat ~name_prefix:"h" ~path;
-  cat
-
 let parity_tests =
   [
     Alcotest.test_case "fwb: all modes agree" `Quick (fun () ->
@@ -237,9 +342,17 @@ let parity_tests =
           rowids);
   ]
 
+let template_tests =
+  List.map
+    (fun ((name, _, _) as case) ->
+      Alcotest.test_case (name ^ ": jit charges template cache once per shape")
+        `Quick (fun () -> reads_once_per_shape case))
+    every_format
+
 let suites =
   [
     ("access.csv", access_csv_tests);
+    ("access.templates", template_tests);
     ("access.operators", op_tests);
     ("access.parity", parity_tests);
   ]

@@ -80,10 +80,10 @@ let catalog_tests =
         ignore (Raw_db.query db "SELECT MAX(col1) FROM t WHERE col0 < 1000");
         let cat = Raw_db.catalog db in
         Alcotest.(check bool) "posmap built" true
-          ((Catalog.get cat "t").posmap <> None);
+          ((Catalog.get cat "t").state.posmap <> None);
         Alcotest.(check bool) "pool populated" true (Shred_pool.size (Catalog.shreds cat) > 0);
         Catalog.forget_adaptive_state cat;
-        Alcotest.(check bool) "posmap gone" true ((Catalog.get cat "t").posmap = None);
+        Alcotest.(check bool) "posmap gone" true ((Catalog.get cat "t").state.posmap = None);
         Alcotest.(check int) "pool empty" 0 (Shred_pool.size (Catalog.shreds cat));
         Alcotest.(check int) "templates empty" 0
           (Template_cache.size (Catalog.templates cat)));

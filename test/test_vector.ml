@@ -415,16 +415,6 @@ let kernel_tests =
         Alcotest.check_raises "sum"
           (Invalid_argument "Kernels.aggregate: SUM over non-numeric column")
           (fun () -> ignore (Kernels.aggregate Kernels.Sum c None)));
-    Alcotest.test_case "hash is deterministic and sign-safe" `Quick (fun () ->
-        let c = Column.of_int_array [| 42; -7; 42 |] in
-        let h = Kernels.hash_column c None in
-        Alcotest.(check int) "equal values equal hashes" h.(0) h.(2);
-        Alcotest.(check bool) "non-negative" true (Array.for_all (fun x -> x >= 0) h));
-    Alcotest.test_case "combine_hash differs from inputs" `Quick (fun () ->
-        let a = [| 1; 2 |] and b = [| 3; 4 |] in
-        let c = Kernels.combine_hash a b in
-        Alcotest.(check int) "len" 2 (Array.length c);
-        Alcotest.(check bool) "mixed" true (c.(0) <> a.(0) || c.(1) <> a.(1)));
   ]
 
 let suites =
