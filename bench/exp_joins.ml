@@ -5,11 +5,10 @@
    aggregate column comes from file1 (E11, pipelined) or file2 (E12,
    pipeline-breaking); the join-policy knob moves its creation point.
 
-   The logical plans are built by hand so that the file2 selection sits
-   below the join (the binder would place WHERE above it). *)
+   The WHERE selects on file2; the planner pushes it below the join, onto
+   the build side, as the paper's plans have it. *)
 
 open Raw_core
-open Raw_engine
 open Bench_util
 
 (* join config: smaller pages + bounded residency so that the shuffled
@@ -35,34 +34,13 @@ let join_db () =
     ~columns:(colnames 30) ();
   db
 
-(* SELECT MAX(<projected>) FROM f1 JOIN f2 ON f1.col0 = f2.col0
-   WHERE f2.col1 < X  — with the filter below the join (build side). *)
-let join_plan ~project_side x =
-  let left =
-    Logical.Scan
-      { table = "f1";
-        columns = (if project_side = `Probe then [ 0; 10 ] else [ 0 ]) }
-  in
-  let right_cols = if project_side = `Build then [ 0; 1; 10 ] else [ 0; 1 ] in
-  let right =
-    Logical.Filter
-      ( Expr.(col 1 < int x),
-        Logical.Scan { table = "f2"; columns = right_cols } )
-  in
-  let join = Logical.Join { left; right; left_key = 0; right_key = 0 } in
-  (* output positions: probe columns then build columns *)
-  let proj_pos =
-    match project_side with
-    | `Probe -> 1 (* f1.col0, f1.col10 | ... *)
-    | `Build -> 3 (* f1.col0 | f2.col0, f2.col1, f2.col10 *)
-  in
-  Logical.Aggregate
-    {
-      keys = [];
-      aggs = [ { Logical.op = Raw_vector.Kernels.Max; expr = Expr.col proj_pos;
-                 name = "max_col10" } ];
-      input = join;
-    }
+(* the projected aggregate column comes from the probe (f1) or build (f2)
+   side; the selection on f2.col1 sits below the join after pushdown *)
+let join_sql ~project_side x =
+  Printf.sprintf
+    "SELECT MAX(%s.col10) FROM f1 JOIN f2 ON f1.col0 = f2.col0 WHERE f2.col1 < %d"
+    (match project_side with `Probe -> "f1" | `Build -> "f2")
+    x
 
 (* Cache f1.col0 (and f1's posmap), f2.col0/col1 — the paper's "loaded by
    previous queries" setup that isolates the projected column's cost. *)
@@ -81,7 +59,7 @@ let run_join_sweep ~project_side variants =
   List.iter
     (fun (_, o) ->
       prep db o;
-      ignore (Raw_db.run_plan ~options:o db (join_plan ~project_side (sel_to_x 0.5))))
+      ignore (run db o (join_sql ~project_side (sel_to_x 0.5))))
     variants;
   List.map
     (fun sel ->
@@ -91,7 +69,7 @@ let run_join_sweep ~project_side variants =
           (fun (_, o) ->
             min_of (fun () ->
                 prep db o;
-                total (Raw_db.run_plan ~options:o db (join_plan ~project_side x))))
+                total (run db o (join_sql ~project_side x))))
           variants
       in
       (sel, values))
@@ -136,7 +114,7 @@ let e12 () =
   List.iter
     (fun (name, o) ->
       prep db o;
-      let r = Raw_db.run_plan ~options:o db (join_plan ~project_side:`Build (sel_to_x 0.6)) in
+      ignore (run db o (join_sql ~project_side:`Build (sel_to_x 0.6)));
       let faults =
         List.fold_left
           (fun acc t ->
@@ -145,7 +123,6 @@ let e12 () =
             | None -> acc)
           0 [ "f1"; "f2" ]
       in
-      ignore r;
       Printf.printf "  %-10s %8d faults\n" name faults)
     [
       ("Early", opts ~shreds:Planner.Shreds ~join_policy:Planner.Early ());

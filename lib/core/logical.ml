@@ -82,6 +82,61 @@ let rec output_schema cat = function
          (uniquify (key_fields @ agg_fields)))
   | Order_by (_, child) | Limit (_, child) -> output_schema cat child
 
+(* Output arity without the catalog: every node's width follows from its
+   children, and a scan's from its column list. *)
+let rec width = function
+  | Scan { columns; _ } -> List.length columns
+  | Filter (_, c) | Order_by (_, c) | Limit (_, c) -> width c
+  | Project (items, _) -> List.length items
+  | Join { left; right; _ } -> width left + width right
+  | Aggregate { keys; aggs; _ } -> List.length keys + List.length aggs
+
+let rec split_and = function
+  | Expr.And (a, b) -> split_and a @ split_and b
+  | e -> [ e ]
+
+(* Conjuncts on top of [child], merged into a filter already there so the
+   rewrite never stacks two filters over one node. *)
+let add_filter conjuncts child =
+  let conjuncts, child =
+    match child with
+    | Filter (p, c) when conjuncts <> [] -> (split_and p @ conjuncts, c)
+    | _ -> (conjuncts, child)
+  in
+  match conjuncts with
+  | [] -> child
+  | c :: rest -> Filter (List.fold_left (fun a b -> Expr.And (a, b)) c rest, child)
+
+let rec push_filters = function
+  | Filter (pred, Join j) ->
+    let wl = width j.left in
+    let side e =
+      match Expr.columns_used e with
+      | [] -> `Above
+      | cols when List.for_all (fun i -> i < wl) cols -> `Left
+      | cols when List.for_all (fun i -> i >= wl) cols -> `Right
+      | _ -> `Above
+    in
+    let conjuncts = split_and pred in
+    let on s = List.filter (fun e -> side e = s) conjuncts in
+    let right = List.map (Expr.remap (fun i -> i - wl)) (on `Right) in
+    let join =
+      push_filters
+        (Join
+           { j with
+             left = add_filter (on `Left) j.left;
+             right = add_filter right j.right })
+    in
+    add_filter (on `Above) join
+  | Scan _ as s -> s
+  | Filter (e, c) -> Filter (e, push_filters c)
+  | Project (items, c) -> Project (items, push_filters c)
+  | Join j ->
+    Join { j with left = push_filters j.left; right = push_filters j.right }
+  | Aggregate a -> Aggregate { a with input = push_filters a.input }
+  | Order_by (specs, c) -> Order_by (specs, push_filters c)
+  | Limit (n, c) -> Limit (n, push_filters c)
+
 let tables plan =
   let rec go acc = function
     | Scan { table; _ } -> table :: acc

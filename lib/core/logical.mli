@@ -31,6 +31,21 @@ val output_schema : Catalog.t -> t -> Schema.t
     unknown table and [Invalid_argument] for out-of-range column indexes or
     ill-typed expressions. *)
 
+val width : t -> int
+(** Number of output columns (the arity of {!output_schema}, without the
+    catalog). *)
+
+val split_and : Expr.t -> Expr.t list
+(** The conjuncts of a predicate, left to right. *)
+
+val push_filters : t -> t
+(** Selection pushdown. A [Filter] over an inner [Join] is split into
+    conjuncts; each conjunct whose columns all come from one side moves
+    onto that side's input (right-side column positions shifted down by
+    the left width), recursively through nested joins. Conjuncts that
+    span both sides, or use no column, stay above the join. The output
+    is equivalent to the input: same rows, same columns, same order. *)
+
 val tables : t -> string list
 (** Tables scanned anywhere in the plan (deduplicated). *)
 

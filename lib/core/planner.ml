@@ -147,10 +147,6 @@ let materialize ctx ?(expand = false) phys needed =
     { phys with op = !op; slots; n_phys = !n_phys }
   end
 
-let rec split_and = function
-  | Expr.And (a, b) -> split_and a @ split_and b
-  | e -> [ e ]
-
 (* ---------- index-based access (paper §4.1) ---------- *)
 
 let index_bounds (op : Kernels.cmp) x =
@@ -287,7 +283,7 @@ the bottom (%s)"
     let indexed =
       match child with
       | Logical.Scan { table; columns } ->
-        (match try_index_scan ctx table columns (split_and pred) with
+        (match try_index_scan ctx table columns (Logical.split_and pred) with
          | Some (rowids, remaining) ->
            let entry = Catalog.get ctx.cat table in
            tr ctx
@@ -326,7 +322,7 @@ row ids (column never read)"
         let conjuncts =
           match ctx.opts.shreds with
           | Full_columns -> [ pred ]
-          | Shreds | Multi_shreds -> split_and pred
+          | Shreds | Multi_shreds -> Logical.split_and pred
           | Adaptive -> assert false (* resolved in [plan] *)
         in
         (phys, conjuncts)
@@ -437,16 +433,19 @@ row ids (column never read)"
       n_phys = List.length items;
       rowids = [];
     }
-  | Logical.Order_by (specs, child) ->
-    let phys = plan_node ctx child in
-    let phys = materialize ctx phys (List.map fst specs) in
-    let by =
-      List.map (fun (i, dir) -> (phys_index phys.slots i, dir)) specs
-    in
-    { phys with op = Operator.sort ~by phys.op }
+  | Logical.Limit (n, Logical.Order_by (specs, child)) ->
+    plan_sort ctx ~limit:n specs child
+  | Logical.Order_by (specs, child) -> plan_sort ctx specs child
   | Logical.Limit (n, child) ->
     let phys = plan_node ctx child in
     { phys with op = Operator.limit n phys.op }
+
+(* ORDER BY, and ORDER BY … LIMIT as one bounded top-k *)
+and plan_sort ctx ?limit specs child =
+  let phys = plan_node ctx child in
+  let phys = materialize ctx phys (List.map fst specs) in
+  let by = List.map (fun (i, dir) -> (phys_index phys.slots i, dir)) specs in
+  { phys with op = Operator.sort ?limit ~by phys.op }
 
 (* Resolve the Adaptive strategy for one query: estimate the selectivity of
    the first filtered scan from accumulated statistics and cost the three
@@ -469,7 +468,7 @@ let resolve_adaptive cat (logical : Logical.t) =
   | None -> Shreds
   | Some (pred, table, columns) ->
     let entry = Catalog.get cat table in
-    let conjuncts = split_and pred in
+    let conjuncts = Logical.split_and pred in
     let sel =
       Cost_model.estimate_selectivity (Catalog.stats cat) ~table ~columns
         conjuncts
@@ -518,7 +517,10 @@ let rec has_join = function
     has_join c
   | Logical.Aggregate { input; _ } -> has_join input
 
-let plan_with_trace cat opts logical =
+let plan_with_trace cat opts original =
+  (* the output schema comes from the plan as written; the rewrite only
+     moves selections, so every later step plans the pushed-down form *)
+  let logical = Logical.push_filters original in
   let opts =
     match opts.shreds with
     | Adaptive ->
@@ -549,7 +551,7 @@ let plan_with_trace cat opts logical =
     then phys.op
     else Operator.project exprs phys.op
   in
-  (op, Logical.output_schema cat logical, List.rev ctx.trace)
+  (op, Logical.output_schema cat original, List.rev ctx.trace)
 
 let plan cat opts logical =
   let op, schema, _trace = plan_with_trace cat opts logical in

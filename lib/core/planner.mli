@@ -58,7 +58,8 @@ val has_join : Logical.t -> bool
 
 val plan : Catalog.t -> options -> Logical.t -> Operator.t * Schema.t
 (** The executable operator tree and its output schema. The operator is
-    single-use (drain it once). *)
+    single-use (drain it once). Selections are first pushed below joins
+    ({!Logical.push_filters}); the schema is that of the plan as given. *)
 
 val plan_with_trace :
   Catalog.t -> options -> Logical.t -> Operator.t * Schema.t * string list

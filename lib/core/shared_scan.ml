@@ -68,6 +68,8 @@ let eval_member ~chunk_rows ~union ~master plan schema =
       let inp = go input in
       if keys = [] then Operator.aggregate aggs inp
       else Operator.group_by ~keys:(List.map Expr.col keys) ~aggs inp
+    | Logical.Limit (n, Logical.Order_by (specs, c)) ->
+      Operator.sort ~limit:n ~by:specs (go c)
     | Logical.Order_by (specs, c) -> Operator.sort ~by:specs (go c)
     | Logical.Limit (n, c) -> Operator.limit n (go c)
     | Logical.Join _ -> invalid_arg "Shared_scan: join plans are not shareable"

@@ -6,19 +6,20 @@ type t = { next_fn : unit -> Chunk.t option; close_fn : unit -> unit }
 module Buffer_idx = struct
   type t = { mutable a : int array; mutable n : int }
 
-  let create () = { a = Array.make 64 0; n = 0 }
+  let create capacity = { a = Array.make capacity 0; n = 0 }
+
+  let grow t =
+    let a = Array.make (max 16 (2 * Array.length t.a)) 0 in
+    Array.blit t.a 0 a 0 t.n;
+    t.a <- a
 
   let add t x =
-    if t.n >= Array.length t.a then begin
-      let a = Array.make (2 * Array.length t.a) 0 in
-      Array.blit t.a 0 a 0 t.n;
-      t.a <- a
-    end;
-    t.a.(t.n) <- x;
+    if t.n >= Array.length t.a then grow t;
+    Array.unsafe_set t.a t.n x;
     t.n <- t.n + 1
 
   let length t = t.n
-  let contents t = Array.sub t.a 0 t.n
+  let contents t = if t.n = Array.length t.a then t.a else Array.sub t.a 0 t.n
 end
 
 let default_chunk_rows = 4096
@@ -105,6 +106,21 @@ let union_all inputs =
          pull ())
   in
   of_fn () ~next:pull ~close:(fun () -> List.iter (fun o -> o.close_fn ()) !rest)
+
+let collect op =
+  let chunks = ref [] in
+  let rec go () =
+    match op.next_fn () with
+    | None -> ()
+    | Some c ->
+      chunks := c :: !chunks;
+      go ()
+  in
+  go ();
+  op.close_fn ();
+  List.rev !chunks
+
+let to_chunk op = Chunk.concat (collect op)
 
 (* ---------- aggregation ---------- *)
 
@@ -343,97 +359,169 @@ let group_by ~keys ~aggs input =
 
 (* ---------- join ---------- *)
 
+(* Int build keys live in one flat open-addressing table sized from the
+   build row count. Slot [s] is the pair [slots.(2s)] = key,
+   [slots.(2s+1)] = first build row with that key, shifted left one bit,
+   the low bit set when [next] chains more rows (-1 while the slot is
+   empty, whatever its key word holds). Chains run in ascending build-row
+   order. *)
+type int_table = { shift : int; mask : int; slots : int array; next : int array }
+
+(* Fibonacci hashing: the top bits of [k * golden] spread keys that differ
+   only in their high bits (multiples of a large power of two) *)
+let slot_of t k = (k * 0x1E3779B97F4A7C15) lsr t.shift
+
+let rec find_slot t k s =
+  let h = Array.unsafe_get t.slots ((2 * s) + 1) in
+  if h < 0 || Array.unsafe_get t.slots (2 * s) = k then s
+  else find_slot t k ((s + 1) land t.mask)
+
+let int_table_build keys (col : Column.t) =
+  let n = Array.length keys in
+  let bits = ref 4 in
+  while 1 lsl !bits < 2 * n do incr bits done;
+  let cap = 1 lsl !bits in
+  let t =
+    { shift = 63 - !bits; mask = cap - 1;
+      slots = Array.make (2 * cap) (-1);
+      next = Array.make n (-1) }
+  in
+  let all_valid = Column.all_valid col in
+  (* insert back to front: pushing at the head leaves chains ascending *)
+  for i = n - 1 downto 0 do
+    if all_valid || Column.is_valid col i then begin
+      let k = keys.(i) in
+      let s = find_slot t k (slot_of t k) in
+      let h = t.slots.((2 * s) + 1) in
+      t.slots.(2 * s) <- k;
+      if h < 0 then t.slots.((2 * s) + 1) <- i lsl 1
+      else begin
+        t.next.(i) <- h lsr 1;
+        t.slots.((2 * s) + 1) <- (i lsl 1) lor 1
+      end
+    end
+  done;
+  t
+
+(* every build row matching [k], ascending, paired with probe row [i] *)
+let int_table_probe t k i pidx bidx =
+  let h = Array.unsafe_get t.slots ((2 * find_slot t k (slot_of t k)) + 1) in
+  if h >= 0 then begin
+    Buffer_idx.add pidx i;
+    Buffer_idx.add bidx (h lsr 1);
+    if h land 1 = 1 then begin
+      let j = ref t.next.(h lsr 1) in
+      while !j >= 0 do
+        Buffer_idx.add pidx i;
+        Buffer_idx.add bidx !j;
+        j := t.next.(!j)
+      done
+    end
+  end
+
+(* Any other key type hashes boxed values. [norm] widens Int keys to Float
+   when the two sides' key types differ, so the join matches exactly the
+   pairs a numeric [=] would. *)
+let gen_table_build norm (col : Column.t) =
+  let table : (Value.t, int list) Hashtbl.t = Hashtbl.create 64 in
+  for i = Column.length col - 1 downto 0 do
+    match Column.get col i with
+    | Value.Null -> ()
+    | k ->
+      let k = norm k in
+      let prev = Option.value (Hashtbl.find_opt table k) ~default:[] in
+      Hashtbl.replace table k (i :: prev)
+  done;
+  table
+
+let widen = function Value.Int k -> Value.Float (float_of_int k) | v -> v
+
 let hash_join ~build ~probe ~build_key ~probe_key =
-  (* Integer keys (the common case: row ids, foreign keys) are hashed
-     unboxed; everything else goes through Value.t. *)
-  let int_table : (int, int list) Hashtbl.t = Hashtbl.create 1024 in
-  let gen_table : (Value.t, int list) Hashtbl.t = Hashtbl.create 64 in
-  let build_rows : Chunk.t option ref = ref None in
-  let built = ref false in
-  let do_build () =
-    let chunks = ref [] in
-    let rec drain () =
-      match build.next_fn () with
-      | None -> ()
-      | Some c ->
-        chunks := c :: !chunks;
-        drain ()
-    in
-    drain ();
-    build.close_fn ();
-    let all = Chunk.concat (List.rev !chunks) in
-    build_rows := Some all;
-    if Chunk.n_rows all > 0 then begin
-      let keys = Expr.eval build_key all in
-      (match Column.data keys with
-       | Column.Int_data ks ->
-         for i = 0 to Chunk.n_rows all - 1 do
-           if Column.is_valid keys i then begin
-             let k = ks.(i) in
-             let prev = Option.value (Hashtbl.find_opt int_table k) ~default:[] in
-             Hashtbl.replace int_table k (i :: prev)
-           end
-         done;
-         Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) int_table
-       | _ ->
-         for i = 0 to Chunk.n_rows all - 1 do
-           match Column.get keys i with
-           | Value.Null -> ()
-           | k ->
-             let prev = Option.value (Hashtbl.find_opt gen_table k) ~default:[] in
-             Hashtbl.replace gen_table k (i :: prev)
-         done;
-         Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) gen_table)
-    end;
-    built := true
+  let build_side =
+    lazy
+      (let all = to_chunk build in
+       let keys =
+         if Chunk.n_rows all = 0 then None else Some (Expr.eval build_key all)
+       in
+       (all, keys))
+  in
+  let int_table = ref None and gen_table = ref None in
+  (* index pairs of one probe chunk's matches, into buffers presized from
+     the chunk (duplicate build keys may still grow them) *)
+  let probe_chunk pc =
+    let n = Chunk.n_rows pc in
+    let pidx = Buffer_idx.create n and bidx = Buffer_idx.create n in
+    (match snd (Lazy.force build_side) with
+     | None -> ()
+     | Some bkeys ->
+       let pkeys = Expr.eval probe_key pc in
+       (match Column.data bkeys, Column.data pkeys with
+        | Column.Int_data bk, Column.Int_data pk ->
+          let t =
+            match !int_table with
+            | Some t -> t
+            | None ->
+              let t = int_table_build bk bkeys in
+              int_table := Some t;
+              t
+          in
+          let all_valid = Column.all_valid pkeys in
+          for i = 0 to n - 1 do
+            if all_valid || Column.is_valid pkeys i then
+              int_table_probe t pk.(i) i pidx bidx
+          done
+        | _ ->
+          let mixed =
+            match Column.dtype bkeys, Column.dtype pkeys with
+            | Dtype.Int, Dtype.Float | Dtype.Float, Dtype.Int -> true
+            | _ -> false
+          in
+          let norm = if mixed then widen else Fun.id in
+          let table =
+            match !gen_table with
+            | Some (m, table) when m = mixed -> table
+            | _ ->
+              let table = gen_table_build norm bkeys in
+              gen_table := Some (mixed, table);
+              table
+          in
+          for i = 0 to n - 1 do
+            match Column.get pkeys i with
+            | Value.Null -> ()
+            | k ->
+              (match Hashtbl.find_opt table (norm k) with
+               | Some matches ->
+                 List.iter
+                   (fun j ->
+                     Buffer_idx.add pidx i;
+                     Buffer_idx.add bidx j)
+                   matches
+               | None -> ())
+          done));
+    (pidx, bidx)
   in
   of_fn ()
     ~close:(fun () ->
       build.close_fn ();
       probe.close_fn ())
     ~next:(fun () ->
-      if not !built then do_build ();
-      let build_chunk = Option.get !build_rows in
+      let build_chunk = fst (Lazy.force build_side) in
       let rec go () =
         match next_nonempty probe with
         | None -> None
         | Some pc ->
-          let keys = Expr.eval probe_key pc in
-          let pidx = Buffer_idx.create () and bidx = Buffer_idx.create () in
-          let emit i matches =
-            List.iter
-              (fun j ->
-                Buffer_idx.add pidx i;
-                Buffer_idx.add bidx j)
-              matches
-          in
-          (match Column.data keys with
-           | Column.Int_data ks when Hashtbl.length gen_table = 0 ->
-             for i = 0 to Chunk.n_rows pc - 1 do
-               if Column.is_valid keys i then
-                 match Hashtbl.find_opt int_table ks.(i) with
-                 | Some matches -> emit i matches
-                 | None -> ()
-             done
-           | _ ->
-             for i = 0 to Chunk.n_rows pc - 1 do
-               match Column.get keys i with
-               | Value.Null -> ()
-               | Value.Int k when Hashtbl.length gen_table = 0 ->
-                 (match Hashtbl.find_opt int_table k with
-                  | Some matches -> emit i matches
-                  | None -> ())
-               | k ->
-                 (match Hashtbl.find_opt gen_table k with
-                  | Some matches -> emit i matches
-                  | None -> ())
-             done);
+          let pidx, bidx = probe_chunk pc in
           if Buffer_idx.length pidx = 0 then go ()
           else begin
             let pidx = Buffer_idx.contents pidx in
             let bidx = Buffer_idx.contents bidx in
+            (* every probe row matched once, in order: its columns pass
+               through as they are *)
             let pcols =
-              Array.map (fun col -> Column.gather col pidx) (Chunk.columns pc)
+              let rec identity k = k < 0 || (pidx.(k) = k && identity (k - 1)) in
+              if Array.length pidx = Chunk.n_rows pc && identity (Array.length pidx - 1)
+              then Chunk.columns pc
+              else Array.map (fun col -> Column.gather col pidx) (Chunk.columns pc)
             in
             let bcols =
               Array.map
@@ -447,42 +535,110 @@ let hash_join ~build ~probe ~build_key ~probe_key =
 
 (* ---------- sort ---------- *)
 
-let sort ~by input =
-  let done_ = ref false in
-  of_fn () ~close:input.close_fn ~next:(fun () ->
-      if !done_ then None
-      else begin
-        done_ := true;
-        let chunks = ref [] in
-        let rec drain () =
-          match input.next_fn () with
-          | None -> ()
-          | Some c ->
-            chunks := c :: !chunks;
-            drain ()
-        in
-        drain ();
-        input.close_fn ();
-        let all = Chunk.concat (List.rev !chunks) in
-        let n = Chunk.n_rows all in
-        if n = 0 then Some all
+(* One key column's order, extracted once: typed arrays compare unboxed.
+   NULL sorts first as in {!Value.compare}, and DESC reverses the whole
+   order, NULLs included. *)
+let key_compare col dir =
+  let cmp : int -> int -> int =
+    match Column.data col with
+    | Column.Int_data a -> fun i j -> Int.compare a.(i) a.(j)
+    | Column.Float_data a -> fun i j -> Float.compare a.(i) a.(j)
+    | Column.Bool_data a -> fun i j -> Bool.compare a.(i) a.(j)
+    | Column.String_data a -> fun i j -> String.compare a.(i) a.(j)
+  in
+  let cmp =
+    if Column.all_valid col then cmp
+    else fun i j ->
+      match Column.is_valid col i, Column.is_valid col j with
+      | true, true -> cmp i j
+      | false, false -> 0
+      | false, true -> -1
+      | true, false -> 1
+  in
+  match dir with `Asc -> cmp | `Desc -> fun i j -> cmp j i
+
+(* The [k] smallest rows under the total order [cmp], in order: a max-heap
+   of the best [k] so far, whose root is evicted by any smaller row. *)
+let top_k cmp n k =
+  let heap = Array.make k 0 and size = ref 0 in
+  let swap a b =
+    let x = heap.(a) in
+    heap.(a) <- heap.(b);
+    heap.(b) <- x
+  in
+  let rec up i =
+    let p = (i - 1) / 2 in
+    if i > 0 && cmp heap.(i) heap.(p) > 0 then begin swap i p; up p end
+  in
+  let rec down i =
+    let l = (2 * i) + 1 in
+    let r = l + 1 in
+    let m = if l < !size && cmp heap.(l) heap.(i) > 0 then l else i in
+    let m = if r < !size && cmp heap.(r) heap.(m) > 0 then r else m in
+    if m <> i then begin swap i m; down m end
+  in
+  for row = 0 to n - 1 do
+    if !size < k then begin
+      heap.(!size) <- row;
+      incr size;
+      up (!size - 1)
+    end
+    else if cmp row heap.(0) < 0 then begin
+      heap.(0) <- row;
+      down 0
+    end
+  done;
+  let out = Array.sub heap 0 !size in
+  Array.sort cmp out;
+  out
+
+let sort ?limit:top ~by input =
+  match top with
+  | Some k when k <= 0 ->
+    (* what LIMIT 0 over a sort does: the input is never pulled *)
+    of_fn () ~close:input.close_fn ~next:(fun () -> None)
+  | _ ->
+    let done_ = ref false in
+    of_fn () ~close:input.close_fn ~next:(fun () ->
+        if !done_ then None
         else begin
-          let idx = Array.init n (fun i -> i) in
-          let cmp i j =
-            let rec go = function
-              | [] -> Stdlib.compare i j (* stability tiebreak *)
-              | (c, dir) :: rest ->
-                let col = Chunk.column all c in
-                let r = Value.compare (Column.get col i) (Column.get col j) in
-                let r = match dir with `Asc -> r | `Desc -> -r in
-                if r <> 0 then r else go rest
+          done_ := true;
+          let all = to_chunk input in
+          let n = Chunk.n_rows all in
+          if n = 0 then (if top = None then Some all else None)
+          else begin
+            let keys =
+              Array.of_list
+                (List.map (fun (c, dir) -> key_compare (Chunk.column all c) dir) by)
             in
-            go by
-          in
-          Array.sort cmp idx;
-          Some (Chunk.create (Array.map (fun c -> Column.gather c idx) (Chunk.columns all)))
-        end
-      end)
+            let nk = Array.length keys in
+            let rec cmp_from k i j =
+              if k = nk then 0
+              else
+                let r = keys.(k) i j in
+                if r <> 0 then r else cmp_from (k + 1) i j
+            in
+            let cmp = if nk = 1 then keys.(0) else cmp_from 0 in
+            let idx =
+              match top with
+              | Some k when k < n ->
+                (* row order breaks ties: a total order whose first k rows
+                   are those of the stable sort *)
+                top_k
+                  (fun i j ->
+                    let r = cmp i j in
+                    if r <> 0 then r else Int.compare i j)
+                  n k
+              | _ ->
+                let idx = Array.init n Fun.id in
+                Array.stable_sort cmp idx;
+                idx
+            in
+            Some
+              (Chunk.create
+                 (Array.map (fun c -> Column.gather c idx) (Chunk.columns all)))
+          end
+        end)
 
 (* ---------- placeholder ---------- *)
 
@@ -512,21 +668,6 @@ module Placeholder = struct
 end
 
 (* ---------- consumers ---------- *)
-
-let collect op =
-  let chunks = ref [] in
-  let rec go () =
-    match op.next_fn () with
-    | None -> ()
-    | Some c ->
-      chunks := c :: !chunks;
-      go ()
-  in
-  go ();
-  op.close_fn ();
-  List.rev !chunks
-
-let to_chunk op = Chunk.concat (collect op)
 
 let row_count op =
   let n = ref 0 in

@@ -55,13 +55,20 @@ val hash_join :
 (** Inner equi-join. The build side is consumed and hashed [open]-time; the
     probe side streams, preserving probe-side row order in the output — the
     property the paper's "pipelined vs pipeline-breaking" experiment (§5.3.2)
-    depends on. Output columns: probe columns then build columns. NULL keys
-    never match. *)
+    depends on. Each probe row's matches come in ascending build-row order.
+    Output columns: probe columns then build columns. NULL keys never match.
+    Keys compare as [Expr]'s [=] does: an Int key equals a Float key of the
+    same numeric value. Int keys go through a flat open-addressing table;
+    other key types through a hash table of boxed values. *)
 
 (** {1 Sort} *)
 
-val sort : by:(int * [ `Asc | `Desc ]) list -> t -> t
-(** Materializing stable sort by column indices. *)
+val sort : ?limit:int -> by:(int * [ `Asc | `Desc ]) list -> t -> t
+(** Materializing stable sort by column indices, comparing each key
+    column's typed array directly. With [~limit:k] it returns exactly what
+    [limit k] over the full sort would — the first [k] rows of the stable
+    sort — through a bounded top-k heap; for [k <= 0] the input is never
+    pulled. *)
 
 (** {1 Placeholder} *)
 

@@ -89,6 +89,8 @@ type t = {
   mutable faults : int;
   mutable hits : int;
   mutable last_page : int; (* fast path: page we most recently hit *)
+  mutable last_lo : int; (* its bytes [last_lo, last_hi); empty when none *)
+  mutable last_hi : int;
   injected_flips : int;
   injected_truncated_bytes : int;
 }
@@ -163,6 +165,8 @@ let of_bytes ?(config = Config.default) ?fault ~name data =
     faults = 0;
     hits = 0;
     last_page = -1;
+    last_lo = 0;
+    last_hi = 0;
     injected_flips;
     injected_truncated_bytes;
   }
@@ -183,10 +187,17 @@ let length t = Bytes.length t.data
 let bytes t = t.data
 let config t = t.config
 
+let forget_last_page t =
+  t.last_page <- -1;
+  t.last_lo <- 0;
+  t.last_hi <- 0
+
 let touch_page t p =
   if p = t.last_page then t.hits <- t.hits + 1
   else begin
     t.last_page <- p;
+    t.last_lo <- p * t.config.Config.page_size;
+    t.last_hi <- min (t.last_lo + t.config.Config.page_size) (Bytes.length t.data);
     match t.residency with
     | Bitmap b ->
       if Bytes.unsafe_get b p <> '\000' then t.hits <- t.hits + 1
@@ -205,7 +216,10 @@ let touch_page t p =
   end
 
 let touch t pos len =
-  if len > 0 && t.n_pages > 0 then begin
+  (* within the page last hit: the common case of a scan, decided without
+     dividing by the page size *)
+  if len > 0 && pos >= t.last_lo && pos + len <= t.last_hi then t.hits <- t.hits + 1
+  else if len > 0 && t.n_pages > 0 then begin
     let last = Bytes.length t.data - 1 in
     let lo = min (max pos 0) last in
     let hi = min (max (pos + len - 1) 0) last in
@@ -247,6 +261,8 @@ let fork_view t =
     faults = 0;
     hits = 0;
     last_page = -1;
+    last_lo = 0;
+    last_hi = 0;
   }
 
 let absorb ~into view =
@@ -267,7 +283,7 @@ let absorb ~into view =
        (List.rev (Lru.keys vlru));
      into.resident <- Lru.length lru
    | _ -> ());
-  into.last_page <- -1
+  forget_last_page into
 
 let simulated_io_seconds t =
   float_of_int t.faults *. t.config.Config.io_seconds_per_page
@@ -281,5 +297,5 @@ let drop_cache t =
    | Bitmap b -> Bytes.fill b 0 (Bytes.length b) '\000'
    | Bounded lru -> Lru.clear lru);
   t.resident <- 0;
-  t.last_page <- -1;
+  forget_last_page t;
   reset_counters t

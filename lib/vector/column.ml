@@ -255,11 +255,19 @@ let scatter dst idx src =
         Bytes.set v i (if is_valid src k then '\001' else '\000'))
       idx
 
+(* typed loops: a closure per element would box every float *)
 let gather t idx =
+  let n = Array.length idx in
   let data =
     match t.data with
-    | Int_data a -> Int_data (Array.map (fun i -> a.(i)) idx)
-    | Float_data a -> Float_data (Array.map (fun i -> a.(i)) idx)
+    | Int_data a ->
+      let out = Array.make n 0 in
+      for k = 0 to n - 1 do out.(k) <- a.(idx.(k)) done;
+      Int_data out
+    | Float_data a ->
+      let out = Array.create_float n in
+      for k = 0 to n - 1 do out.(k) <- a.(idx.(k)) done;
+      Float_data out
     | Bool_data a -> Bool_data (Array.map (fun i -> a.(i)) idx)
     | String_data a -> String_data (Array.map (fun i -> a.(i)) idx)
   in

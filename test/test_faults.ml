@@ -155,6 +155,29 @@ let corpus_tests =
         Alcotest.(check int) "errors" 1 errs.total;
         check_sample ~offset:50 ~field:2 ~cause:"bad int"
           (List.hd errs.samples));
+    Alcotest.test_case "crlf_ragged.csv: WHERE below a join reads unmatched rows"
+      `Quick (fun () ->
+        (* u matches only a = 1..3; the bad b sits in row a = 4. The WHERE
+           on t is pushed below the join, so b is decoded for every row of
+           t, joined or not — under Fail_fast the bad cell fails the query
+           in every join materialization, as Early always did. *)
+        let reg_join db =
+          reg_crlf db;
+          Raw_db.register_csv db ~name:"u"
+            ~path:(write_csv_rows [ [ 1; 10 ]; [ 2; 20 ]; [ 3; 30 ] ])
+            ~columns:[ ("k", Dtype.Int); ("v", Dtype.Int) ]
+            ()
+        in
+        let sql = "SELECT SUM(u.v) FROM t JOIN u ON t.a = u.k WHERE t.b < 100" in
+        List.iter
+          (fun join_policy ->
+            let db = db_with reg_join in
+            Raw_db.set_options db
+              { (Raw_db.options db) with Planner.shreds = Planner.Shreds; join_policy };
+            expect_data_error ~cause:"bad int" db sql)
+          [ Planner.Early; Planner.Intermediate; Planner.Late ];
+        check_value "skip_row drops the bad row, not the answer" (Value.Int 60)
+          (Raw_db.scalar (db_with ~policy:Scan_errors.Skip_row reg_join) sql));
     Alcotest.test_case "bad.jsonl: fail_fast raises typed error" `Quick
       (fun () ->
         expect_data_error ~cause:"json: string value in Float column"

@@ -189,8 +189,161 @@ let behavior_tests =
         Alcotest.(check int) "two cols" 2 (Chunk.n_cols r.chunk));
   ]
 
+(* ---------- selection pushdown ---------- *)
+
+(* a(k, x), b(k, y), c(k, z): seeded rows with duplicate join keys *)
+let push_rows =
+  lazy
+    (let st = Random.State.make [| 18 |] in
+     let gen n kmax = List.init n (fun _ -> (Random.State.int st kmax, Random.State.int st 100)) in
+     (gen 60 20, gen 40 25, gen 30 30))
+
+let push_db () =
+  let a, b, c = Lazy.force push_rows in
+  let db = Raw_db.create () in
+  List.iter
+    (fun (name, v, rows) ->
+      Raw_db.register_csv db ~name
+        ~path:(write_csv_rows (List.map (fun (k, x) -> [ k; x ]) rows))
+        ~columns:[ ("k", Dtype.Int); (v, Dtype.Int) ] ())
+    [ ("a", "x", a); ("b", "y", b); ("c", "z", c) ];
+  db
+
+(* Each query: SQL, the pushed-down plan's shape, and the reference
+   answer's WHERE and SUM operand over one joined (x, y, z) triple. The
+   three-table query sums z; the others join no c and sum y. *)
+let push_queries =
+  let two = "SELECT COUNT(*), SUM(b.y) FROM a JOIN b ON a.k = b.k WHERE " in
+  let three =
+    "SELECT COUNT(*), SUM(c.z) FROM a JOIN b ON a.k = b.k JOIN c ON a.k = c.k WHERE "
+  in
+  let y (_, y, _) = y and z (_, _, z) = z in
+  [
+    ( "left side", two ^ "a.x < 50",
+      "project($0,$1)<-agg(;COUNT(?),SUM($3))<-join($0=$0,filter(($1<?))<-scan(a:0,1),scan(b:0,1))",
+      (fun (x, _, _) -> x < 50), y );
+    ( "right side", two ^ "b.y >= 30",
+      "project($0,$1)<-agg(;COUNT(?),SUM($2))<-join($0=$0,scan(a:0),filter(($1>=?))<-scan(b:0,1))",
+      (fun (_, y, _) -> y >= 30), y );
+    ( "cross-side and constant stay", two ^ "a.x < 70 AND b.y > 20 AND a.x < b.y AND 1 = 1",
+      "project($0,$1)<-agg(;COUNT(?),SUM($3))<-filter((($1<$3) and (?=?)))<-join($0=$0,filter(($1<?))<-scan(a:0,1),filter(($1>?))<-scan(b:0,1))",
+      (fun (x, y, _) -> x < 70 && y > 20 && x < y), y );
+    ( "or across sides stays", two ^ "(a.x < 30 OR b.y > 80)",
+      "project($0,$1)<-agg(;COUNT(?),SUM($3))<-filter((($1<?) or ($3>?)))<-join($0=$0,scan(a:0,1),scan(b:0,1))",
+      (fun (x, y, _) -> x < 30 || y > 80), y );
+    ( "one-sided or and not move", two ^ "(a.x < 40 OR a.x > 90) AND NOT (b.y < 15)",
+      "project($0,$1)<-agg(;COUNT(?),SUM($3))<-join($0=$0,filter((($1<?) or ($1>?)))<-scan(a:0,1),filter(not ($1<?))<-scan(b:0,1))",
+      (fun (x, y, _) -> (x < 40 || x > 90) && not (y < 15)), y );
+    ( "three tables", three ^ "a.x < 60 AND b.y > 10 AND c.z < 70 AND a.x < c.z",
+      "project($0,$1)<-agg(;COUNT(?),SUM($5))<-filter(($1<$5))<-join($0=$0,join($0=$0,filter(($1<?))<-scan(a:0,1),filter(($1>?))<-scan(b:0,1)),filter(($1<?))<-scan(c:0,1))",
+      (fun (x, y, z) -> x < 60 && y > 10 && z < 70 && x < z), z );
+  ]
+
+(* nested-loop join over the generated rows; c joins on a's key, and z is
+   0 when the query joins no c *)
+let push_reference ~with_c where sum_of =
+  let a, b, c = Lazy.force push_rows in
+  let triples =
+    List.concat_map
+      (fun (ka, x) ->
+        List.concat_map
+          (fun (kb, y) ->
+            if ka <> kb then []
+            else if not with_c then [ (x, y, 0) ]
+            else List.filter_map (fun (kc, z) -> if kc = ka then Some (x, y, z) else None) c)
+          b)
+      a
+  in
+  let qualifying = List.filter where triples in
+  [ [ Value.Int (List.length qualifying);
+      (match qualifying with
+       | [] -> Value.Null
+       | l -> Value.Int (List.fold_left (fun s t -> s + sum_of t) 0 l)) ] ]
+
+let pushdown_tests =
+  let shape (name, sql, want, _, _) =
+    Alcotest.test_case ("shape: " ^ name) `Quick (fun () ->
+        let db = push_db () in
+        let plan = Sql_binder.bind_string (Raw_db.catalog db) sql in
+        Alcotest.(check string) sql want (Logical.fingerprint (Logical.push_filters plan)))
+  in
+  let answers (shreds, join_policy) =
+    let o = { Planner.default with Planner.shreds; join_policy } in
+    Alcotest.test_case ("answers " ^ opt_name o) `Quick (fun () ->
+        let db = push_db () in
+        Raw_db.set_options db o;
+        List.iter
+          (fun (name, sql, _, where, sum_of) ->
+            let with_c = sum_of (0, 0, 1) = 1 in
+            Alcotest.(check (list (list value_testable))) name
+              (push_reference ~with_c where sum_of)
+              (rows_of_chunk (Raw_db.sql db sql)))
+          push_queries)
+  in
+  (* the paper's §5.3.2 plans (E11/E12), which the join benches once had to
+     build by hand: the file2 selection below the join, on the build side *)
+  let paper_join side =
+    Alcotest.test_case ("E11/E12 SQL plans as the paper's: " ^ side) `Quick
+      (fun () ->
+        let db = Raw_db.create () in
+        List.iter
+          (fun name ->
+            Raw_db.register_csv db ~name ~path:(write_csv_rows (grid_rows 20 12))
+              ~columns:(int_cols 12) ())
+          [ "f1"; "f2" ];
+        let cat = Raw_db.catalog db in
+        let bound =
+          Sql_binder.bind_string cat
+            (Printf.sprintf
+               "SELECT MAX(%s.col10) FROM f1 JOIN f2 ON f1.col0 = f2.col0 WHERE f2.col1 < 500"
+               side)
+        in
+        let probe = side = "f1" in
+        let by_hand =
+          Logical.Aggregate
+            {
+              keys = [];
+              aggs = [ { Logical.op = Kernels.Max; expr = Raw_engine.Expr.col (if probe then 1 else 3);
+                         name = "agg0" } ];
+              input =
+                Logical.Join
+                  {
+                    left = Logical.Scan { table = "f1"; columns = (if probe then [ 0; 10 ] else [ 0 ]) };
+                    right =
+                      Logical.Filter
+                        ( Raw_engine.Expr.(col 1 < int 500),
+                          Logical.Scan
+                            { table = "f2"; columns = (if probe then [ 0; 1 ] else [ 0; 1; 10 ]) } );
+                    left_key = 0;
+                    right_key = 0;
+                  };
+            }
+        in
+        (match Logical.push_filters bound with
+         | Logical.Project ([ (Raw_engine.Expr.Col 0, _) ], agg) ->
+           Alcotest.(check bool) "pushed-down plan is the hand-built one" true (agg = by_hand)
+         | p -> Alcotest.failf "unexpected plan %a" Logical.pp p);
+        List.iter
+          (fun o ->
+            let trace plan =
+              let op, _, trace = Planner.plan_with_trace cat o plan in
+              Raw_engine.Operator.close op;
+              trace
+            in
+            Alcotest.(check (list string)) (opt_name o) (trace by_hand) (trace bound))
+          [ { Planner.default with join_policy = Planner.Early };
+            { Planner.default with join_policy = Planner.Intermediate };
+            Planner.default ])
+  in
+  List.map shape push_queries
+  @ [ paper_join "f1"; paper_join "f2" ]
+  @ List.concat_map
+      (fun s -> List.map (fun p -> answers (s, p)) policies)
+      [ Planner.Full_columns; Planner.Shreds; Planner.Multi_shreds ]
+
 let suites =
   [
+    ("planner.pushdown", pushdown_tests);
     ("planner.equivalence", equivalence_tests);
     ("planner.warm", warm_tests);
     ("planner.behavior", behavior_tests);

@@ -110,6 +110,50 @@ let prop_lru_bounded =
           | Some v -> Hashtbl.find_opt model k = Some v)
         ops)
 
+(* ---------------- simulated page cache vs a page-by-page model ---------------- *)
+
+(* Touches anywhere in (and around) a 10-page file, with a cache drop in
+   between: every touched page is a hit when it is the page last touched
+   or already resident, else a fault. *)
+let prop_touch_counts =
+  qtest "touch faults and hits match a page-by-page model" ~count:300
+    Gen.(
+      list_size (int_range 0 60)
+        (frequency
+           [ (8, map2 (fun p l -> `Touch (p, l)) (int_range (-20) 700) (int_range 0 150));
+             (1, return `Drop) ]))
+    (fun ops ->
+      let open Raw_storage in
+      let ps = 64 and len = 610 in
+      let config = { Mmap_file.Config.default with page_size = ps } in
+      let f = Mmap_file.of_bytes ~config ~name:"m" (Bytes.make len 'x') in
+      let resident = Array.make ((len + ps - 1) / ps) false in
+      let last = ref (-1) and faults = ref 0 and hits = ref 0 in
+      List.for_all
+        (fun op ->
+          (match op with
+           | `Drop ->
+             Mmap_file.drop_cache f;
+             Array.fill resident 0 (Array.length resident) false;
+             last := -1;
+             faults := 0;
+             hits := 0
+           | `Touch (pos, n) ->
+             Mmap_file.touch f pos n;
+             if n > 0 then begin
+               let clamp x = min (max x 0) (len - 1) in
+               for p = clamp pos / ps to clamp (pos + n - 1) / ps do
+                 if p = !last || resident.(p) then incr hits
+                 else begin
+                   resident.(p) <- true;
+                   incr faults
+                 end;
+                 last := p
+               done
+             end);
+          Mmap_file.faults f = !faults && Mmap_file.hits f = !hits)
+        ops)
+
 (* ---------------- column gather/scatter ---------------- *)
 
 let prop_gather_scatter =
@@ -171,37 +215,117 @@ let prop_aggregate =
 
 (* ---------------- hash join vs nested loop ---------------- *)
 
+(* Key columns with NULLs and duplicates: small Int keys, keys that share
+   their low bits (multiples of 2^40, which a table indexed by the low bits
+   would pile into one slot), min_int/max_int, String keys, and Int keys
+   joined against Float keys. *)
+let join_keys_gen =
+  let open Gen in
+  let keys dt g = map (fun a -> (dt, a)) (array_size (int_range 0 30) g) in
+  let null_or g = map (function None -> Value.Null | Some v -> v) (option ~ratio:0.85 g) in
+  let int_key =
+    frequency
+      [
+        (4, int_range (-2) 6);
+        (2, map (fun k -> k lsl 40) (int_range 0 4));
+        (1, oneofl [ min_int; max_int ]);
+      ]
+  in
+  let ints = keys Dtype.Int (null_or (map (fun k -> Value.Int k) int_key)) in
+  let small_ints = keys Dtype.Int (null_or (map (fun k -> Value.Int k) (int_range 0 4))) in
+  let floats =
+    keys Dtype.Float
+      (null_or (map (fun f -> Value.Float f) (oneofl [ -0.; 0.; 1.; 1.5; 2.; 2.5; 3. ])))
+  in
+  let strings =
+    keys Dtype.String
+      (null_or (map (fun s -> Value.String s) (oneofl [ ""; "a"; "b"; "ab"; "c" ])))
+  in
+  oneof [ pair ints ints; pair strings strings; pair small_ints floats; pair floats small_ints ]
+
 let prop_hash_join =
-  qtest "hash_join equals nested-loop join" ~count:50
-    (Gen.pair
-       (Gen.array_size (Gen.int_range 0 40) (Gen.int_range 0 10))
-       (Gen.array_size (Gen.int_range 0 40) (Gen.int_range 0 10)))
-    (fun (probe, build) ->
+  qtest "hash_join equals nested-loop join" ~count:300
+    (Gen.pair join_keys_gen (Gen.int_range 1 8))
+    (fun (((pdt, probe), (bdt, build)), chunk_rows) ->
       let open Raw_engine in
-      let mk a = Operator.of_chunks [ Chunk.of_columns [ Column.of_int_array a ] ] in
+      (* key then row number, so the output names every matched pair *)
+      let side dt keys lo len =
+        Chunk.of_columns
+          [ Column.of_values dt (Array.to_list (Array.sub keys lo len));
+            Column.of_int_array (Array.init len (fun i -> lo + i)) ]
+      in
+      let rec chunks lo =
+        if lo >= Array.length probe then []
+        else
+          let len = min chunk_rows (Array.length probe - lo) in
+          side pdt probe lo len :: chunks (lo + len)
+      in
       let op =
-        Operator.hash_join ~build:(mk build) ~probe:(mk probe)
+        Operator.hash_join
+          ~build:(Operator.of_chunks [ side bdt build 0 (Array.length build) ])
+          ~probe:(Operator.of_chunks (chunks 0))
           ~build_key:(Expr.col 0) ~probe_key:(Expr.col 0)
       in
-      let got =
-        List.init (Chunk.n_rows (Operator.to_chunk op)) Fun.id |> List.length
-      in
-      (* recompute, since to_chunk drains: rebuild operators *)
-      let op2 =
-        Operator.hash_join ~build:(mk build) ~probe:(mk probe)
-          ~build_key:(Expr.col 0) ~probe_key:(Expr.col 0)
-      in
-      let rows = rows_of_chunk (Operator.to_chunk op2) in
+      let out = Operator.to_chunk op in
+      let got = List.init (Chunk.n_rows out) (Chunk.row out) in
+      (* probe order, then build order; keys compare as SQL [=] does *)
       let naive =
-        List.concat_map
-          (fun p ->
-            List.filter_map
-              (fun b -> if p = b then Some [ Value.Int p; Value.Int b ] else None)
-              (Array.to_list build))
-          (Array.to_list probe)
-        |> List.sort Stdlib.compare
+        List.concat
+          (List.mapi
+             (fun i p ->
+               List.concat
+                 (List.mapi
+                    (fun j b ->
+                      if Value.is_null p || Value.is_null b || Value.compare p b <> 0
+                      then []
+                      else [ [ p; Value.Int i; b; Value.Int j ] ])
+                    (Array.to_list build)))
+             (Array.to_list probe))
       in
-      got = List.length naive && rows = naive)
+      got = naive)
+
+(* ---------------- sort with a limit vs the full stable sort ---------------- *)
+
+let prop_sort_limit =
+  qtest "sort ~limit:k is the first k rows of the stable sort" ~count:300
+    Gen.(
+      let null_or g = map (function None -> Value.Null | Some v -> v) (option ~ratio:0.8 g) in
+      let* n = int_range 0 40 in
+      let col dt g = map (fun l -> (dt, l)) (list_repeat n (null_or g)) in
+      let* a = col Dtype.Int (map (fun i -> Value.Int i) (int_range 0 3)) in
+      let* b = col Dtype.Float (map (fun f -> Value.Float f) (oneofl [ -1.5; 0.; 2.; 2.5 ])) in
+      let* c = col Dtype.String (map (fun s -> Value.String s) (oneofl [ "x"; "y"; "" ])) in
+      let* by =
+        list_size (int_range 1 3)
+          (pair (int_range 0 2) (oneofl [ `Asc; `Desc ]))
+      in
+      let* k = oneof [ int_range 0 5; int_range 0 (n + 3) ] in
+      return ([ a; b; c ], by, k))
+    (fun (cols, by, k) ->
+      let open Raw_engine in
+      let n = List.length (snd (List.hd cols)) in
+      (* the row number rides along to tell tied rows apart *)
+      let chunk =
+        Chunk.of_columns
+          (List.map (fun (dt, vs) -> Column.of_values dt vs) cols
+          @ [ Column.of_int_array (Array.init n Fun.id) ])
+      in
+      let rows c = List.init (Chunk.n_rows c) (Chunk.row c) in
+      let cmp r1 r2 =
+        let rec go = function
+          | [] -> 0
+          | (i, dir) :: rest ->
+            let r = Value.compare (List.nth r1 i) (List.nth r2 i) in
+            let r = match dir with `Asc -> r | `Desc -> -r in
+            if r <> 0 then r else go rest
+        in
+        go by
+      in
+      let sorted = List.stable_sort cmp (rows chunk) in
+      let run ?limit () =
+        rows (Operator.to_chunk (Operator.sort ?limit ~by (Operator.of_chunks [ chunk ])))
+      in
+      run () = sorted && run ~limit:k () = List.filteri (fun i _ -> i < k) sorted)
 
 (* ---------------- scan kernels vs naive CSV model ---------------- *)
 
@@ -989,10 +1113,12 @@ let suites =
         prop_sel_partition;
         prop_sel_compose;
         prop_lru_bounded;
+        prop_touch_counts;
         prop_gather_scatter;
         prop_filter_const;
         prop_aggregate;
         prop_hash_join;
+        prop_sort_limit;
         prop_scan_modes_agree;
         prop_fetch_matches_scan;
         prop_fwb_roundtrip;

@@ -1,5 +1,6 @@
-(* SQL semantics regressions: GROUP BY over an empty input and NOT over
-   NULL (three-valued logic), across formats and the serving tier. *)
+(* SQL semantics regressions: GROUP BY over an empty input, NOT over
+   NULL (three-valued logic), across formats and the serving tier, and
+   join keys of different numeric types. *)
 
 open Raw_vector
 open Raw_core
@@ -172,8 +173,36 @@ let not_repro =
           [ Value.Int 3; Value.Null ]; [ Value.Int 4; Value.Bool false ] ]
         (rows_of_chunk (Raw_db.sql db "SELECT a, NOT (b < 500) FROM t")))
 
+(* An Int key joins a Float key the way WHERE compares them: numerically,
+   whichever side builds. *)
+let mixed_join_keys =
+  Alcotest.test_case "Int key joins Float key numerically" `Quick (fun () ->
+      let path_a = fresh_path ".csv" and path_b = fresh_path ".csv" in
+      Out_channel.with_open_text path_a (fun oc ->
+          output_string oc "1,one\n2,two\n3,three\n");
+      Out_channel.with_open_text path_b (fun oc ->
+          output_string oc "1.0,b1\n2.5,b2\n3.0,b3\n");
+      let db = Raw_db.create () in
+      Raw_db.register_csv db ~name:"a" ~path:path_a
+        ~columns:[ ("k", Dtype.Int); ("s", Dtype.String) ] ();
+      Raw_db.register_csv db ~name:"b" ~path:path_b
+        ~columns:[ ("k", Dtype.Float); ("t", Dtype.String) ] ();
+      let want =
+        [ [ Value.String "one"; Value.String "b1" ];
+          [ Value.String "three"; Value.String "b3" ] ]
+      in
+      List.iter
+        (fun sql ->
+          Alcotest.(check (list (list value_testable))) sql want
+            (rows_of_chunk (Raw_db.sql db sql)))
+        [ "SELECT a.s, b.t FROM a JOIN b ON a.k = b.k";
+          "SELECT a.s, b.t FROM b JOIN a ON b.k = a.k" ];
+      check_value "WHERE compares numerically too" (Value.Int 1)
+        (Raw_db.scalar db "SELECT COUNT(*) FROM a WHERE k = 1.0"))
+
 let suites =
   [
+    ("semantics.join_keys", [ mixed_join_keys ]);
     ( "semantics.group_by_empty",
       List.map one_shot_empty_group_by formats @ List.map served_empty_group_by formats );
     ("semantics.three_valued", [ not_repro; prop_not_csv; prop_not_jsonl ]);
