@@ -260,24 +260,26 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
     let reachable, unreachable = List.partition (fun c -> fetchable entry [ c ]) uncovered in
     (* 2a. columns with no way to navigate point-wise: full scan, pool the
        complete columns *)
-    if unreachable <> [] then begin
-      Decisions.record ~site:"access.path" ~choice:"full_scan_pool"
-        [
-          ("table", entry.name);
-          ("columns", string_of_int (List.length unreachable));
-        ];
-      let full = full_scan cat ~mode ~entry ~tracked ~cols:unreachable in
-      List.iteri
-        (fun k c ->
-          let key = { Shred_pool.table = entry.name; column = c } in
-          (* pooling a complete column is an optimization, never a
-             correctness requirement: under memory pressure skip it *)
-          if Catalog.reserve_bytes cat (Column.byte_size full.(k)) then
-            Shred_pool.put pool key full.(k)
-          else Metrics.incr Metrics.gov_fallback_shred_pool;
-          Hashtbl.replace results c (Column.gather full.(k) rowids))
-        unreachable
-    end;
+    let scan_and_pool ?(why = []) cols =
+      if cols <> [] then begin
+        Decisions.record ~site:"access.path" ~choice:"full_scan_pool"
+          (("table", entry.name)
+          :: ("columns", string_of_int (List.length cols))
+          :: why);
+        let full = full_scan cat ~mode ~entry ~tracked ~cols in
+        List.iteri
+          (fun k c ->
+            let key = { Shred_pool.table = entry.name; column = c } in
+            (* pooling a complete column is an optimization, never a
+               correctness requirement: under memory pressure skip it *)
+            if Catalog.reserve_bytes cat (Column.byte_size full.(k)) then
+              Shred_pool.put pool key full.(k)
+            else Metrics.incr Metrics.gov_fallback_shred_pool;
+            Hashtbl.replace results c (Column.gather full.(k) rowids))
+          cols
+      end
+    in
+    scan_and_pool unreachable;
     (* 2b. point-fetch missing rows, filling pooled shreds in place;
        columns sharing a missing-row signature fetch together (one pass
        per row over the file). A pooled shred is a full-length column; if
@@ -290,6 +292,16 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
           Shred_pool.find pool key <> None
           || Catalog.reserve_bytes cat (9 * n_rows))
         reachable
+    in
+    (* the reservations above may have evicted this table's own positional
+       map or row index: then the columns that needed it are read by a
+       full scan instead *)
+    let reachable, streaming =
+      if fetchable entry (reachable @ streaming) then (reachable, streaming)
+      else begin
+        scan_and_pool ~why:[ ("reason", "index_evicted") ] (reachable @ streaming);
+        ([], [])
+      end
     in
     if streaming <> [] then begin
       Metrics.add Metrics.gov_fallback_streaming (List.length streaming);

@@ -345,6 +345,52 @@ let pressure_tests =
           queries);
   ]
 
+(* A budgeted point fetch reserves pooled shreds after deciding which
+   columns its index reaches; that reservation may evict the table's own
+   positional map or JSONL row index. The fetch must still answer. *)
+let uniform_rows ~seed ~n ~m =
+  let st = Random.State.make [| seed |] in
+  List.init n (fun _ -> List.init m (fun _ -> Random.State.int st 1_000_000_000))
+
+let sum_where rows ~col ~lt ~sum =
+  List.fold_left
+    (fun acc r -> if List.nth r col < lt then acc + List.nth r sum else acc)
+    0 rows
+
+let index_eviction_tests =
+  let budgeted bytes = { Config.default with Config.memory_budget = Some bytes } in
+  [
+    Alcotest.test_case "JSONL fetch survives evicting its own row index"
+      `Quick (fun () ->
+        let rows = uniform_rows ~seed:7 ~n:5000 ~m:3 in
+        let path = fresh_path ".jsonl" in
+        Out_channel.with_open_text path (fun oc ->
+            List.iter
+              (fun r ->
+                Printf.fprintf oc "{%s}\n"
+                  (String.concat ", "
+                     (List.mapi (Printf.sprintf "\"f%d\": %d") r)))
+              rows);
+        let db = Raw_db.create ~config:(budgeted (64 * 1024)) () in
+        Raw_db.register_jsonl db ~name:"j" ~path
+          ~columns:[ ("f0", Dtype.Int); ("f1", Dtype.Int); ("f2", Dtype.Int) ];
+        check_value "budgeted answer"
+          (Value.Int (sum_where rows ~col:0 ~lt:500_000_000 ~sum:1))
+          (Raw_db.scalar db "SELECT SUM(f1) FROM j WHERE f0 < 500000000"));
+    Alcotest.test_case "CSV fetch survives evicting its own positional map"
+      `Quick (fun () ->
+        let rows = uniform_rows ~seed:7 ~n:20_000 ~m:6 in
+        let path = write_csv_rows rows in
+        let db = Raw_db.create ~config:(budgeted (512 * 1024)) () in
+        Raw_db.register_csv db ~name:"c" ~path
+          ~columns:
+            (List.map (fun c -> (String.make 1 c, Dtype.Int)) [ 'a'; 'b'; 'c'; 'd'; 'e'; 'f' ])
+          ();
+        check_value "budgeted answer"
+          (Value.Int (sum_where rows ~col:0 ~lt:500_000_000 ~sum:4))
+          (Raw_db.scalar db "SELECT SUM(e) FROM c WHERE a < 500000000"));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -482,6 +528,7 @@ let suites =
     ("governance:cancellation", cancellation_tests);
     ("governance:budget", budget_unit_tests);
     ("governance:pressure", pressure_tests);
+    ("governance:index_eviction", index_eviction_tests);
     ("governance:admission", admission_tests);
     ("governance:config", config_tests);
   ]
