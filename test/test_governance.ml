@@ -391,6 +391,130 @@ let index_eviction_tests =
           (Raw_db.scalar db "SELECT SUM(e) FROM c WHERE a < 500000000"));
   ]
 
+(* One deterministic session over a CSV and a JSONL table, replayed at
+   several budgets from "everything evicts" to "nothing does". After each
+   query its result is put into the result cache under a fixed key, as the
+   server would, so all five budget consumers hold items. The transcript
+   pins every answer, every gov.* counter delta and each eviction decision
+   (template_cache/evict and governance/* records) against
+   golden/budget_session.txt; a mismatch writes the actual transcript to
+   budget_session.actual in the test's working directory. *)
+let session_budgets =
+  [ 32; 64; 128; 256; 512; 1024; 4096; 16384 ] |> List.map (fun k -> k * 1024)
+
+let session_queries =
+  [
+    "SELECT SUM(a) FROM c";
+    "SELECT SUM(e) FROM c WHERE a < 500000000";
+    "SELECT COUNT(*), MIN(f1) FROM j";
+    "SELECT SUM(f1) FROM j WHERE f0 < 500000000";
+    "SELECT b, c FROM c WHERE a < 2000000 ORDER BY b LIMIT 5";
+    "SELECT MAX(d), COUNT(*) FROM c WHERE b > 900000000";
+    "SELECT SUM(f2) FROM j WHERE f1 > 800000000";
+    "SELECT SUM(e) FROM c WHERE a < 500000000";
+    "SELECT SUM(f) FROM c WHERE e < 100000000";
+    "SELECT SUM(f1) FROM j WHERE f0 < 500000000";
+    "SELECT MIN(c), MAX(b) FROM c";
+  ]
+
+let session_files =
+  lazy
+    (let csv = write_csv_rows (uniform_rows ~seed:11 ~n:20_000 ~m:6) in
+     let jsonl = fresh_path ".jsonl" in
+     Out_channel.with_open_text jsonl (fun oc ->
+         List.iter
+           (fun r ->
+             Printf.fprintf oc "{%s}\n"
+               (String.concat ", " (List.mapi (Printf.sprintf "\"f%d\": %d") r)))
+           (uniform_rows ~seed:12 ~n:5000 ~m:3));
+     (csv, jsonl))
+
+let gov_deltas before after =
+  List.filter_map
+    (fun (k, v) ->
+      let d = v -. Option.value (List.assoc_opt k before) ~default:0. in
+      if String.starts_with ~prefix:"gov." k && d <> 0. then
+        Some (Printf.sprintf "  %s %+.0f" k d)
+      else None)
+    (List.sort compare after)
+
+let eviction_decisions h =
+  List.filter_map
+    (fun (d : Raw_obs.Decisions.record) ->
+      if d.site = "governance" || (d.site = "template_cache" && d.choice = "evict")
+      then
+        Some
+          (Printf.sprintf "  %s/%s %s" d.site d.choice
+             (String.concat " "
+                (List.map (fun (k, v) -> k ^ "=" ^ v) d.inputs)))
+      else None)
+    (Raw_obs.Decisions.records h)
+
+let session_transcript budget =
+  let csv, jsonl = Lazy.force session_files in
+  let db = Raw_db.create ~config:{ Config.default with Config.memory_budget = Some budget } () in
+  Raw_db.register_csv db ~name:"c" ~path:csv
+    ~columns:(List.map (fun c -> (c, Dtype.Int)) [ "a"; "b"; "c"; "d"; "e"; "f" ])
+    ();
+  Raw_db.register_jsonl db ~name:"j" ~path:jsonl
+    ~columns:[ ("f0", Dtype.Int); ("f1", Dtype.Int); ("f2", Dtype.Int) ];
+  let cache = Raw_db.stmt_cache db in
+  Printf.sprintf "budget %d" budget
+  :: List.concat
+       (List.mapi
+          (fun i q ->
+            let h = Raw_obs.Decisions.create () in
+            let before = Io_stats.snapshot () in
+            let r =
+              Raw_obs.Decisions.with_handle h (fun () ->
+                  let r = Raw_db.query db q in
+                  Stmt_cache.put_result cache (Raw_db.catalog db)
+                    ~key:(Printf.sprintf "q%d" i) ~tables:[] r.Executor.chunk
+                    r.Executor.schema;
+                  r)
+            in
+            if Raw_obs.Decisions.dropped h > 0 then Alcotest.failf "%s: decisions dropped" q;
+            let rows =
+              List.init (Chunk.n_rows r.Executor.chunk) (fun k ->
+                  String.concat "," (List.map Value.to_string (Chunk.row r.Executor.chunk k)))
+            in
+            (Printf.sprintf "q%d %s -> %s" i q (String.concat " | " rows)
+            :: gov_deltas before (Io_stats.snapshot ()))
+            @ eviction_decisions h)
+          session_queries)
+
+let budget_session_tests =
+  [
+    Alcotest.test_case "tight-budget session matches its golden transcript"
+      `Quick (fun () ->
+        let actual = List.concat_map session_transcript session_budgets in
+        let expected =
+          In_channel.with_open_text "golden/budget_session.txt" In_channel.input_lines
+        in
+        if actual <> expected then begin
+          Out_channel.with_open_text "budget_session.actual" (fun oc ->
+              List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+          let rec first_diff k = function
+            | e :: es, a :: as_ when e = a -> first_diff (k + 1) (es, as_)
+            | e :: _, a :: _ -> Printf.sprintf "line %d: expected %S, got %S" k e a
+            | [], a :: _ -> Printf.sprintf "line %d: unexpected %S" k a
+            | e :: _, [] -> Printf.sprintf "line %d: missing %S" k e
+            | [], [] -> "no difference"
+          in
+          Alcotest.failf "transcript differs (%s); actual in %s" (first_diff 1 (expected, actual))
+            (Filename.concat (Sys.getcwd ()) "budget_session.actual")
+        end;
+        (* every consumer must have evicted somewhere in the session *)
+        List.iter
+          (fun c ->
+            Alcotest.(check bool)
+              (c ^ " evicted") true
+              (List.exists
+                 (String.starts_with ~prefix:("  gov.evictions." ^ c ^ " "))
+                 actual))
+          [ "results"; "shreds"; "templates"; "posmaps"; "file_pages" ]);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -529,6 +653,7 @@ let suites =
     ("governance:budget", budget_unit_tests);
     ("governance:pressure", pressure_tests);
     ("governance:index_eviction", index_eviction_tests);
+    ("governance:budget_session", budget_session_tests);
     ("governance:admission", admission_tests);
     ("governance:config", config_tests);
   ]

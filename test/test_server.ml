@@ -191,18 +191,34 @@ let cache_suite =
         let big = Raw_db.sql db "SELECT col0, col1, col2, col3 FROM t" in
         let schema = Raw_db.describe db "t" in
         Io_stats.reset "gov.evictions.results";
+        let key i = Printf.sprintf "synthetic-key-%d" i in
         (* each entry is ~4 cols x 1000 rows; a 200 KB budget (shared with
-           the file pages already charged) cannot hold many *)
+           the file pages already charged) cannot hold many. Key 0 is hit
+           before every later insert, so it stays the most recently used
+           entry apart from the one being inserted *)
         for i = 0 to 9 do
-          Stmt_cache.put_result cache cat
-            ~key:(Printf.sprintf "synthetic-key-%d" i)
-            ~tables:[ "t" ] big schema
+          ignore (Stmt_cache.find_result cache (key 0));
+          Stmt_cache.put_result cache cat ~key:(key i) ~tables:[ "t" ] big
+            schema
         done;
         Alcotest.(check bool) "evictions happened" true
           (Io_stats.get "gov.evictions.results" > 0
           || Stmt_cache.n_results cache < 10);
         Alcotest.(check bool) "usage stays within reason" true
-          (Stmt_cache.byte_usage cache <= 200_000));
+          (Stmt_cache.byte_usage cache <= 200_000);
+        (* LRU order: the survivors are key 0 plus the most recent inserts;
+           key 1, the least recently used, went first *)
+        let n = Stmt_cache.n_results cache in
+        let present =
+          List.init 10 (fun i -> Stmt_cache.find_result cache (key i) <> None)
+        in
+        Alcotest.(check bool) "the recently hit entry survives" true
+          (List.hd present);
+        Alcotest.(check bool) "the least recently used entry is gone" false
+          (List.nth present 1);
+        Alcotest.(check (list bool)) "survivors are the newest inserts"
+          (List.init 10 (fun i -> i = 0 || i > 10 - n))
+          present);
   ]
 
 (* ------------------------------------------------------------------ *)
