@@ -12,7 +12,8 @@
    under a tight budget, aggressive deadlines and a small admission gate,
    at fixed data seeds. Every outcome must be a result or a typed
    governance/data error — any other exception is a bug and exits
-   nonzero. CI runs it under a hard timeout so a hang is also a failure. *)
+   nonzero, and so does a run in which the budget evicted nothing. CI
+   runs it under a hard timeout so a hang is also a failure. *)
 
 open Raw_core
 open Raw_storage
@@ -165,4 +166,10 @@ let stress () =
     exit 1
   end;
   assert (total = n_workers * iters);
+  (* the budget is far below the working set: a run that evicts nothing
+     means eviction stopped working, not that it was unneeded *)
+  if Io_stats.get "gov.evicted_bytes" = 0 then begin
+    print_endline "FAIL: nothing evicted under a 256 KiB budget";
+    exit 1
+  end;
   Printf.printf "stress ok: %d queries, every outcome typed\n" total

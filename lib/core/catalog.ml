@@ -59,8 +59,8 @@ let sorted_entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
-(* The degradation ladder: under pressure the budget shrinks consumers in
-   this priority order. Priority 0 is reserved for the result cache
+(* The degradation ladder: under pressure the budget drops consumers'
+   items in this priority order. Priority 0 is reserved for the result cache
    (registered by Stmt_cache — pure derived data, cheapest to lose), then
    cold shreds (the next query re-fetches the rows it needs), then
    templates (recompiling re-charges simulated compile latency), then
@@ -68,57 +68,34 @@ let sorted_entries t =
    re-tokenizes), and only last the simulated file page cache (re-reads
    charge simulated I/O). *)
 let register_consumers t budget =
-  Mem_budget.register budget ~name:"shreds" ~priority:1
-    ~usage:(fun () -> Shred_pool.byte_usage t.shreds)
-    ~shrink:(fun ~need -> Shred_pool.evict_bytes t.shreds ~need);
-  Mem_budget.register budget ~name:"templates" ~priority:2
-    ~usage:(fun () -> Template_cache.byte_usage t.templates)
-    ~shrink:(fun ~need -> Template_cache.evict_cold t.templates ~need);
-  let posmap_bytes e =
-    (match e.state.posmap with Some pm -> Posmap.byte_size pm | None -> 0)
-    + match e.state.row_starts with Some s -> 8 * Array.length s | None -> 0
-  in
-  Mem_budget.register budget ~name:"posmaps" ~priority:3
-    ~usage:(fun () ->
-      Hashtbl.fold (fun _ e acc -> acc + posmap_bytes e) t.entries 0)
-    ~shrink:(fun ~need ->
-      (* drop whole per-table structure indexes, in name order for
-         determinism; they are rebuilt from the raw file on demand *)
-      let freed = ref 0 in
-      List.iter
+  let register name priority items = Mem_budget.register budget ~name ~priority ~items in
+  register "shreds" 1 (fun () -> Shred_pool.items t.shreds);
+  register "templates" 2 (fun () -> Template_cache.items t.templates);
+  (* whole per-table structure indexes, in name order for determinism;
+     they are rebuilt from the raw file on demand *)
+  register "posmaps" 3 (fun () ->
+      List.filter_map
         (fun e ->
-          let b = posmap_bytes e in
-          if !freed < need && b > 0 then begin
+          let bytes =
+            (match e.state.posmap with Some pm -> Posmap.byte_size pm | None -> 0)
+            + match e.state.row_starts with Some s -> 8 * Array.length s | None -> 0
+          in
+          let drop () =
             e.state.posmap <- None;
             e.state.row_starts <- None;
-            freed := !freed + b;
-            Metrics.incr Metrics.gov_evictions;
-            Io_stats.incr "gov.evictions.posmaps";
             Raw_obs.Decisions.record ~site:"governance" ~choice:"evict_posmap"
-              [ ("table", e.name); ("freed_bytes", string_of_int b) ]
-          end)
-        (sorted_entries t);
-      !freed);
-  Mem_budget.register budget ~name:"file_pages" ~priority:4
-    ~usage:(fun () ->
+              [ ("table", e.name); ("freed_bytes", string_of_int bytes) ]
+          in
+          if bytes > 0 then Some { Mem_budget.bytes; drop } else None)
+        (sorted_entries t));
+  register "file_pages" 4 (fun () ->
       let ps = t.config.Config.mmap.Mmap_file.Config.page_size in
-      List.fold_left
-        (fun acc f -> acc + (ps * Mmap_file.resident_pages f))
-        0 (open_files t))
-    ~shrink:(fun ~need ->
-      let ps = t.config.Config.mmap.Mmap_file.Config.page_size in
-      let freed = ref 0 in
-      List.iter
+      List.filter_map
         (fun f ->
-          let b = ps * Mmap_file.resident_pages f in
-          if !freed < need && b > 0 then begin
-            Mmap_file.drop_cache f;
-            freed := !freed + b;
-            Metrics.incr Metrics.gov_evictions;
-            Io_stats.incr "gov.evictions.file_pages"
-          end)
-        (open_files t);
-      !freed)
+          let bytes = ps * Mmap_file.resident_pages f in
+          let drop () = Mmap_file.drop_cache f in
+          if bytes > 0 then Some { Mem_budget.bytes; drop } else None)
+        (open_files t))
 
 let create ?(config = Config.default) () =
   let config = Config.check config in

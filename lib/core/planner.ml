@@ -225,18 +225,9 @@ let eager_scan ctx (entry : Catalog.entry) columns =
       ~tracked:(tracked_for ctx entry) ~cols:columns ~rowids
   in
   let all = Chunk.create (Array.append cols [| Column.of_int_array rowids |]) in
-  let chunk_rows = (Catalog.config cat).chunk_rows in
-  let chunks = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min chunk_rows (n - !pos) in
-    chunks := Chunk.slice all !pos len :: !chunks;
-    pos := !pos + len
-  done;
-  if n = 0 then chunks := [ all ];
   let slots = Array.of_list (List.mapi (fun i _ -> Mat i) columns) in
   {
-    op = Operator.of_chunks (List.rev !chunks);
+    op = Operator.of_chunk ~chunk_rows:(Catalog.config cat).chunk_rows all;
     slots;
     n_phys = List.length columns + 1;
     rowids = [ (entry.name, List.length columns) ];

@@ -26,7 +26,7 @@ val set_options : t -> Planner.options -> unit
 val stmt_cache : t -> Stmt_cache.t
 (** The session's statement + result cache. Created with the session; when
     a memory budget is configured it is registered as the budget's
-    priority-0 [results] consumer (first to shrink). *)
+    priority-0 [results] consumer (first to drop). *)
 
 (** {1 Registration} *)
 

@@ -48,16 +48,8 @@ let eval_member ~chunk_rows ~union ~master plan schema =
     (* a column-less scan (count star) still needs the row count, which a
        chunk derives from its columns: feed the union's first column *)
     let columns = match columns with [] -> [ List.hd union ] | cs -> cs in
-    let positions = List.map (index_in union) columns in
-    let n = Chunk.n_rows master in
-    let projected = Chunk.project master positions in
-    let rec chunks pos acc =
-      if pos >= n then List.rev acc
-      else
-        let len = min chunk_rows (n - pos) in
-        chunks (pos + len) (Chunk.slice projected pos len :: acc)
-    in
-    Operator.of_chunks (if n = 0 then [ projected ] else chunks 0 [])
+    Operator.of_chunk ~chunk_rows
+      (Chunk.project master (List.map (index_in union) columns))
   in
   let rec go = function
     | Logical.Scan { columns; _ } -> feed columns

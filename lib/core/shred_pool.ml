@@ -46,31 +46,15 @@ let remove t key = Lru.remove t.lru key
 
 let fold f t acc = Lru.fold f t.lru acc
 
-(* Pull-based byte accounting: shreds are filled in place (string cells
-   grow), so summing on demand is the only count that cannot drift. The
-   pool holds at most [capacity] columns and probes run only inside
-   Mem_budget.reserve, never per row. *)
-let byte_usage t = Lru.fold (fun _ c acc -> acc + Column.byte_size c) t.lru 0
-
-(* Evict least-recently-used shreds until [need] bytes are freed (or the
-   pool is empty); returns the bytes actually freed. *)
-let evict_bytes t ~need =
-  let freed = ref 0 in
-  let rec go () =
-    if !freed < need then
-      match List.rev (Lru.keys t.lru) with
-      | [] -> ()
-      | victim :: _ ->
-        (match Lru.peek t.lru victim with
-         | Some c -> freed := !freed + Column.byte_size c
-         | None -> ());
-        Lru.remove t.lru victim;
-        Raw_obs.Metrics.incr Raw_obs.Metrics.gov_evictions;
-        Io_stats.incr "gov.evictions.shreds";
-        go ()
-  in
-  go ();
-  !freed
+(* The pool's memory-budget items, least recently used first. Shreds are
+   filled in place (string cells grow), so sizes are taken on demand: the
+   only count that cannot drift. *)
+let items t =
+  Lru.fold
+    (fun key c acc ->
+      { Mem_budget.bytes = Column.byte_size c; drop = (fun () -> Lru.remove t.lru key) }
+      :: acc)
+    t.lru []
 
 let clear t =
   Lru.clear t.lru;

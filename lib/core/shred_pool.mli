@@ -46,16 +46,10 @@ val size : t -> int
 val fold : (key -> Column.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Most-recently-used first. *)
 
-val byte_usage : t -> int
-(** Current footprint of all pooled shreds ({!Column.byte_size} sum),
-    computed on demand — shreds are filled in place, so the count is never
-    cached. The pool's {!Raw_storage.Mem_budget} usage probe. *)
-
-val evict_bytes : t -> need:int -> int
-(** Evict least-recently-used shreds until [need] bytes are freed (or the
-    pool is empty); returns the bytes actually freed. Counts each victim
-    under [gov.evictions] and [gov.evictions.shreds]. The pool's
-    {!Raw_storage.Mem_budget} shrink callback. *)
+val items : t -> Raw_storage.Mem_budget.item list
+(** The pooled shreds as {!Raw_storage.Mem_budget} items, least recently
+    used first, each sized by {!Column.byte_size} at the time of the call.
+    The pool's budget consumer. *)
 
 val hits : t -> int
 (** Subsumption hits: [find] results that covered the request entirely

@@ -135,12 +135,37 @@ let bind cat (q : Ast.query) =
             (Schema.fields entry.schema))
         scopes
   in
+  let is_agg_query =
+    q.group_by <> [] || Option.is_some q.having
+    || List.exists (fun (i : Ast.select_item) -> has_agg i.expr) select_items
+  in
+  let out_names =
+    uniquify
+      (List.map
+         (fun (i : Ast.select_item) ->
+           match i.alias with Some a -> a | None -> expr_name i.expr)
+         select_items)
+  in
+  (* an ORDER BY name outside the select list sorts the input rows below
+     the projection (see ORDER BY below), which then reads every ORDER BY
+     name as an input column *)
+  let order_inputs =
+    if
+      is_agg_query || q.distinct
+      || List.for_all (fun (o : Ast.order) -> List.mem o.column out_names) q.order_by
+    then []
+    else
+      List.map
+        (fun (o : Ast.order) -> Ast.Ref { Ast.table = None; column = o.column })
+        q.order_by
+  in
   let all_exprs =
     List.map (fun (i : Ast.select_item) -> i.expr) select_items
     @ Option.to_list q.where @ q.group_by @ Option.to_list q.having
     @ List.concat_map
         (fun (j : Ast.join) -> [ j.on_left; j.on_right ])
         q.joins
+    @ order_inputs
   in
   let all_refs = List.fold_left refs [] all_exprs in
   let used : (string, int list ref) Hashtbl.t = Hashtbl.create 4 in
@@ -211,27 +236,16 @@ let bind cat (q : Ast.query) =
     | Some w -> Logical.Filter (translate (env_lookup env) w, plan)
   in
   (* -------- aggregation -------- *)
-  let is_agg_query =
-    q.group_by <> [] || Option.is_some q.having
-    || List.exists (fun (i : Ast.select_item) -> has_agg i.expr) select_items
-  in
   let plan, out_env =
     if not is_agg_query then begin
       (* plain projection *)
-      let names =
-        uniquify
-          (List.map
-             (fun (i : Ast.select_item) ->
-               match i.alias with Some a -> a | None -> expr_name i.expr)
-             select_items)
-      in
       let items =
         List.map2
           (fun (i : Ast.select_item) name ->
             (translate (env_lookup env) i.expr, name))
-          select_items names
+          select_items out_names
       in
-      (Logical.Project (items, plan), names)
+      (Logical.Project (items, plan), out_names)
     end
     else begin
       (* group keys must be plain column refs *)
@@ -312,19 +326,12 @@ let bind cat (q : Ast.query) =
         | None -> agg_plan
         | Some h -> Logical.Filter (post h, agg_plan)
       in
-      let names =
-        uniquify
-          (List.map
-             (fun (i : Ast.select_item) ->
-               match i.alias with Some a -> a | None -> expr_name i.expr)
-             select_items)
-      in
       let items =
         List.map2
           (fun (i : Ast.select_item) name -> (post i.expr, name))
-          select_items names
+          select_items out_names
       in
-      (Logical.Project (items, plan), names)
+      (Logical.Project (items, plan), out_names)
     end
   in
   (* -------- DISTINCT --------
@@ -369,17 +376,13 @@ let bind cat (q : Ast.query) =
           (List.find (fun (o : Ast.order) -> out_pos o.column = None) orders)
             .column
       else begin
-        (* sort the input rows before projecting *)
+        (* sort the input rows before projecting; in a mixed
+           select-alias/input ordering the alias is re-resolved as an input
+           column too *)
         let specs =
           List.map
             (fun (o : Ast.order) ->
-              match out_pos o.column with
-              | Some _ ->
-                (* mixed select-alias/input ordering: re-resolve the alias as
-                   an input column if possible *)
-                (env_lookup env { Ast.table = None; column = o.column }, o.dir)
-              | None ->
-                (env_lookup env { Ast.table = None; column = o.column }, o.dir))
+              (env_lookup env { Ast.table = None; column = o.column }, o.dir))
             orders
         in
         match plan with

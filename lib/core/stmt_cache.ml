@@ -1,7 +1,7 @@
 (* See stmt_cache.mli. Locking discipline: [t.mutex] guards both tables
    and is never held across a call into the memory budget — [put_result]
-   reserves first (which may re-enter us through the shrink callback,
-   which takes the mutex) and only then inserts. *)
+   reserves first (which may re-enter us through the budget's item list
+   and drops, which take the mutex) and only then inserts. *)
 
 open Raw_vector
 open Raw_storage
@@ -12,7 +12,6 @@ type result_entry = {
   schema : Schema.t;
   tables : string list;
   bytes : int;
-  mutable stamp : int; (* recency tick: larger = used more recently *)
 }
 
 type stmt_entry = { plan : Logical.t; tables : string list }
@@ -20,19 +19,11 @@ type stmt_entry = { plan : Logical.t; tables : string list }
 type t = {
   mutex : Mutex.t;
   stmts : (string, stmt_entry) Hashtbl.t;
-  results : (string, result_entry) Hashtbl.t;
-  mutable tick : int;
-  mutable result_bytes : int;
+  results : (string, result_entry) Lru.t; (* unbounded; Mem_budget evicts *)
 }
 
 let create () =
-  {
-    mutex = Mutex.create ();
-    stmts = Hashtbl.create 64;
-    results = Hashtbl.create 64;
-    tick = 0;
-    result_bytes = 0;
-  }
+  { mutex = Mutex.create (); stmts = Hashtbl.create 64; results = Lru.create () }
 
 (* ------------------------------------------------------------------ *)
 (* Statement cache                                                     *)
@@ -86,10 +77,8 @@ let entry_bytes key chunk =
 
 let find_result t key =
   Mutex.protect t.mutex (fun () ->
-      match Hashtbl.find_opt t.results key with
+      match Lru.find t.results key with
       | Some e ->
-        t.tick <- t.tick + 1;
-        e.stamp <- t.tick;
         Metrics.incr Metrics.cache_result_hits;
         Some (e.chunk, e.schema)
       | None ->
@@ -98,48 +87,29 @@ let find_result t key =
 
 let put_result t cat ~key ~tables chunk schema =
   let bytes = entry_bytes key chunk in
-  (* reserve OUTSIDE our mutex: the budget's shrink path re-enters us
-     through [evict_results], which takes it *)
+  (* reserve OUTSIDE our mutex: the budget re-enters us through
+     [register_budget]'s items, which take it *)
   if Catalog.reserve_bytes cat bytes then
     Mutex.protect t.mutex (fun () ->
-        (match Hashtbl.find_opt t.results key with
-        | Some old -> t.result_bytes <- t.result_bytes - old.bytes
-        | None -> ());
-        t.tick <- t.tick + 1;
-        Hashtbl.replace t.results key
-          { chunk; schema; tables; bytes; stamp = t.tick };
-        t.result_bytes <- t.result_bytes + bytes)
+        ignore (Lru.add t.results key { chunk; schema; tables; bytes }))
   else Metrics.incr Metrics.gov_fallback_streaming
 
-let byte_usage t = Mutex.protect t.mutex (fun () -> t.result_bytes)
-let n_results t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.results)
-
-(* Evict least-recently-used results until [need] bytes are freed. Runs
-   as the budget's shrink callback (budget mutex held), so it must not
-   call back into the budget — it only touches our own tables. *)
-let evict_results t ~need =
+let byte_usage t =
   Mutex.protect t.mutex (fun () ->
-      let all =
-        Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.results []
-        |> List.sort (fun (_, a) (_, b) -> compare a.stamp b.stamp)
-      in
-      let freed = ref 0 in
-      List.iter
-        (fun (k, e) ->
-          if !freed < need then begin
-            Hashtbl.remove t.results k;
-            t.result_bytes <- t.result_bytes - e.bytes;
-            freed := !freed + e.bytes;
-            Metrics.incr Metrics.gov_evictions;
-            Io_stats.incr "gov.evictions.results"
-          end)
-        all;
-      !freed)
+      Lru.fold (fun _ (e : result_entry) acc -> acc + e.bytes) t.results 0)
 
+let n_results t = Mutex.protect t.mutex (fun () -> Lru.length t.results)
+
+(* Least recently used first. The budget calls [items] and [drop] with its
+   own mutex held, so they touch only our tables. *)
 let register_budget t budget =
-  Mem_budget.register budget ~name:"results" ~priority:0
-    ~usage:(fun () -> byte_usage t)
-    ~shrink:(fun ~need -> evict_results t ~need)
+  Mem_budget.register budget ~name:"results" ~priority:0 ~items:(fun () ->
+      Mutex.protect t.mutex (fun () ->
+          Lru.fold
+            (fun key (e : result_entry) acc ->
+              let drop () = Mutex.protect t.mutex (fun () -> Lru.remove t.results key) in
+              { Mem_budget.bytes = e.bytes; drop } :: acc)
+            t.results []))
 
 let invalidate_table t table =
   Mutex.protect t.mutex (fun () ->
@@ -151,19 +121,14 @@ let invalidate_table t table =
       in
       List.iter (Hashtbl.remove t.stmts) stale_stmts;
       let stale_results =
-        Hashtbl.fold
+        Lru.fold
           (fun k (e : result_entry) acc ->
-            if List.mem table e.tables then (k, e) :: acc else acc)
+            if List.mem table e.tables then k :: acc else acc)
           t.results []
       in
-      List.iter
-        (fun (k, e) ->
-          Hashtbl.remove t.results k;
-          t.result_bytes <- t.result_bytes - e.bytes)
-        stale_results)
+      List.iter (Lru.remove t.results) stale_results)
 
 let clear t =
   Mutex.protect t.mutex (fun () ->
       Hashtbl.reset t.stmts;
-      Hashtbl.reset t.results;
-      t.result_bytes <- 0)
+      Lru.clear t.results)

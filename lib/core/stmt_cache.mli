@@ -9,7 +9,7 @@
     a cache entry never outlives the bytes it was computed from.
 
     Results are budgeted through the unified {!Raw_storage.Mem_budget} as
-    the [results] consumer at priority 0 (first to shrink: results are
+    the [results] consumer at priority 0 (first to drop: results are
     pure derived data, the cheapest state to lose). Insertion reserves
     through {!Catalog.reserve_bytes}; if the budget cannot make room the
     result is simply not cached ([gov.fallbacks.streaming]).
@@ -24,8 +24,8 @@ val create : unit -> t
 
 val register_budget : t -> Raw_storage.Mem_budget.t -> unit
 (** Register the result cache as the budget's [results] consumer
-    (priority 0; eviction is LRU by last hit, counted under
-    [gov.evictions] / [gov.evictions.results]). *)
+    (priority 0). Its items are the cached results, least recently put or
+    hit first. *)
 
 (** {1 Statement cache} *)
 
@@ -69,6 +69,6 @@ val clear : t -> unit
 (** {1 Introspection} *)
 
 val byte_usage : t -> int
-(** Current result-cache footprint (the budget usage probe). *)
+(** Current result-cache footprint: the sum of its budget items. *)
 
 val n_results : t -> int

@@ -14,7 +14,6 @@ type t = {
   mutable misses : int;
   mutable charged : float;
   mutable pending_charge : float;
-  mutable bytes : int;
 }
 
 let create ~compile_seconds =
@@ -26,7 +25,6 @@ let create ~compile_seconds =
     misses = 0;
     charged = 0.;
     pending_charge = 0.;
-    bytes = 0;
   }
 
 (* Artifacts are stored as [Obj.t]; the [kind] namespace guarantees that two
@@ -64,7 +62,6 @@ let get t ~kind ~key compile =
             ~args:[ ("kind", kind); ("key", bare_key) ]
             "compile" compile
         in
-        if not (Lru.mem t.table key) then t.bytes <- t.bytes + entry_bytes key;
         ignore (Lru.add t.table key (Obj.repr artifact));
         artifact)
 
@@ -78,28 +75,20 @@ let take_charged_seconds t =
       t.pending_charge <- 0.;
       c)
 
-let byte_usage t = t.bytes
-
-let evict_cold t ~need =
+(* Least recently used first. A dropped template is recompiled, and
+   charged again, by the next query that needs it. *)
+let items t =
   Mutex.protect t.mutex (fun () ->
-      let freed = ref 0 in
-      let rec go () =
-        if !freed < need then
-          match List.rev (Lru.keys t.table) with
-          | [] -> ()
-          | victim :: _ ->
-            Lru.remove t.table victim;
-            let b = entry_bytes victim in
-            t.bytes <- t.bytes - b;
-            freed := !freed + b;
-            Raw_obs.Metrics.incr Raw_obs.Metrics.gov_evictions;
-            Io_stats.incr "gov.evictions.templates";
+      Lru.fold
+        (fun key _ acc ->
+          let bytes = entry_bytes key in
+          let drop () =
+            Mutex.protect t.mutex (fun () -> Lru.remove t.table key);
             Raw_obs.Decisions.record ~site:"template_cache" ~choice:"evict"
-              [ ("key", victim); ("freed_bytes", string_of_int b) ];
-            go ()
-      in
-      go ();
-      !freed)
+              [ ("key", key); ("freed_bytes", string_of_int bytes) ]
+          in
+          { Mem_budget.bytes; drop } :: acc)
+        t.table [])
 
 let clear t =
   Mutex.protect t.mutex (fun () ->
@@ -107,7 +96,6 @@ let clear t =
       t.hits <- 0;
       t.misses <- 0;
       t.charged <- 0.;
-      t.pending_charge <- 0.;
-      t.bytes <- 0)
+      t.pending_charge <- 0.)
 
 let size t = Lru.length t.table

@@ -30,17 +30,14 @@ val take_charged_seconds : t -> float
 (** Returns the charge accumulated since the last take and zeroes it; the
     executor calls this once per query to attribute compile cost. *)
 
-val byte_usage : t -> int
-(** Synthetic footprint of the cached artifacts (a fixed per-entry estimate
-    plus key bytes) — enough to order template eviction against other
-    consumers under one {!Raw_storage.Mem_budget}. *)
-
-val evict_cold : t -> need:int -> int
-(** Evict least-recently-used templates until [need] bytes are freed (or
-    the cache is empty); returns the bytes freed. Each victim counts under
-    [gov.evictions] and [gov.evictions.templates]; the next query needing
-    an evicted template recompiles it and is charged the simulated compile
-    latency again — the visible cost of this degradation. *)
+val items : t -> Raw_storage.Mem_budget.item list
+(** The cached artifacts as {!Raw_storage.Mem_budget} items, least
+    recently used first, each sized by a synthetic footprint (a fixed
+    per-entry estimate plus key bytes) — enough to order template eviction
+    against other consumers. Dropping one records a [template_cache/evict]
+    decision; the next query needing it recompiles and is charged the
+    simulated compile latency again — the visible cost of this
+    degradation. *)
 
 val clear : t -> unit
 val size : t -> int

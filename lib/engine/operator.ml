@@ -39,6 +39,20 @@ let of_chunks chunks =
         rest := tl;
         Some c)
 
+let of_chunk ~chunk_rows chunk =
+  let n = Chunk.n_rows chunk in
+  if n = 0 then of_chunks [ chunk ]
+  else
+    let pos = ref 0 in
+    of_fn () ~next:(fun () ->
+        if !pos >= n then None
+        else begin
+          let len = min chunk_rows (n - !pos) in
+          let slice = Chunk.slice chunk !pos len in
+          pos := !pos + len;
+          Some slice
+        end)
+
 let empty = { next_fn = (fun () -> None); close_fn = (fun () -> ()) }
 
 let rec next_nonempty input =

@@ -17,6 +17,11 @@ val close : t -> unit
 
 val of_chunks : Chunk.t list -> t
 val of_fn : next:(unit -> Chunk.t option) -> ?close:(unit -> unit) -> unit -> t
+val of_chunk : chunk_rows:int -> Chunk.t -> t
+(** Emits [chunk] in consecutive slices of at most [chunk_rows] rows; an
+    empty chunk is emitted once, as is, so its columns still reach the
+    consumer. *)
+
 val empty : t
 
 (** {1 Transformations} *)

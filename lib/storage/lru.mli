@@ -1,8 +1,8 @@
 (** A bounded least-recently-used map with O(1) operations.
 
     Shared by the page-residency simulator ({!Mmap_file}), the shred pool,
-    the template cache and the HEP object cache — all of which the paper
-    describes as LRU caches. *)
+    the template cache, the served result cache and the HEP object cache —
+    all of which the paper describes as LRU caches. *)
 
 type ('k, 'v) t
 

@@ -1,9 +1,6 @@
-type consumer = {
-  name : string;
-  priority : int;
-  usage : unit -> int;
-  shrink : need:int -> int;
-}
+type item = { bytes : int; drop : unit -> unit }
+
+type consumer = { name : string; priority : int; items : unit -> item list }
 
 type t = {
   capacity : int;
@@ -21,40 +18,47 @@ let create ~capacity_bytes =
 
 let capacity t = t.capacity
 
-let register t ~name ~priority ~usage ~shrink =
+let register t ~name ~priority ~items =
   Mutex.protect t.mutex (fun () ->
       let others = List.filter (fun c -> c.name <> name) t.consumers in
       t.consumers <-
         List.stable_sort
           (fun a b -> Stdlib.compare a.priority b.priority)
-          ({ name; priority; usage; shrink } :: others))
+          ({ name; priority; items } :: others))
 
 let used_locked t =
-  List.fold_left (fun acc c -> acc + c.usage ()) 0 t.consumers
+  List.fold_left
+    (fun acc c -> List.fold_left (fun acc i -> acc + i.bytes) acc (c.items ()))
+    0 t.consumers
 
 let used t = Mutex.protect t.mutex (fun () -> used_locked t)
+
+(* Drop [c]'s items, coldest first, while [need] bytes are still wanted;
+   returns what is still wanted afterwards. *)
+let evict c need =
+  let rec go need freed = function
+    | i :: rest when need > 0 ->
+      i.drop ();
+      Io_stats.incr "gov.evictions";
+      Io_stats.incr ("gov.evictions." ^ c.name);
+      go (need - i.bytes) (freed + i.bytes) rest
+    | _ ->
+      if freed > 0 then Io_stats.add "gov.evicted_bytes" freed;
+      need
+  in
+  go need 0 (c.items ())
 
 let reserve t ~bytes =
   bytes <= 0
   ||
   Mutex.protect t.mutex (fun () ->
-      let need () = used_locked t + bytes - t.capacity in
-      if need () <= 0 then true
-      else begin
-        (* shrink in priority order until the reservation fits *)
-        List.iter
-          (fun c ->
-            let n = need () in
-            if n > 0 then begin
-              (* per-item eviction counts (gov.evictions.<consumer>) are the
-                 shrink callback's job — it knows what an "item" is *)
-              let freed = c.shrink ~need:n in
-              if freed > 0 then Io_stats.add "gov.evicted_bytes" freed
-            end)
-          t.consumers;
-        if need () <= 0 then true
-        else begin
-          Io_stats.incr "gov.reservation_failures";
-          false
-        end
-      end)
+      let need =
+        List.fold_left
+          (fun need c -> if need > 0 then evict c need else need)
+          (used_locked t + bytes - t.capacity)
+          t.consumers
+      in
+      need <= 0
+      ||
+      (Io_stats.incr "gov.reservation_failures";
+       false))

@@ -1,27 +1,35 @@
 (** A unified, byte-denominated memory budget for adaptive state.
 
-    RAW's auxiliary structures — column shreds, JIT template artifacts,
-    positional maps, resident file pages — all grow monotonically with the
-    workload. A [Mem_budget.t] makes them share one bound: each store
-    registers as a {e consumer} with a usage probe and a shrink callback,
-    and before growing, a store (or its caller) calls {!reserve}. Under
-    pressure the budget shrinks consumers in ascending priority order
-    (cold shreds first, then cold templates, then positional maps, then
-    file pages); when even that cannot make room, {!reserve} returns
-    [false] and the caller degrades gracefully — typically by streaming
-    from the raw file instead of caching.
+    RAW's auxiliary structures — served results, column shreds, JIT
+    template artifacts, positional maps, resident file pages — all grow
+    monotonically with the workload. A [Mem_budget.t] makes them share one
+    bound: each store registers as a {e consumer} that lists its droppable
+    {!item}s, coldest first, and before growing, a store (or its caller)
+    calls {!reserve}. Under pressure the budget drops items in ascending
+    consumer priority order (cached results first, then cold shreds, cold
+    templates, positional maps, and file pages last); when even that cannot
+    make room, {!reserve} returns [false] and the caller degrades
+    gracefully — typically by streaming from the raw file instead of
+    caching.
 
-    Accounting is pull-based (usage probes, no per-touch charging), so an
-    unconstrained engine pays nothing; probes only run inside {!reserve}.
-    All operations are serialized by an internal mutex; shrink callbacks
-    run with it held and must not call back into the budget.
+    Accounting is pull-based (item lists, no per-touch charging), so an
+    unconstrained engine pays nothing; item lists are only built inside
+    {!used} and {!reserve}. All operations are serialized by an internal
+    mutex; [items] and [drop] run with it held and must not call back into
+    the budget.
 
-    The budget counts freed bytes under the {!Io_stats} counter
-    [gov.evicted_bytes] and failed reservations under
-    [gov.reservation_failures]; shrink callbacks count their own item-level
-    evictions ([gov.evictions] and [gov.evictions.<consumer>]). *)
+    The budget is the only code that counts evictions, under the
+    {!Io_stats} counters [gov.evictions], [gov.evictions.<consumer>] and
+    [gov.evicted_bytes]; failed reservations count under
+    [gov.reservation_failures]. *)
 
 type t
+
+type item = {
+  bytes : int;
+  drop : unit -> unit;
+      (** Forget the structure; the consumer's next listing omits it. *)
+}
 
 val create : capacity_bytes:int -> t
 (** Raises [Resource_error.Invalid_config] if [capacity_bytes <= 0]. *)
@@ -29,24 +37,18 @@ val create : capacity_bytes:int -> t
 val capacity : t -> int
 
 val register :
-  t ->
-  name:string ->
-  priority:int ->
-  usage:(unit -> int) ->
-  shrink:(need:int -> int) ->
-  unit
-(** Add a consumer. [usage ()] returns its current bytes; [shrink ~need]
-    frees what it can (up to everything), returns the bytes actually freed,
-    and is responsible for any internal bookkeeping of what it dropped.
-    Lower [priority] shrinks first. Registering twice under one name
-    replaces the previous registration. *)
+  t -> name:string -> priority:int -> items:(unit -> item list) -> unit
+(** Add a consumer. [items ()] lists what it holds right now, coldest
+    (first to drop) first; its usage is the sum of their [bytes]. Lower
+    [priority] drops first. Registering twice under one name replaces the
+    previous registration. *)
 
 val used : t -> int
-(** Sum of all consumers' usage probes. *)
+(** Sum of all consumers' item sizes. *)
 
 val reserve : t -> bytes:int -> bool
 (** Make room for [bytes] new bytes: [true] immediately if they fit;
-    otherwise shrink consumers in priority order until they do. [false]
-    if the budget cannot be satisfied even after shrinking everything —
-    the caller must not allocate the cached structure (degrade instead).
-    [bytes <= 0] is always [true]. *)
+    otherwise drop items in priority order, each consumer's coldest first,
+    until they do. [false] if the budget cannot be satisfied even after
+    dropping everything — the caller must not allocate the cached structure
+    (degrade instead). [bytes <= 0] is always [true]. *)

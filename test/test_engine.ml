@@ -365,6 +365,18 @@ let op_tests =
         in
         let c = Operator.to_chunk op in
         Alcotest.(check int) "appended" 2 (Chunk.n_cols c));
+    Alcotest.test_case "of_chunk slices at chunk_rows; empty stays one chunk"
+      `Quick (fun () ->
+        let sizes chunk =
+          List.map Chunk.n_rows (Operator.collect (Operator.of_chunk ~chunk_rows:4 chunk))
+        in
+        let ten = int_chunk (Array.init 10 Fun.id) in
+        Alcotest.(check (list int)) "4 + 4 + 2" [ 4; 4; 2 ] (sizes ten);
+        check_chunk "concat is the input" ten
+          (Operator.to_chunk (Operator.of_chunk ~chunk_rows:4 ten));
+        Alcotest.(check (list int)) "exact multiple" [ 4; 4 ]
+          (sizes (int_chunk (Array.init 8 Fun.id)));
+        Alcotest.(check (list int)) "empty: one chunk" [ 0 ] (sizes (int_chunk [||])));
   ]
 
 let suites = [ ("engine.expr", expr_tests); ("engine.operator", op_tests) ]

@@ -188,6 +188,22 @@ let cancellation_tests =
 (* Memory budget                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* Register a consumer holding items of the given sizes, coldest first.
+   Each drop appends (name, item index) to [calls]; the result reads the
+   bytes still held. *)
+let test_consumer m calls name ~priority sizes =
+  let held = ref (List.mapi (fun id bytes -> (id, bytes)) sizes) in
+  Mem_budget.register m ~name ~priority ~items:(fun () ->
+      List.map
+        (fun (id, bytes) ->
+          let drop () =
+            calls := !calls @ [ (name, id) ];
+            held := List.remove_assoc id !held
+          in
+          { Mem_budget.bytes; drop })
+        !held);
+  fun () -> List.fold_left (fun acc (_, b) -> acc + b) 0 !held
+
 let budget_unit_tests =
   [
     Alcotest.test_case "create rejects non-positive capacity" `Quick (fun () ->
@@ -196,47 +212,35 @@ let budget_unit_tests =
         | exception Resource_error.Invalid_config _ -> ());
     Alcotest.test_case "reserve shrinks in priority order, exact accounting"
       `Quick (fun () ->
-        let a = ref 600 and b = ref 300 in
         let calls = ref [] in
-        let shrinker name r ~need =
-          calls := !calls @ [ name ];
-          let freed = min need !r in
-          r := !r - freed;
-          freed
-        in
         let m = Mem_budget.create ~capacity_bytes:1000 in
         (* registered out of order: priority, not insertion, decides *)
-        Mem_budget.register m ~name:"b" ~priority:1
-          ~usage:(fun () -> !b)
-          ~shrink:(shrinker "b" b);
-        Mem_budget.register m ~name:"a" ~priority:0
-          ~usage:(fun () -> !a)
-          ~shrink:(shrinker "a" a);
-        Alcotest.(check int) "used sums the probes" 900 (Mem_budget.used m);
+        let b = test_consumer m calls "b" ~priority:1 [ 150; 150 ] in
+        let a = test_consumer m calls "a" ~priority:0 [ 100; 100; 100; 100; 100; 100 ] in
+        Alcotest.(check int) "used sums the items" 900 (Mem_budget.used m);
         let ev0 = Io_stats.get "gov.evicted_bytes" in
-        Alcotest.(check bool) "fits: no shrink" true
+        let n0 = Io_stats.get "gov.evictions.a" in
+        Alcotest.(check bool) "fits: no drop" true
           (Mem_budget.reserve m ~bytes:100);
-        Alcotest.(check (list string)) "untouched" [] !calls;
-        Alcotest.(check bool) "pressure: shrinks" true
+        Alcotest.(check (list (pair string int))) "untouched" [] !calls;
+        Alcotest.(check bool) "pressure: drops" true
           (Mem_budget.reserve m ~bytes:300);
-        Alcotest.(check (list string)) "lowest priority only" [ "a" ] !calls;
-        Alcotest.(check int) "a freed exactly the need" 400 !a;
-        Alcotest.(check int) "b untouched" 300 !b;
+        Alcotest.(check (list (pair string int)))
+          "lowest priority only, coldest first" [ ("a", 0); ("a", 1) ] !calls;
+        Alcotest.(check int) "a freed exactly the need" 400 (a ());
+        Alcotest.(check int) "b untouched" 300 (b ());
+        Alcotest.(check int) "one eviction per item" 2
+          (Io_stats.get "gov.evictions.a" - n0);
         Alcotest.(check int) "evicted bytes exact" 200
           (Io_stats.get "gov.evicted_bytes" - ev0));
     Alcotest.test_case "impossible reservation fails and is counted" `Quick
       (fun () ->
-        let a = ref 500 in
         let m = Mem_budget.create ~capacity_bytes:1000 in
-        Mem_budget.register m ~name:"a" ~priority:0
-          ~usage:(fun () -> !a)
-          ~shrink:(fun ~need ->
-            let freed = min need !a in
-            a := !a - freed;
-            freed);
+        let a = test_consumer m (ref []) "a" ~priority:0 [ 250; 250 ] in
         let f0 = Io_stats.get "gov.reservation_failures" in
         Alcotest.(check bool) "cannot fit" false
           (Mem_budget.reserve m ~bytes:1100);
+        Alcotest.(check int) "everything dropped trying" 0 (a ());
         Alcotest.(check int) "failure counted" 1
           (Io_stats.get "gov.reservation_failures" - f0);
         Alcotest.(check bool) "non-positive is free" true
@@ -244,13 +248,9 @@ let budget_unit_tests =
     Alcotest.test_case "re-registering a name replaces the consumer" `Quick
       (fun () ->
         let m = Mem_budget.create ~capacity_bytes:1000 in
-        Mem_budget.register m ~name:"a" ~priority:0
-          ~usage:(fun () -> 700)
-          ~shrink:(fun ~need:_ -> 0);
-        Mem_budget.register m ~name:"a" ~priority:0
-          ~usage:(fun () -> 10)
-          ~shrink:(fun ~need:_ -> 0);
-        Alcotest.(check int) "one consumer, new probe" 10 (Mem_budget.used m));
+        let _held : unit -> int = test_consumer m (ref []) "a" ~priority:0 [ 700 ] in
+        let _held : unit -> int = test_consumer m (ref []) "a" ~priority:0 [ 10 ] in
+        Alcotest.(check int) "one consumer, new items" 10 (Mem_budget.used m));
     Alcotest.test_case "shred pool evicts LRU victims, counted per item"
       `Quick (fun () ->
         let pool = Shred_pool.create ~capacity:8 in
@@ -264,11 +264,16 @@ let budget_unit_tests =
         (* touch column 0: column 1 becomes the LRU victim *)
         ignore (Shred_pool.find pool (key 0));
         let victim_bytes = Column.byte_size (col 1) in
+        let m = Mem_budget.create ~capacity_bytes:(3 * victim_bytes) in
+        Mem_budget.register m ~name:"shreds" ~priority:0 ~items:(fun () ->
+            Shred_pool.items pool);
         let e0 = Io_stats.get "gov.evictions.shreds" in
-        let freed = Shred_pool.evict_bytes pool ~need:1 in
+        let b0 = Io_stats.get "gov.evicted_bytes" in
+        Alcotest.(check bool) "room made" true (Mem_budget.reserve m ~bytes:1);
         Alcotest.(check int) "exactly one shred evicted" 1
           (Io_stats.get "gov.evictions.shreds" - e0);
-        Alcotest.(check int) "freed the victim's bytes" victim_bytes freed;
+        Alcotest.(check int) "freed the victim's bytes" victim_bytes
+          (Io_stats.get "gov.evicted_bytes" - b0);
         Alcotest.(check bool) "victim was the LRU entry" true
           (Shred_pool.find pool (key 1) = None
           && Shred_pool.find pool (key 0) <> None

@@ -1,6 +1,7 @@
 (* SQL semantics regressions: GROUP BY over an empty input, NOT over
-   NULL (three-valued logic), across formats and the serving tier, and
-   join keys of different numeric types. *)
+   NULL (three-valued logic), across formats and the serving tier, join
+   keys of different numeric types, and ORDER BY a column outside the
+   select list. *)
 
 open Raw_vector
 open Raw_core
@@ -200,8 +201,30 @@ let mixed_join_keys =
       check_value "WHERE compares numerically too" (Value.Int 1)
         (Raw_db.scalar db "SELECT COUNT(*) FROM a WHERE k = 1.0"))
 
+(* ORDER BY a column the select list does not name: the scan must read
+   it for the sort below the projection. *)
+let order_by_unselected (name, fmt) =
+  Alcotest.test_case (name ^ ": ORDER BY a column outside the select list")
+    `Quick (fun () ->
+      let db = db_of fmt in
+      let path = write_csv_rows [ [ 1; 10 ]; [ 2; 20 ]; [ 3; 30 ]; [ 4; 40 ] ] in
+      Raw_db.register_csv db ~name:"u" ~path
+        ~columns:[ ("k", Dtype.Int); ("c", Dtype.Int) ] ();
+      List.iter
+        (fun (sql, want) ->
+          let chunk = Raw_db.sql db sql in
+          Alcotest.(check (list (list value_testable))) sql
+            (List.map (fun v -> [ Value.Int v ]) want)
+            (List.init (Chunk.n_rows chunk) (Chunk.row chunk)))
+        [
+          ("SELECT b FROM t ORDER BY a", [ 100; 600; 300; 200 ]);
+          ("SELECT b FROM t ORDER BY a DESC LIMIT 2", [ 200; 300 ]);
+          ("SELECT c FROM t JOIN u ON t.a = u.k ORDER BY b", [ 10; 40; 30; 20 ]);
+        ])
+
 let suites =
   [
+    ("semantics.order_by", List.map order_by_unselected formats);
     ("semantics.join_keys", [ mixed_join_keys ]);
     ( "semantics.group_by_empty",
       List.map one_shot_empty_group_by formats @ List.map served_empty_group_by formats );
