@@ -356,6 +356,15 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
     end;
     Array.of_list (List.map (fun c -> Hashtbl.find results c) cols)
 
+let held cat ~mode (entry : Catalog.entry) col =
+  match mode with
+  | Dbms -> entry.state.loaded <> None
+  | External -> false
+  | In_situ | Jit ->
+    Shred_pool.find (Catalog.shreds cat)
+      { Shred_pool.table = entry.name; column = col }
+    <> None
+
 (* ------------------------------------------------------------------ *)
 (* Operators                                                           *)
 (* ------------------------------------------------------------------ *)

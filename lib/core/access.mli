@@ -71,6 +71,11 @@ val fetch_columns :
       (charging the template cache on first use); [In_situ] runs the
       general-purpose interpreted kernels. *)
 
+val held : Catalog.t -> mode:mode -> Catalog.entry -> int -> bool
+(** Whether {!fetch_columns} serves column [col] of the entry from memory
+    for the rows it already holds: a pooled shred ([In_situ]/[Jit]) or
+    the loaded columns ([Dbms]); never in [External] mode. *)
+
 val index_range :
   Catalog.t ->
   mode:mode ->

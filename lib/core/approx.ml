@@ -152,13 +152,6 @@ let contrib_of col =
 (* The sampling loop                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let tracked_of (options : Planner.options) (entry : Catalog.entry) =
-  match options.Planner.tracked with
-  | `Cols cols -> cols
-  | `Every k ->
-    Raw_formats.Posmap.every_k ~k
-      ~n_cols:(Schema.max_source_index entry.Catalog.schema + 1)
-
 let record_stop ~choice ~eps ~seed ~morsels ~morsels_total ~frac =
   Decisions.record ~site:"scan.approx_stop" ~choice
     [
@@ -192,7 +185,7 @@ let run cat ~(options : Planner.options) ~eps ~seed logical =
         kinds
     in
     let perm = Sampling.permutation ~seed morsels_total in
-    let tracked = tracked_of options entry in
+    let tracked = Planner.tracked_for options entry in
     let cancel = Cancel.current () in
     let stopped = ref false in
     let i = ref 0 in

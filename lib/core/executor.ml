@@ -73,13 +73,21 @@ let io_of_files cat logical =
     (fun acc f -> acc +. Mmap_file.simulated_io_seconds f)
     0. (entry_files cat logical)
 
-(* every counter that moved since [before], with how far *)
+(* every counter that moved since [before], with how far: one merge of
+   two snapshots, both sorted by key *)
 let counter_deltas ~before =
-  List.filter_map
-    (fun (k, v) ->
-      let v0 = match List.assoc_opt k before with Some x -> x | None -> 0. in
-      if v -. v0 <> 0. then Some (k, v -. v0) else None)
-    (Io_stats.snapshot ())
+  let moved k d acc = if d <> 0. then (k, d) :: acc else acc in
+  let rec go acc before after =
+    match (before, after) with
+    | _, [] -> List.rev acc
+    | [], (k, v) :: rest -> go (moved k v acc) [] rest
+    | (k0, v0) :: brest, (k, v) :: rest ->
+      let c = String.compare k0 k in
+      if c < 0 then go acc brest after
+      else if c > 0 then go (moved k v acc) before rest
+      else go (moved k (v -. v0) acc) brest rest
+  in
+  go [] before (Io_stats.snapshot ())
 
 (* The access-path component of a history record: the formats scanned,
    deduplicated and joined ("csv", "hep", "csv+jsonl", ...). *)
@@ -144,16 +152,8 @@ let history_status_of_exn = function
   | Resource_error.Invalid_config _ -> Raw_obs.History.Failed "config"
   | _ -> Raw_obs.History.Failed "exception"
 
-let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
+let run ~options ~cancel ?(pre_spans = []) cat logical =
   let cfg = Catalog.config cat in
-  let cancel =
-    match cancel with
-    | Some c -> c
-    | None -> (
-      match cfg.Config.deadline with
-      | Some s -> Cancel.create ~deadline_seconds:s ()
-      | None -> Cancel.never)
-  in
   (* baseline for per-query deltas *)
   let before = Io_stats.snapshot () in
   Scan_errors.reset ();

@@ -53,17 +53,16 @@ type report = {
 }
 
 val run :
-  ?options:Planner.options ->
-  ?cancel:Cancel.t ->
+  options:Planner.options ->
+  cancel:Cancel.t ->
   ?pre_spans:(string * float * float) list ->
   Catalog.t ->
   Logical.t ->
   report
 (** Runs the query to completion and reports its cost breakdown.
 
-    Governance: [cancel] defaults to a fresh token armed from
-    {!Config.deadline} (or the inert token when no deadline is set). The
-    token is installed as the ambient {!Raw_storage.Cancel} token for the
+    Governance: [cancel] is the query's token ({!Raw_db.fresh_cancel}
+    arms one from {!Config.deadline}). The token is installed as the ambient {!Raw_storage.Cancel} token for the
     duration of the run; scan kernels check it at row-batch boundaries. If
     it trips, all worker domains quiesce at their next boundary, partial
     stats are merged, and [run] raises
@@ -87,10 +86,6 @@ val run :
     one {!Raw_obs.History} record per run — completed, failed, cancelled
     or deadline-exceeded alike — is appended there with the full
     predicted-vs-actual account. *)
-
-val fix_empty : Schema.t -> Chunk.t -> Chunk.t
-(** An exhausted operator yields the 0-column empty chunk; this gives an
-    empty result the columns of [schema]. Other chunks pass through. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** Result rows (with header) followed by the timing line. *)

@@ -46,8 +46,8 @@ type ctx = {
   mutable trace : string list; (* planning decisions, reverse order *)
 }
 
-let tracked_for ctx (entry : Catalog.entry) =
-  match ctx.opts.tracked with
+let tracked_for opts (entry : Catalog.entry) =
+  match opts.tracked with
   | `Cols cols -> cols
   | `Every k ->
     Raw_formats.Posmap.every_k ~k
@@ -119,7 +119,7 @@ let materialize ctx ?(expand = false) phys needed =
               ("Planner: no row-id column for table " ^ table
              ^ " (cannot late-scan)")
         in
-        let tracked = tracked_for ctx entry in
+        let tracked = tracked_for ctx.opts entry in
         let groups =
           match ctx.opts.shreds with
           | Shreds ->
@@ -222,7 +222,7 @@ let eager_scan ctx (entry : Catalog.entry) columns =
   let rowids = Array.init n (fun i -> i) in
   let cols =
     Access.fetch_columns cat ~mode:ctx.opts.access ~entry
-      ~tracked:(tracked_for ctx entry) ~cols:columns ~rowids
+      ~tracked:(tracked_for ctx.opts entry) ~cols:columns ~rowids
   in
   let all = Chunk.create (Array.append cols [| Column.of_int_array rowids |]) in
   let slots = Array.of_list (List.mapi (fun i _ -> Mat i) columns) in

@@ -53,6 +53,10 @@ val default : options
 val shred_strategy_to_string : shred_strategy -> string
 val join_policy_to_string : join_policy -> string
 
+val tracked_for : options -> Catalog.entry -> int list
+(** The CSV columns a positional map built for [entry] tracks under
+    [options.tracked]. *)
+
 val has_join : Logical.t -> bool
 (** Whether the plan joins two inputs anywhere. *)
 

@@ -85,7 +85,7 @@ val run_plan :
 val fresh_cancel : t -> Raw_storage.Cancel.t
 (** A new cancel token armed from {!Config.deadline} ({!Raw_storage.Cancel.never}
     when no deadline is configured) — what {!query} arms when no [cancel]
-    is passed. The server arms one per shared-scan batch. *)
+    is passed. The server arms one per shared-scan warm pass. *)
 
 val with_admission :
   t -> cancel:Raw_storage.Cancel.t -> (unit -> 'a) -> 'a

@@ -299,8 +299,8 @@ let outcome_of_exn = function
          limit)
   | e -> err 3 (Printexc.to_string e)
 
-(* idempotent: the first outcome wins, so the shared-scan fallback can
-   re-run a group member without ever double-answering it *)
+(* idempotent: the first outcome wins, so the watchdog can fail a whole
+   batch without ever double-answering a member already answered *)
 let fulfill p o =
   Mutex.protect p.pm (fun () ->
       if p.outcome = None then begin
@@ -343,62 +343,56 @@ let record_batch_span ?child p ~t_batch =
     Trace.record h ~id:batch_id ~parent:root ~start:t_batch
       ~dur:(Timing.now () -. t_batch) "batch"
 
-let run_individual t ~t_batch (p, plan, key) =
-  let t0 = Timing.now () in
+(* One query through the ordinary path: its outcome, not yet answered *)
+let execute t plan key =
   match Raw_db.run_plan t.db plan with
   | report ->
-    let dur = Timing.now () -. t0 in
-    p.timing.exec_s <- dur;
-    record_batch_span p ~t_batch ~child:("execute", t0, dur);
     try_put_result t plan key report.Executor.chunk report.Executor.schema;
-    fulfill p
-      (Rows
-         {
-           chunk = report.Executor.chunk;
-           schema = report.Executor.schema;
-           seconds = report.Executor.total_seconds;
-           cached = false;
-           shared = false;
-           approx = report.Executor.approx;
-         })
-  | exception e ->
-    let dur = Timing.now () -. t0 in
-    p.timing.exec_s <- dur;
-    record_batch_span p ~t_batch ~child:("execute", t0, dur);
-    fulfill p (outcome_of_exn e)
+    Rows
+      {
+        chunk = report.Executor.chunk;
+        schema = report.Executor.schema;
+        seconds = report.Executor.total_seconds;
+        cached = false;
+        shared = false;
+        approx = report.Executor.approx;
+      }
+  | exception e -> outcome_of_exn e
 
+let answer p ~t_batch ~child:((_, _, dur) as child) o =
+  p.timing.exec_s <- dur;
+  record_batch_span p ~t_batch ~child;
+  fulfill p o
+
+let run_individual t ~t_batch (p, plan, key) =
+  let t0 = Timing.now () in
+  let o = execute t plan key in
+  answer p ~t_batch ~child:("execute", t0, Timing.now () -. t0) o
+
+(* A group is one warm pass, then its members as ordinary queries whose
+   fetches hit the warmed shred pool. Each member is answered with the
+   group's wall time, the engine time it shared with the others. If the
+   warm pass fails, the members simply run unshared. *)
 let run_shared t ~t_batch members =
-  let plans = List.map (fun (_, plan, _) -> plan) members in
   let t0 = Timing.now () in
   match
-    let cancel = Raw_db.fresh_cancel t.db in
-    Raw_db.with_admission t.db ~cancel (fun () ->
-        Shared_scan.run_group (Raw_db.catalog t.db) (Raw_db.options t.db) plans)
+    Cancel.with_current (Raw_db.fresh_cancel t.db) (fun () ->
+        Shared_scan.warm (Raw_db.catalog t.db) (Raw_db.options t.db)
+          (List.map (fun (_, plan, _) -> plan) members))
   with
-  | group ->
-    let dur = Timing.now () -. t0 in
+  | Ok () ->
     Metrics.incr Metrics.server_batches;
     Metrics.add Metrics.server_batched_queries (List.length members);
+    let outcomes = List.map (fun (_, plan, key) -> execute t plan key) members in
+    let dur = Timing.now () -. t0 in
     List.iter2
-      (fun (p, plan, key) (r : Shared_scan.member_result) ->
-        p.timing.exec_s <- dur;
-        record_batch_span p ~t_batch ~child:("shared-scan", t0, dur);
-        try_put_result t plan key r.chunk r.schema;
-        fulfill p
-          (Rows
-             {
-               chunk = r.chunk;
-               schema = r.schema;
-               seconds = group.Shared_scan.wall_seconds;
-               cached = false;
-               shared = true;
-               approx = None;
-             }))
-      members group.Shared_scan.results
-  | exception e ->
-    (* one poisoned member must not take the group down with it: replay
-       the members individually so each gets its own verdict (the
-       poisoned one fails alone, the rest still answer) *)
+      (fun (p, _, _) o ->
+        answer p ~t_batch ~child:("shared-scan", t0, dur)
+          (match o with
+           | Rows r -> Rows { r with seconds = dur; shared = true }
+           | Err _ -> o))
+      members outcomes
+  | Error e ->
     Metrics.incr Metrics.server_shared_fallbacks;
     Decisions.record_into t.log ~site:"server.shared_scan"
       ~choice:"fallback_individual"
@@ -480,7 +474,8 @@ let process_batch t batch =
   List.iter
     (fun ((_, plan, _) as m) ->
       match
-        if approx_on then None else Shared_scan.shareable_table plan
+        if approx_on then None
+        else Shared_scan.shareable_table (Raw_db.options t.db) plan
       with
       | Some table ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt groups table) in
@@ -917,7 +912,6 @@ let handle_session t session_id fd =
           `Write_error)
       | _, Some (Jsons.Str sql) ->
         Metrics.incr Metrics.server_requests;
-        Io_stats.incr (Printf.sprintf "server.session%d.requests" session_id);
         (* lifecycle clock starts at the request's first byte *)
         let t_read = reader.Line_reader.req_start in
         let t_parsed = Timing.now () in

@@ -63,8 +63,8 @@
     - the batcher thread runs under a watchdog: an escaped exception
       fails the in-flight requests — never the process — and the thread
       is relaunched ([server.batcher_restarts]); a shared-scan group
-      that raises is replayed member-by-member so only the poisoned
-      request fails ([server.shared_fallbacks]).
+      whose warm pass raises runs its members unshared
+      ([server.shared_fallbacks]).
 
     Every armor event is also recorded into a server-owned
     {!Raw_obs.Decisions} handle (sites [server.shed], [server.reap],
@@ -115,19 +115,19 @@
     contemporaries join the batch, then (1) binds through the statement
     cache, (2) re-stats the batch's files, invalidating caches for any
     that changed ({!Raw_db.refresh_tables}), (3) answers what it can from
-    the result cache, and (4) groups the rest by table: groups of two or
-    more shareable queries execute as one {!Shared_scan} traversal under
-    one admission slot, the rest run individually through the normal
-    executor. The batcher is the only thread driving the engine, so the
-    adaptive state keeps its single-writer discipline.
+    the result cache, and (4) groups the rest by table: a group of two
+    or more shareable queries shares one {!Shared_scan.warm} pass, then
+    every query runs through {!Raw_db.run_plan}, shared or not (so each
+    gets its own deadline, history record and error). The batcher is
+    the only thread driving the engine, so the adaptive state keeps its
+    single-writer discipline.
 
     {b Shutdown.} A [{"op": "shutdown"}] request answers, stops the accept
     loop, drains in-flight queries, half-closes the sessions and removes
     the socket file; {!serve} then returns.
 
     Counters: [server.connections], [server.requests], [server.errors],
-    [server.batches], [server.batched_queries], per-session
-    [server.session<i>.requests], the armor family ([server.too_large],
+    [server.batches], [server.batched_queries], the armor family ([server.too_large],
     [server.shed_sessions], [server.shed_requests],
     [server.accept_retries], [server.shared_fallbacks],
     [server.batcher_restarts], [server.session_end.<cause>]), and the

@@ -1,40 +1,29 @@
 (** Shared scans: one raw-file traversal feeding N concurrent queries.
 
     The server groups queries that arrive within a batching window by the
-    raw file they read; a group executes as {e one} pass that materializes
-    the union of the members' scan columns (through the session's full
-    adaptive access-path machinery — positional maps, shreds, JIT
-    templates), then replays the materialized columns as each member's
-    scan-output stream. Members therefore cost one traversal + cheap
-    in-memory operator evaluation instead of N traversals — the paper's
-    repeated-access economics applied across concurrent clients instead of
-    across time.
+    raw file they read. A group is one {e warm pass} plus ordinary
+    queries: {!warm} plans and drains a scan of the members' scan columns
+    that the pool does not hold yet, which leaves each of them as a full
+    shred in the shred pool (or as the DBMS-loaded columns). Each member
+    then runs through the planner and executor like any other query; its
+    fetches hit the pool, so the raw file is still read once per group —
+    the paper's repeated-access economics applied across concurrent
+    clients instead of across time.
 
-    Results are bit-identical to running each member alone: all members
-    share one table and one error policy, so the master pass enumerates
-    exactly the row set each private scan would have, in the same order;
-    plans are positional, so projecting the union into a member's
-    scan-column order reproduces its private scan output exactly (the
-    equivalence the server test asserts with {!Raw_vector.Chunk.equal}). *)
+    Members are ordinary queries, so their answers are those of a one-shot
+    session, and each gets its own deadline, history record, profile and
+    error. Under a memory budget a column the pool cannot hold is streamed
+    from the file by the members that need it. *)
 
-open Raw_vector
+val shareable_table : Planner.options -> Logical.t -> string option
+(** [Some table] iff the plan reads exactly one table, contains no join,
+    and its access mode reads the shred pool (not [External], which
+    re-converts the whole file on every query). *)
 
-val shareable_table : Logical.t -> string option
-(** [Some table] iff the plan reads exactly one table and contains no
-    join — the shapes a shared pass can serve. *)
-
-type member_result = { chunk : Chunk.t; schema : Schema.t }
-
-type group_result = {
-  results : member_result list;  (** in the order the plans were given *)
-  rows_scanned : int;  (** rows enumerated by the single shared pass *)
-  wall_seconds : float;
-}
-
-val run_group : Catalog.t -> Planner.options -> Logical.t list -> group_result
-(** Execute a group of shareable plans over one traversal. All plans must
-    be {!shareable_table} on the {e same} table ([Invalid_argument]
-    otherwise). The caller is responsible for admission control and for
-    running groups one at a time (the engine's adaptive state is
-    single-writer); the server wraps this in
-    {!Raw_db.with_admission}. *)
+val warm : Catalog.t -> Planner.options -> Logical.t list -> unit
+(** The warm pass of a group: one planned scan of the plans' scan
+    columns that {!Access.held} says are not in memory, drained once; no
+    pass when there are none. All plans must be {!shareable_table} on
+    the {e same} table ([Invalid_argument] otherwise). The caller runs
+    groups one at a time (the engine's adaptive state is single-writer)
+    and then runs each member through {!Raw_db.run_plan}. *)

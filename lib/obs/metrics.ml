@@ -284,10 +284,6 @@ let server_batched_queries =
   counter "server.batched_queries"
     ~help:"Queries answered from a shared scan instead of a private traversal"
 
-let server_session =
-  counter "server.session" ~family:true
-    ~help:"Per-session request attribution (server.session<i>.requests)"
-
 let server_session_end =
   counter "server.session_end" ~family:true
     ~help:"Session teardown causes (server.session_end.clean / .eof_mid_request / \
@@ -311,7 +307,7 @@ let server_accept_retries =
 
 let server_shared_fallbacks =
   counter "server.shared_fallbacks"
-    ~help:"Shared-scan groups that failed and were re-run member by member so only poisoned queries fail"
+    ~help:"Shared-scan groups whose warm pass failed; their members ran unshared"
 
 let server_batcher_restarts =
   counter "server.batcher_restarts"

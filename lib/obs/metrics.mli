@@ -148,9 +148,6 @@ val server_batches : t
 
 val server_batched_queries : t
 
-val server_session : t
-(** Family: [server.session<i>.requests] attributes requests to sessions. *)
-
 (** {2 Serving-tier armor vocabulary (PR 8)} *)
 
 val server_session_end : t

@@ -5,7 +5,8 @@
    - oneshot: --analyze --metrics --trace-out, --profile --profile-out
      plus [rawq profile], and --approx;
    - serve: two tables, two rounds of 16 concurrent [rawq client]s (cold:
-     shared scans; warm: the result cache);
+     shared scans; warm: the result cache), one history record per
+     executed query;
    - chaos: tight armor knobs, 8 retrying [rawq client]s racing 8 chaos
      clients whose actions are drawn from seeded [Net_fault] plans;
    - telemetry: the Prometheus exposition, retained request traces, the
@@ -320,7 +321,10 @@ let serve () =
     in
     [ "--csv"; name ^ "=" ^ csv ^ "@col0:int,col1:int,col2:int" ]
   in
-  with_server "serve" (table "a" 2000 7 37 @ table "b" 500 5 11) (fun s ->
+  let history = file "serve.history" in
+  (* a window long enough that the cold round's clients meet in batches *)
+  let flags = [ "--history"; history; "--batch-window"; "20" ] in
+  with_server "serve" (table "a" 2000 7 37 @ table "b" 500 5 11 @ flags) (fun s ->
       (* col0 is the row index: k rows below k, or all rows *)
       let round () =
         concurrently 16 (fun i ->
@@ -329,10 +333,25 @@ let serve () =
             expect_count s.sock (count_query t k) (min k rows))
       in
       round () (* cold: shared scans *);
-      round () (* warm: the result cache *);
       check
-        (counter (rpc "stats" s Client.stats) "cache.result.hits" > 0.)
-        "warm round never hit the result cache")
+        (counter (rpc "stats" s Client.stats) "server.batched_queries" > 0.)
+        "cold round shared no scan";
+      round () (* warm: the result cache *);
+      let stats = rpc "stats" s Client.stats in
+      let hits = counter stats "cache.result.hits" in
+      check (hits > 0.) "warm round never hit the result cache";
+      (* every query the engine ran, shared or not, wrote its record *)
+      let records, malformed = Raw_obs.History.load history in
+      let executed = counter stats "server.requests" -. hits in
+      check
+        (malformed = 0
+        && float_of_int (List.length records) = executed
+        && List.for_all
+             (fun (r : Raw_obs.History.record) ->
+               r.Raw_obs.History.status = Raw_obs.History.Completed)
+             records)
+        "history: %d record(s), %d malformed, %g executed queries"
+        (List.length records) malformed executed)
 
 let chaos () =
   let csv =

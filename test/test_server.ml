@@ -29,25 +29,39 @@ let member_queries =
     "SELECT col0 + col2 FROM t WHERE NOT (col1 = 0) LIMIT 10";
   ]
 
+(* A shared group as the server runs it: the warm pass, then every member
+   through the ordinary query path *)
+let run_group db plans =
+  Shared_scan.warm (Raw_db.catalog db) (Raw_db.options db) plans;
+  List.map (fun plan -> (Raw_db.run_plan db plan).Executor.chunk) plans
+
+let tokenized () = Io_stats.get "csv.fields_tokenized"
+
 let shared_scan_suite =
   [
-    Alcotest.test_case "shareable_table accepts single-table, rejects joins"
+    Alcotest.test_case
+      "shareable_table accepts single-table, rejects joins and External"
       `Quick (fun () ->
         let path = Test_util.write_csv_rows (mk_rows 50) in
         let db = Raw_db.create () in
         Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
         Raw_db.register_csv db ~name:"u" ~path ~columns:(Test_util.int_cols 4) ();
         let bind q = Raw_db.bind_cached db q in
+        let shareable = Shared_scan.shareable_table Planner.default in
         Alcotest.(check (option string))
           "plain scan" (Some "t")
-          (Shared_scan.shareable_table (bind "SELECT col0 FROM t WHERE col1 = 2"));
+          (shareable (bind "SELECT col0 FROM t WHERE col1 = 2"));
         Alcotest.(check (option string))
           "aggregate" (Some "t")
-          (Shared_scan.shareable_table (bind "SELECT COUNT(*) FROM t"));
+          (shareable (bind "SELECT COUNT(*) FROM t"));
         Alcotest.(check (option string))
           "join refused" None
+          (shareable (bind "SELECT t.col0 FROM t JOIN u ON t.col0 = u.col0"));
+        Alcotest.(check (option string))
+          "External refused" None
           (Shared_scan.shareable_table
-             (bind "SELECT t.col0 FROM t JOIN u ON t.col0 = u.col0")));
+             { Planner.default with access = Access.External }
+             (bind "SELECT COUNT(*) FROM t")));
     Alcotest.test_case "shared group results are bit-identical to one-shot"
       `Slow (fun () ->
         let path = Test_util.write_csv_rows (mk_rows 1000) in
@@ -56,33 +70,38 @@ let shared_scan_suite =
         let expected =
           List.map (fun q -> Raw_db.sql (db_over path) q) member_queries
         in
+        (* what one scan of the members' union of columns tokenizes *)
+        let union_tokenized =
+          let t0 = tokenized () in
+          ignore (Raw_db.sql (db_over path) "SELECT col0, col1, col2 FROM t");
+          tokenized () - t0
+        in
+        Alcotest.(check bool) "the union scan tokenizes" true
+          (union_tokenized > 0);
         let db = db_over path in
         let plans = List.map (Raw_db.bind_cached db) member_queries in
-        let group =
-          Shared_scan.run_group (Raw_db.catalog db) (Raw_db.options db) plans
+        let check_members what got =
+          List.iteri
+            (fun i (want, got) ->
+              Test_util.check_chunk
+                (Printf.sprintf "%s member %d: %s" what i
+                   (List.nth member_queries i))
+                want got)
+            (List.combine expected got)
         in
-        Alcotest.(check int) "all members answered"
-          (List.length member_queries)
-          (List.length group.Shared_scan.results);
-        Alcotest.(check bool) "one traversal's rows" true
-          (group.Shared_scan.rows_scanned = 1000);
-        List.iteri
-          (fun i (want, (got : Shared_scan.member_result)) ->
-            Test_util.check_chunk
-              (Printf.sprintf "member %d: %s" i (List.nth member_queries i))
-              want got.Shared_scan.chunk)
-          (List.combine expected group.Shared_scan.results);
+        let t0 = tokenized () in
+        Shared_scan.warm (Raw_db.catalog db) (Raw_db.options db) plans;
+        let t1 = tokenized () in
+        let cold = List.map (fun p -> (Raw_db.run_plan db p).Executor.chunk) plans in
+        Alcotest.(check int) "the warm pass tokenizes one scan of the union"
+          union_tokenized (t1 - t0);
+        Alcotest.(check int) "the members tokenize nothing" t1 (tokenized ());
+        check_members "cold" cold;
         (* and again through the same session: adaptive state warmed by the
-           shared pass must not change answers *)
-        let group2 =
-          Shared_scan.run_group (Raw_db.catalog db) (Raw_db.options db) plans
-        in
-        List.iteri
-          (fun i (want, (got : Shared_scan.member_result)) ->
-            Test_util.check_chunk
-              (Printf.sprintf "warm member %d" i)
-              want got.Shared_scan.chunk)
-          (List.combine expected group2.Shared_scan.results));
+           shared pass must not change answers, and the pooled columns
+           need no second read *)
+        check_members "warm" (run_group db plans);
+        Alcotest.(check int) "a warm group tokenizes nothing" t1 (tokenized ()));
     Alcotest.test_case "mixed-table group is refused" `Quick (fun () ->
         let path = Test_util.write_csv_rows (mk_rows 50) in
         let db = Raw_db.create () in
@@ -94,9 +113,7 @@ let shared_scan_suite =
             Raw_db.bind_cached db "SELECT col0 FROM u";
           ]
         in
-        match
-          Shared_scan.run_group (Raw_db.catalog db) (Raw_db.options db) plans
-        with
+        match run_group db plans with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
   ]
@@ -253,6 +270,146 @@ let int_rows j =
       rows
   | _ -> Alcotest.failf "no rows in %s" (Jsons.to_string j)
 
+let counters_of c =
+  match Server.Client.stats c with
+  | Ok j -> (
+    match Jsons.member "counters" j with
+    | Some (Jsons.Obj kvs) -> kvs
+    | _ -> Alcotest.failf "no counters in %s" (Jsons.to_string j))
+  | Error e -> Alcotest.failf "stats: %s" (Server.Client.err_to_string e)
+
+let counter kvs k =
+  match List.assoc_opt k kvs with
+  | Some (Jsons.Int n) -> float_of_int n
+  | Some (Jsons.Float f) -> f
+  | _ -> 0.
+
+(* Serve [db] and send [sqls] at once, one session each, so they meet in
+   one batch window. Returns the responses in order and the server's
+   counters before and after. *)
+let serve_batch ?(batch_window = 0.2) db sqls =
+  let socket_path = Test_util.fresh_path ".sock" in
+  let server =
+    Thread.create (fun () -> Server.serve ~batch_window ~socket_path db) ()
+  in
+  let ctl = connect_when_ready socket_path in
+  let conns = List.map (fun _ -> connect_when_ready socket_path) sqls in
+  let before = counters_of ctl in
+  let responses = Array.make (List.length sqls) Jsons.Null in
+  List.mapi
+    (fun i (c, sql) ->
+      Thread.create
+        (fun () ->
+          responses.(i) <-
+            (match Server.Client.query c sql with
+             | Ok j -> j
+             | Error e -> Jsons.Str (Server.Client.err_to_string e)))
+        ())
+    (List.combine conns sqls)
+  |> List.iter Thread.join;
+  let after = counters_of ctl in
+  ignore (Server.Client.shutdown ctl);
+  List.iter Server.Client.close (ctl :: conns);
+  Thread.join server;
+  (Array.to_list responses, before, after)
+
+let flag name j = Jsons.member name j = Some (Jsons.Bool true)
+
+(* [sql] answered [one-shot answer] rows, shared or not as [shared] says *)
+let check_answer ~path ~shared sql j =
+  let want =
+    match Raw_db.scalar (db_over path) sql with
+    | Value.Int n -> n
+    | v -> Alcotest.failf "non-int answer %s" (Value.to_string v)
+  in
+  Alcotest.(check bool) (sql ^ " ok") true (flag "ok" j);
+  Alcotest.(check (list (list int))) sql [ [ want ] ] (int_rows j);
+  Alcotest.(check bool) (sql ^ " shared") shared (flag "shared" j)
+
+let pair =
+  [ "SELECT SUM(col0) FROM t WHERE col1 = 3"; "SELECT MAX(col2) FROM t" ]
+
+(* Shared members are ordinary queries: deadline, history, profile and
+   errors apply to each of them *)
+let shared_serve_suite =
+  [
+    Alcotest.test_case "a deadline applies to every shared member" `Slow
+      (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        let config = { Config.default with Config.deadline = Some 1e-9 } in
+        let db = Raw_db.create ~config () in
+        Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
+        let responses, _, _ = serve_batch ~batch_window:0.05 db pair in
+        List.iter
+          (fun j ->
+            Alcotest.(check bool)
+              ("deadline exceeded: " ^ Jsons.to_string j)
+              true
+              (Jsons.member "code" j = Some (Jsons.Int 4)))
+          responses);
+    Alcotest.test_case "shared members write history and are profiled" `Slow
+      (fun () ->
+        (* enough rows that a member's allocation spans minor collections,
+           which is when the per-domain GC counters advance *)
+        let path = Test_util.write_csv_rows (mk_rows 200_000) in
+        let history = Test_util.fresh_path ".jsonl" in
+        let config =
+          { Config.default with Config.history_path = Some history; profile = true }
+        in
+        let db = Raw_db.create ~config () in
+        Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
+        let alloc () =
+          Io_stats.get_float (Raw_obs.Metrics.id Raw_obs.Metrics.alloc_minor_words)
+          +. Io_stats.get_float (Raw_obs.Metrics.id Raw_obs.Metrics.alloc_major_words)
+        in
+        let alloc0 = alloc () in
+        let responses, _, _ = serve_batch db pair in
+        List.iter2 (check_answer ~path ~shared:true) pair responses;
+        let records, malformed = Raw_obs.History.load history in
+        Alcotest.(check int) "no malformed lines" 0 malformed;
+        Alcotest.(check (list string)) "one Completed record per member"
+          [ "ok"; "ok" ]
+          (List.map
+             (fun (r : Raw_obs.History.record) ->
+               Raw_obs.History.status_to_string r.status)
+             records);
+        Alcotest.(check bool) "the records are profiled" true
+          (List.for_all
+             (fun (r : Raw_obs.History.record) -> r.alloc_words <> None)
+             records);
+        Alcotest.(check bool) "the pair moved alloc.*" true (alloc () > alloc0));
+    Alcotest.test_case "a poisoned member fails alone, the rest answer shared"
+      `Slow (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        let db = Raw_db.create () in
+        (* col3 read as text: SUM over it is a type error at execution *)
+        Raw_db.register_csv db ~name:"t" ~path
+          ~columns:(Test_util.int_cols 3 @ [ ("col3", Dtype.String) ])
+          ();
+        let healthy = "SELECT COUNT(*) FROM t WHERE col0 < 250" :: pair in
+        let responses, _, _ =
+          serve_batch db ("SELECT SUM(col3) FROM t" :: healthy)
+        in
+        let poisoned = List.hd responses in
+        Alcotest.(check bool)
+          ("poisoned member fails: " ^ Jsons.to_string poisoned)
+          true
+          (Jsons.member "code" poisoned = Some (Jsons.Int 3));
+        List.iter2 (check_answer ~path ~shared:true) healthy (List.tl responses));
+    Alcotest.test_case "External members run alone" `Slow (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        let db =
+          Raw_db.create
+            ~options:{ Planner.default with access = Access.External }
+            ()
+        in
+        Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
+        let responses, before, after = serve_batch db pair in
+        List.iter2 (check_answer ~path ~shared:false) pair responses;
+        Alcotest.(check (float 0.)) "no batch" 0.
+          (counter after "server.batches" -. counter before "server.batches"));
+  ]
+
 let server_suite =
   [
     Alcotest.test_case "concurrent sessions get correct, cached answers"
@@ -392,6 +549,56 @@ let server_suite =
         (match Server.Client.shutdown c with
         | Ok _ -> ()
         | Error e -> Alcotest.failf "shutdown: %s" (Server.Client.err_to_string e));
+        Server.Client.close c;
+        Thread.join server);
+    Alcotest.test_case "sequential sessions add no counter keys" `Slow
+      (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 100) in
+        let socket_path = Test_util.fresh_path ".sock" in
+        let db = db_over path in
+        let server =
+          Thread.create
+            (fun () -> Server.serve ~batch_window:0.0 ~socket_path db)
+            ()
+        in
+        let ended () = Io_stats.get "server.session_end.clean" in
+        (* n sessions of one query each, returning once the server has
+           counted their ends *)
+        let sessions n =
+          let e0 = ended () in
+          for _ = 1 to n do
+            let c = connect_when_ready socket_path in
+            (match Server.Client.query c "SELECT COUNT(*) FROM t" with
+             | Ok j when flag "ok" j -> ()
+             | Ok j -> Alcotest.failf "query: %s" (Jsons.to_string j)
+             | Error e -> Alcotest.failf "query: %s" (Server.Client.err_to_string e));
+            Server.Client.close c
+          done;
+          let deadline = Unix.gettimeofday () +. 10. in
+          while ended () < e0 + n do
+            if Unix.gettimeofday () > deadline then
+              Alcotest.fail "session ends not counted within 10s";
+            Thread.delay 0.01
+          done
+        in
+        (* histogram buckets appear as latencies first land in them;
+           the bucket list bounds them *)
+        let keys () =
+          List.filter_map
+            (fun (k, _) ->
+              match Raw_obs.Metrics.owner k with
+              | Some m when Raw_obs.Metrics.kind m = Raw_obs.Metrics.Histogram ->
+                None
+              | _ -> Some k)
+            (Io_stats.snapshot ())
+        in
+        (* a miss, then a hit: every key a cached query touches exists *)
+        sessions 2;
+        let before = keys () in
+        sessions 50;
+        Alcotest.(check (list string)) "snapshot keys" before (keys ());
+        let c = connect_when_ready socket_path in
+        ignore (Server.Client.shutdown c);
         Server.Client.close c;
         Thread.join server);
   ]
@@ -778,7 +985,7 @@ let telemetry_suite =
 
 let suites =
   [
-    ("server.shared_scan", shared_scan_suite);
+    ("server.shared_scan", shared_scan_suite @ shared_serve_suite);
     ("server.cache", cache_suite);
     ("server.socket", server_suite);
     ("server.approx", approx_suite);
