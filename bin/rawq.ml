@@ -550,8 +550,10 @@ let batch_window_arg =
   Arg.(value & opt float 2.0
        & info [ "batch-window" ] ~docv:"MS"
            ~doc:"Shared-scan batching window in milliseconds (default 2): \
-                 queries on the same table arriving within it are served \
-                 by one raw-file traversal. 0 disables batching delay.")
+                 result-cache misses on the same table arriving within it \
+                 are served by one raw-file traversal. Result-cache hits \
+                 are answered at once and never wait for it. 0 disables \
+                 batching delay.")
 
 let no_result_cache_arg =
   Arg.(value & flag

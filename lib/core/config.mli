@@ -55,7 +55,7 @@ type t = {
   profile : bool;
       (** per-query resource profiling ({!Raw_obs.Prof}): raise the
           domain-local {!Raw_storage.Prof_gate} for the query's duration,
-          so span boundaries capture {!Gc.quick_stat} deltas, the
+          so span boundaries capture {!Raw_obs.Trace.gc_stat} deltas, the
           [alloc.*]/[gc.*] metrics accumulate, and format kernels charge
           [bytes.copied.<site>] counters. Implies span recording (a
           profiled query gets a span tree even with [observe = false]).

@@ -59,7 +59,7 @@ let map_domains ?(cancel = Cancel.current ()) work items =
     let dfork = Raw_obs.Decisions.fork () in
     (* the profiling gate is DLS too: mirror the coordinator's value so
        worker-side copy sites and GC deltas are attributed; each worker
-       samples its own domain's Gc.quick_stat, so merged alloc counters
+       samples its own domain's GC counters, so merged alloc counters
        are additive across the join with no double counting *)
     let prof = Prof_gate.on () in
     let run i item () =

@@ -108,8 +108,9 @@ val refresh_tables : t -> string list -> string list
     adaptive state ({!Catalog.refresh_path}) and every cached statement
     and result that mentions an affected table. Returns the invalidated
     table names; counts one [cache.invalidations] per changed file. The
-    server calls this for a batch's tables before consulting the result
-    cache, which is what makes cached answers track file overwrites. *)
+    server calls this for a query's tables before consulting the result
+    cache, which is what makes cached answers track file overwrites, and
+    again for a batch's tables before executing it. *)
 
 val explain : ?options:Planner.options -> t -> string -> string list
 (** The planner's decision trace for a SQL query (strategy, eager vs

@@ -1,9 +1,11 @@
 (* See server.mli. Threading model: systhreads (one per session + one
    batcher), which share the domain's runtime lock — sessions block on
    socket I/O, the batcher does the engine work, and morsel parallelism
-   inside a query still fans out to domains as usual. The batcher is the
-   only thread that touches the engine, so the single-writer discipline
-   of the adaptive state needs no further locking here.
+   inside a query still fans out to domains as usual. Two kinds of
+   thread touch the engine, each only under the engine mutex [t.engine]:
+   a session thread for its bind, refresh and result-cache lookup, and
+   the batcher across a whole batch. So the adaptive state keeps one
+   writer at a time, and a cache hit cannot overlap an invalidation.
 
    All session and client I/O goes through nonblocking fds with
    select-based deadlines (Line_reader / write_all below) rather than
@@ -186,12 +188,13 @@ let err ?kind ?retry_after code message = Err { code; kind; message; retry_after
    the response's "timing" object. *)
 type req_timing = {
   read_s : float; (* first request byte -> line parsed *)
-  mutable queue_s : float; (* submit -> batch pickup *)
+  mutable queue_s : float; (* submit -> batch pickup; 0 when not queued *)
   mutable exec_s : float; (* engine time (execute / shared scan; 0 cached) *)
 }
 
+(* A result-cache miss, bound on the session thread, waiting for a batch *)
 type pending = {
-  sql : string;
+  plan : Logical.t;
   submitted : float;
   (* trace handle + pre-allocated root ("session") span id, when request
      tracing is on: the batcher records queue-wait/batch/execute spans
@@ -266,6 +269,9 @@ type t = {
   window : Window.t; (* ring of periodic counter snapshots *)
   traces : Trace_ring.t; (* slowest recent request traces *)
   log : Decisions.handle; (* always-on armor audit log *)
+  engine : Mutex.t;
+      (* held by the batcher across a batch, and by a session thread
+         across its bind, refresh and result-cache lookup *)
   qm : Mutex.t;
   qc : Condition.t;
   mutable queue : pending list; (* newest first *)
@@ -316,8 +322,21 @@ let await p =
       Option.get p.outcome)
 
 (* ------------------------------------------------------------------ *)
-(* Batch processing (runs on the batcher thread only)                  *)
+(* Result cache and batch processing                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* The result-cache key of [plan] as the engine now sees its files, or
+   None when results are not cached. Approximate answers are sample
+   artifacts, not facts about the file: they are never served from the
+   result cache (a later identical query deserves a fresh — possibly
+   exact — run) nor folded into a shared exact traversal (the whole
+   point is to NOT scan everything). *)
+let approx_on t = (Catalog.config (Raw_db.catalog t.db)).Config.approx <> None
+
+let result_key t plan =
+  if t.cache_results && not (approx_on t) then
+    Stmt_cache.result_key (Raw_db.catalog t.db) plan
+  else None
 
 let try_put_result t plan key chunk schema =
   match key with
@@ -326,13 +345,24 @@ let try_put_result t plan key chunk schema =
       ~tables:(Logical.tables plan) chunk schema
   | _ -> ()
 
-(* Close this member's "batch" span: the child (execute / shared-scan /
+(* The queue-wait edge of a request: one span and one histogram
+   observation, 0 long for a request answered without queueing *)
+let record_queue_wait trace timing ~submitted ~until =
+  let q = Float.max 0. (until -. submitted) in
+  timing.queue_s <- q;
+  Metrics.observe Metrics.server_queue_seconds q;
+  match trace with
+  | Some (h, root) ->
+    Trace.record h ~parent:root ~start:submitted ~dur:q "queue-wait"
+  | None -> ()
+
+(* Close a request's "batch" span: the child (execute / shared-scan /
    cached) is recorded first under a pre-allocated parent id, then the
-   parent closes covering bind + cache check + execution for the batch.
-   Must run before [fulfill] — once fulfilled, the session thread may
+   parent closes covering the cache check and execution. Must run before
+   the outcome is handed over — after that, the session thread may
    export the tree at any moment. *)
-let record_batch_span ?child p ~t_batch =
-  match p.trace with
+let record_batch_span ?child trace ~t_batch =
+  match trace with
   | None -> ()
   | Some (h, root) ->
     let batch_id = Trace.alloc h in
@@ -361,12 +391,12 @@ let execute t plan key =
 
 let answer p ~t_batch ~child:((_, _, dur) as child) o =
   p.timing.exec_s <- dur;
-  record_batch_span p ~t_batch ~child;
+  record_batch_span p.trace ~t_batch ~child;
   fulfill p o
 
-let run_individual t ~t_batch (p, plan, key) =
+let run_individual t ~t_batch (p, key) =
   let t0 = Timing.now () in
-  let o = execute t plan key in
+  let o = execute t p.plan key in
   answer p ~t_batch ~child:("execute", t0, Timing.now () -. t0) o
 
 (* A group is one warm pass, then its members as ordinary queries whose
@@ -378,15 +408,15 @@ let run_shared t ~t_batch members =
   match
     Cancel.with_current (Raw_db.fresh_cancel t.db) (fun () ->
         Shared_scan.warm (Raw_db.catalog t.db) (Raw_db.options t.db)
-          (List.map (fun (_, plan, _) -> plan) members))
+          (List.map (fun (p, _) -> p.plan) members))
   with
   | Ok () ->
     Metrics.incr Metrics.server_batches;
     Metrics.add Metrics.server_batched_queries (List.length members);
-    let outcomes = List.map (fun (_, plan, key) -> execute t plan key) members in
+    let outcomes = List.map (fun (p, key) -> execute t p.plan key) members in
     let dur = Timing.now () -. t0 in
     List.iter2
-      (fun (p, _, _) o ->
+      (fun (p, _) o ->
         answer p ~t_batch ~child:("shared-scan", t0, dur)
           (match o with
            | Rows r -> Rows { r with seconds = dur; shared = true }
@@ -402,86 +432,40 @@ let run_shared t ~t_batch members =
       ];
     List.iter (run_individual t ~t_batch) members
 
+(* Runs on the batcher thread with the engine mutex held. Every member
+   missed the result cache when its session looked it up. *)
 let process_batch t batch =
   let t_batch = Timing.now () in
-  (* queue-wait closes for the whole batch at pickup: one instant, one
-     span and one histogram observation per member *)
+  (* queue-wait closes for the whole batch at pickup: one instant for
+     every member *)
   List.iter
     (fun p ->
-      let q = Float.max 0. (t_batch -. p.submitted) in
-      p.timing.queue_s <- q;
-      Metrics.observe Metrics.server_queue_seconds q;
-      match p.trace with
-      | Some (h, root) ->
-        Trace.record h ~parent:root ~start:p.submitted ~dur:q "queue-wait"
-      | None -> ())
+      record_queue_wait p.trace p.timing ~submitted:p.submitted ~until:t_batch)
     batch;
-  (* bind through the statement cache; bind errors answer immediately *)
-  let bound =
-    List.filter_map
-      (fun p ->
-        match Raw_db.bind_cached t.db p.sql with
-        | plan -> Some (p, plan)
-        | exception e ->
-          record_batch_span p ~t_batch;
-          fulfill p (outcome_of_exn e);
-          None)
-      batch
-  in
-  (* freshness: a rewritten raw file invalidates cached state up front,
-     so neither the result cache nor the shared pass can serve stale
-     bytes to this batch *)
+  (* freshness: a file rewritten since the lookup invalidates cached
+     state again, so the shared pass reads the current bytes and each
+     result is cached under the version it was computed from *)
   ignore
     (Raw_db.refresh_tables t.db
-       (List.concat_map (fun (_, plan) -> Logical.tables plan) bound));
-  let cache = Raw_db.stmt_cache t.db in
-  let cat = Raw_db.catalog t.db in
-  (* approximate answers are sample artifacts, not facts about the file:
-     they must never be served from the result cache (a later identical
-     query deserves a fresh — possibly exact — run) nor folded into a
-     shared exact traversal (the whole point is to NOT scan everything) *)
-  let approx_on = (Catalog.config cat).Config.approx <> None in
-  let missed =
-    List.filter_map
-      (fun (p, plan) ->
-        let key =
-          if t.cache_results && not approx_on then
-            Stmt_cache.result_key cat plan
-          else None
-        in
-        match Option.map (Stmt_cache.find_result cache) key with
-        | Some (Some (chunk, schema)) ->
-          record_batch_span p ~t_batch ~child:("cached", Timing.now (), 0.);
-          fulfill p
-            (Rows
-               {
-                 chunk;
-                 schema;
-                 seconds = 0.;
-                 cached = true;
-                 shared = false;
-                 approx = None;
-               });
-          None
-        | _ -> Some (p, plan, key))
-      bound
-  in
+       (List.concat_map (fun p -> Logical.tables p.plan) batch));
+  let approx_on = approx_on t in
   (* group by table; >= 2 members on one table share one traversal *)
-  let groups : (string, (pending * Logical.t * string option) list) Hashtbl.t =
+  let groups : (string, (pending * string option) list) Hashtbl.t =
     Hashtbl.create 8
   in
   let singles = ref [] in
   List.iter
-    (fun ((_, plan, _) as m) ->
+    (fun p ->
+      let m = (p, result_key t p.plan) in
       match
         if approx_on then None
-        else Shared_scan.shareable_table (Raw_db.options t.db) plan
+        else Shared_scan.shareable_table (Raw_db.options t.db) p.plan
       with
       | Some table ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt groups table) in
         Hashtbl.replace groups table (prev @ [ m ])
       | None -> singles := m :: !singles)
-    missed;
+    batch;
   let shared_groups, lone =
     Hashtbl.fold (fun _ ms acc -> ms :: acc) groups []
     |> List.partition (fun ms -> List.length ms >= 2)
@@ -501,19 +485,23 @@ let batcher_loop t =
     if proceed then begin
       (* the batching window: let contemporaries join the batch *)
       if t.batch_window > 0. then Thread.delay t.batch_window;
-      let batch =
-        Mutex.protect t.qm (fun () ->
-            let b = List.rev t.queue in
-            t.queue <- [];
-            b)
-      in
-      (if batch <> [] then
-         try process_batch t batch
-         with e ->
-           (* the batcher must survive anything: fail the batch, not the
-              server *)
-           let o = outcome_of_exn e in
-           List.iter (fun p -> fulfill p o) batch);
+      (* the engine mutex is taken before the queue is drained: a miss
+         queued by a lookup that held it joins this batch, and a lookup
+         that waits for it sees this batch's results *)
+      Mutex.protect t.engine (fun () ->
+          let batch =
+            Mutex.protect t.qm (fun () ->
+                let b = List.rev t.queue in
+                t.queue <- [];
+                b)
+          in
+          if batch <> [] then
+            try process_batch t batch
+            with e ->
+              (* the batcher must survive anything: fail the batch, not
+                 the server *)
+              let o = outcome_of_exn e in
+              List.iter (fun p -> fulfill p o) batch);
       loop ()
     end
     (* stopping and drained: exit *)
@@ -641,30 +629,71 @@ let response_of_outcome ?timing id = function
          | Some s -> [ ("retry_after", Jsons.Float s) ])
       @ match timing with None -> [] | Some tm -> [ timing_json tm ])
 
+(* Bind, refresh and look the result up on the session thread, under
+   the engine mutex. A bind error or a result-cache hit is answered at
+   once, with no queue wait; only a miss is queued for the batcher, and
+   so only misses wait for the batch window. *)
 let submit t session_id ~trace ~timing sql =
-  let p =
-    {
-      sql;
-      submitted = Timing.now ();
-      trace;
-      timing;
-      pm = Mutex.create ();
-      pc = Condition.create ();
-      outcome = None;
-    }
+  let submitted = Timing.now () in
+  let answer_now ?child o =
+    record_queue_wait trace timing ~submitted ~until:submitted;
+    record_batch_span ?child trace ~t_batch:submitted;
+    o
   in
-  let accepted =
+  let enqueue plan =
+    let p =
+      {
+        plan;
+        submitted;
+        trace;
+        timing;
+        pm = Mutex.create ();
+        pc = Condition.create ();
+        outcome = None;
+      }
+    in
     Mutex.protect t.qm (fun () ->
         if t.stopping then `Stopping
         else if List.length t.queue >= max_pending then `Full
         else begin
           t.queue <- p :: t.queue;
           Condition.signal t.qc;
-          `Queued
+          `Queued p
         end)
   in
-  match accepted with
-  | `Queued -> await p
+  let look_up () =
+    let plan = Raw_db.bind_cached t.db sql in
+    (* freshness: a rewritten raw file invalidates cached state before
+       the lookup, so a hit never serves stale bytes *)
+    ignore (Raw_db.refresh_tables t.db (Logical.tables plan));
+    match
+      Option.bind (result_key t plan)
+        (Stmt_cache.find_result (Raw_db.stmt_cache t.db))
+    with
+    | Some hit -> `Hit hit
+    | None -> `Miss plan
+  in
+  let looked_up =
+    Mutex.protect t.engine (fun () ->
+        match look_up () with
+        | exception e -> `Answer (answer_now (outcome_of_exn e))
+        | `Hit (chunk, schema) ->
+          `Answer
+            (answer_now ~child:("cached", Timing.now (), 0.)
+               (Rows
+                  {
+                    chunk;
+                    schema;
+                    seconds = 0.;
+                    cached = true;
+                    shared = false;
+                    approx = None;
+                  }))
+        | `Miss plan -> enqueue plan)
+  in
+  match looked_up with
+  | `Answer o -> o
+  | `Queued p -> await p
   | `Stopping -> err ~kind:"shutting_down" 5 "server is shutting down"
   | `Full ->
     Metrics.incr Metrics.server_shed_requests;
@@ -1079,6 +1108,7 @@ let serve ?(batch_window = 0.002) ?(cache_results = true) ~socket_path db =
       window = Window.create ~interval:(Float.max cfg.Config.telemetry_tick 0.01) ();
       traces = Trace_ring.create ~cap:cfg.Config.trace_retain;
       log = Decisions.create ~cap:65536 ();
+      engine = Mutex.create ();
       qm = Mutex.create ();
       qc = Condition.create ();
       queue = [];

@@ -17,7 +17,8 @@
     and ["shared"] (computed by a shared scan). Every query response
     (success or error) also carries a ["timing"] object — ["read_s"]
     (first request byte to line parsed), ["queue_s"] (submit to batch
-    pickup), ["execute_s"] (engine time; 0 for cache hits) and
+    pickup; 0 for cache hits and bind errors, which are answered
+    without queueing), ["execute_s"] (engine time; 0 for cache hits) and
     ["total_s"] (first byte to response serialization) — so a client
     can tell a slow engine from a slow queue without fetching a trace
     (the response write itself can only appear in the retained trace, as
@@ -87,7 +88,9 @@
       request gets a span tree
       [session -> read / queue-wait / batch -> (shared-scan | execute |
       cached) / write] built on {!Raw_obs.Trace} across the session and
-      batcher threads; the [trace_retain] slowest traces of the last 5
+      batcher threads (a hit's tree has the same shape, recorded on the
+      session thread, with a 0-long queue-wait and a batch span covering
+      the lookup); the [trace_retain] slowest traces of the last 5
       minutes are retained and returned by [{"op": "trace"}] as
       [{"traces": [{"sql", "session", "seconds", "age_s", "trace":
       <Chrome trace-event JSON, same exporter as --trace-out>}]}],
@@ -110,17 +113,32 @@
     conventional exposition content type for scrapers that re-serve it).
 
     {b Execution model.} Each accepted session gets a thread that parses
-    requests and blocks per query; queries funnel into a single batcher
-    thread, which waits a [batch_window] after the first arrival so
-    contemporaries join the batch, then (1) binds through the statement
-    cache, (2) re-stats the batch's files, invalidating caches for any
-    that changed ({!Raw_db.refresh_tables}), (3) answers what it can from
-    the result cache, and (4) groups the rest by table: a group of two
-    or more shareable queries shares one {!Shared_scan.warm} pass, then
-    every query runs through {!Raw_db.run_plan}, shared or not (so each
-    gets its own deadline, history record and error). The batcher is
-    the only thread driving the engine, so the adaptive state keeps its
-    single-writer discipline.
+    requests and blocks per query. The session thread (1) binds through
+    the statement cache, (2) re-stats the query's files, invalidating
+    caches for any that changed ({!Raw_db.refresh_tables}), and (3)
+    looks the result up in the result cache. A bind error or a hit is
+    answered at once, without waiting for the batch window. Only a miss
+    (and every query under {!Config.approx} or with the result cache
+    off) is queued, with its bound plan, for the single batcher thread.
+    The batcher waits a [batch_window] after the first queued miss so
+    contemporaries join the batch, re-stats the batch's files (they may
+    have changed since the lookup), and groups the batch by table: a
+    group of two or more shareable queries shares one
+    {!Shared_scan.warm} pass, then every query runs through
+    {!Raw_db.run_plan}, shared or not (so each gets its own deadline,
+    history record and error). Each request counts exactly one
+    [cache.result.hits] or [.misses] (none when results are not
+    cached).
+
+    {b Engine mutex.} The adaptive state keeps its single-writer
+    discipline under one server-wide mutex: a session thread holds it
+    across steps (1)-(3) and the enqueue of a miss, and the batcher
+    holds it across a whole batch, taking it before it drains the
+    queue. So a miss queued under the mutex joins the next batch, a
+    lookup that waited for the mutex sees every result the running
+    batch put, and a hit never overlaps an invalidation. A hit that
+    arrives while a batch executes waits for that batch, but never for
+    the window.
 
     {b Shutdown.} A [{"op": "shutdown"}] request answers, stops the accept
     loop, drains in-flight queries, half-closes the sessions and removes
@@ -142,8 +160,9 @@ val serve :
   unit
 (** Listen on [socket_path] (an existing socket file is replaced) and
     block until a client requests shutdown. [batch_window] (seconds,
-    default 2 ms) is the shared-scan batching window — 0 disables
-    batching delay; [cache_results] (default [true]) enables the result cache. The armor
+    default 2 ms) is the shared-scan batching window, which only
+    result-cache misses wait for — 0 disables batching delay;
+    [cache_results] (default [true]) enables the result cache. The armor
     knobs ([max_request_bytes], [request_timeout], [idle_timeout],
     [max_sessions]) come from the database's {!Config}. Raises
     [Unix.Unix_error] if the socket cannot be bound. *)

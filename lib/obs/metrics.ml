@@ -379,7 +379,7 @@ let io_simulated_seconds =
 
 let alloc_minor_words =
   counter "alloc.minor_words"
-    ~help:"Words allocated on minor heaps during profiled queries (Gc.quick_stat delta)"
+    ~help:"Words allocated on minor heaps during profiled queries (Gc.minor_words delta)"
 
 let alloc_major_words =
   counter "alloc.major_words"

@@ -201,7 +201,7 @@ val io_simulated_seconds : t
 
     Bumped only while the {!Raw_storage.Prof_gate} is up (a profiled
     query); all zero otherwise. The [alloc.*]/[gc.*] counters come from
-    {!Gc.quick_stat} deltas around the query on every participating
+    {!Trace.gc_stat} deltas around the query on every participating
     domain, merged at morsel join; they are {e not} deterministic across
     parallelism levels (domain spawn itself allocates). The
     [bytes.copied.<site>] family counts bytes duplicated into

@@ -4,7 +4,8 @@ open Raw_storage
 
    Three attributions, all gated by Prof_gate (off by default):
 
-   - GC/allocation: Gc.quick_stat deltas. quick_stat is per-domain in
+   - GC/allocation: Trace.gc_stat deltas (Gc.quick_stat with exact
+     minor words). They are per-domain in
      OCaml 5, so the executor samples around the whole query on the
      coordinator and each morsel worker samples around its own work;
      the sums merge additively at join with no double counting.
@@ -23,10 +24,10 @@ let with_profiling enabled f = Prof_gate.with_gate enabled f
 
 type gc_sample = Gc.stat
 
-let sample () = Gc.quick_stat ()
+let sample = Trace.gc_stat
 
 let record_since (g0 : gc_sample) =
-  let g1 = Gc.quick_stat () in
+  let g1 = Trace.gc_stat () in
   let pos v = Float.max 0. v in
   let promoted = pos (g1.Gc.promoted_words -. g0.Gc.promoted_words) in
   Metrics.add_float Metrics.alloc_minor_words

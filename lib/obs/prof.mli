@@ -5,12 +5,12 @@
     {!Raw_core.Config.profile} is set, via the domain-local
     {!Raw_storage.Prof_gate}. While the gate is up:
 
-    - {!Raw_obs.Trace.with_span} captures {!Gc.quick_stat} deltas at
+    - {!Raw_obs.Trace.with_span} captures {!Raw_obs.Trace.gc_stat} deltas at
       span boundaries, attached as [alloc.minor]/[alloc.major]/
       [alloc.promoted]/[gc.minor]/[gc.major] span args;
     - the query-level deltas land in the [alloc.*]/[gc.*] metrics
       ({!record_since} around the query on the coordinator, and around
-      each worker's morsel loop — [Gc.quick_stat] is per-domain, so the
+      each worker's morsel loop — the sample is per-domain, so the
       contributions merge additively at morsel join);
     - format kernels and builders charge [bytes.copied.<site>] counters
       through {!Raw_storage.Prof_gate.copy}.
@@ -30,7 +30,8 @@ val with_profiling : bool -> (unit -> 'a) -> 'a
 type gc_sample
 
 val sample : unit -> gc_sample
-(** This domain's {!Gc.quick_stat} (no collection is triggered). *)
+(** This domain's {!Raw_obs.Trace.gc_stat}: {!Gc.quick_stat} with exact
+    minor words (no collection is triggered). *)
 
 val record_since : gc_sample -> unit
 (** Bump the [alloc.*]/[gc.*] metrics by the delta between [sample] and

@@ -80,10 +80,16 @@ let fork () =
 let with_fork fp ~tid f =
   with_ctx { h = fp.fp_h; tid; base = fp.fp_parent; stack = [] } f
 
-(* GC attribution per span, behind the profiling gate. Gc.quick_stat is
-   per-domain in OCaml 5 and costs no minor collection, so sampling at
-   both span boundaries is cheap; the deltas are inclusive (they cover
-   the span's children too — the folded exporter subtracts). f_args is
+(* Gc.quick_stat with its minor_words taken from Gc.minor_words: under
+   OCaml 5.1 quick_stat's minor_words only advances at a minor
+   collection, so a span or query smaller than the minor heap would read
+   0, while Gc.minor_words is exact and per domain. *)
+let gc_stat () = { (Gc.quick_stat ()) with Gc.minor_words = Gc.minor_words () }
+
+(* GC attribution per span, behind the profiling gate. A sample costs no
+   minor collection, so sampling at both span boundaries is cheap; the
+   deltas are inclusive (they cover the span's children too — the folded
+   exporter subtracts). f_args is
    in reverse order: consing minor, major, promoted, gc.minor, gc.major
    leaves them at the tail of the final (List.rev'd) arg list in exactly
    that order. *)
@@ -108,7 +114,7 @@ let with_span ?(cat = "raw") ?(args = []) name f =
     let parent =
       match ctx.stack with fr :: _ -> Some fr.f_id | [] -> ctx.base
     in
-    let gc0 = if Prof_gate.on () then Some (Gc.quick_stat ()) else None in
+    let gc0 = if Prof_gate.on () then Some (gc_stat ()) else None in
     let fr =
       {
         f_id = fresh_id ctx.h;
@@ -124,7 +130,7 @@ let with_span ?(cat = "raw") ?(args = []) name f =
         let now = Timing.now () in
         (match ctx.stack with _ :: rest -> ctx.stack <- rest | [] -> ());
         (match gc0 with
-         | Some g0 -> fr.f_args <- gc_args g0 (Gc.quick_stat ()) fr.f_args
+         | Some g0 -> fr.f_args <- gc_args g0 (gc_stat ()) fr.f_args
          | None -> ());
         push ctx.h
           {

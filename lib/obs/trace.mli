@@ -43,6 +43,11 @@ val with_span :
 val add_arg : string -> string -> unit
 (** Attach an annotation to the innermost open span, if any. *)
 
+val gc_stat : unit -> Gc.stat
+(** This domain's {!Gc.quick_stat} (no collection is triggered), except
+    that [minor_words] is the exact {!Gc.minor_words}: quick_stat's own
+    figure only advances at a minor collection. *)
+
 (** {1 Cross-domain} *)
 
 type fork_point

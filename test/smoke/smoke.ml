@@ -333,13 +333,21 @@ let serve () =
             expect_count s.sock (count_query t k) (min k rows))
       in
       round () (* cold: shared scans *);
-      check
-        (counter (rpc "stats" s Client.stats) "server.batched_queries" > 0.)
-        "cold round shared no scan";
+      let batched () =
+        counter (rpc "stats" s Client.stats) "server.batched_queries"
+      in
+      let cold_batched = batched () in
+      check (cold_batched > 0.) "cold round shared no scan";
       round () (* warm: the result cache *);
       let stats = rpc "stats" s Client.stats in
       let hits = counter stats "cache.result.hits" in
       check (hits > 0.) "warm round never hit the result cache";
+      (* hits answer on the session thread, never in a batch *)
+      let warm_batched = counter stats "server.batched_queries" in
+      check
+        (warm_batched = cold_batched)
+        "warm round reached the batcher: server.batched_queries %g -> %g"
+        cold_batched warm_batched;
       (* every query the engine ran, shared or not, wrote its record *)
       let records, malformed = Raw_obs.History.load history in
       let executed = counter stats "server.requests" -. hits in

@@ -342,6 +342,29 @@ let determinism_suite =
           Alcotest.(check (float 0.))
             "gate up records" 4096.
             (Raw_storage.Io_stats.get_float "bytes.copied.test.silent"));
+      Alcotest.test_case "a query smaller than the minor heap counts its words"
+        `Quick (fun () ->
+          let db =
+            grid_csv_db ~config:{ Config.default with profile = true } ~n:80
+              ~m:4 ()
+          in
+          let sql = "SELECT MAX(col1) FROM t WHERE col0 < 4000" in
+          ignore (Raw_db.query db sql);
+          (* an empty minor heap, so the warm repeat runs without a
+             minor collection *)
+          Gc.minor ();
+          let r = Raw_db.query db sql in
+          let get k =
+            match List.assoc_opt k r.Executor.counters with
+            | Some v -> v
+            | None -> 0.
+          in
+          Alcotest.(check (float 0.))
+            "no minor collection during the query" 0.
+            (get "gc.minor_collections");
+          Alcotest.(check bool)
+            "alloc.minor_words > 0" true
+            (get "alloc.minor_words" > 0.));
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -122,17 +122,23 @@ let shared_scan_suite =
 (* Statement + result cache                                            *)
 (* ------------------------------------------------------------------ *)
 
-let overwrite_with_bump path rows =
-  (* same-second overwrites are real on fast filesystems; force the mtime
-     forward so the identity check cannot depend on timestamp luck *)
-  let st = Unix.stat path in
-  let oc = open_out path in
+let output_rows oc rows =
   List.iter
     (fun r ->
       output_string oc (String.concat "," (List.map string_of_int r) ^ "\n"))
     rows;
-  close_out oc;
+  close_out oc
+
+let overwrite_with_bump path rows =
+  (* same-second overwrites are real on fast filesystems; force the mtime
+     forward so the identity check cannot depend on timestamp luck *)
+  let st = Unix.stat path in
+  output_rows (open_out path) rows;
   Unix.utimes path (st.Unix.st_mtime +. 2.0) (st.Unix.st_mtime +. 2.0)
+
+(* an append changes the file's size, and so its identity *)
+let append_rows path rows =
+  output_rows (open_out_gen [ Open_append; Open_wronly ] 0o644 path) rows
 
 let cache_suite =
   [
@@ -284,17 +290,24 @@ let counter kvs k =
   | Some (Jsons.Float f) -> f
   | _ -> 0.
 
-(* Serve [db] and send [sqls] at once, one session each, so they meet in
-   one batch window. Returns the responses in order and the server's
-   counters before and after. *)
-let serve_batch ?(batch_window = 0.2) db sqls =
+(* Serve [db] while [f socket_path ctl] runs, [ctl] being an open
+   session; the server is shut down afterwards *)
+let with_server ~batch_window db f =
   let socket_path = Test_util.fresh_path ".sock" in
   let server =
     Thread.create (fun () -> Server.serve ~batch_window ~socket_path db) ()
   in
   let ctl = connect_when_ready socket_path in
-  let conns = List.map (fun _ -> connect_when_ready socket_path) sqls in
-  let before = counters_of ctl in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.Client.shutdown ctl);
+      Server.Client.close ctl;
+      Thread.join server)
+    (fun () -> f socket_path ctl)
+
+(* One query per connection, all sent at once. Returns the responses in
+   order. *)
+let send_together conns sqls =
   let responses = Array.make (List.length sqls) Jsons.Null in
   List.mapi
     (fun i (c, sql) ->
@@ -307,23 +320,45 @@ let serve_batch ?(batch_window = 0.2) db sqls =
         ())
     (List.combine conns sqls)
   |> List.iter Thread.join;
-  let after = counters_of ctl in
-  ignore (Server.Client.shutdown ctl);
-  List.iter Server.Client.close (ctl :: conns);
-  Thread.join server;
-  (Array.to_list responses, before, after)
+  Array.to_list responses
+
+(* Serve [db] and send [sqls] at once, one session each, so they meet in
+   one batch window. Returns the responses in order and the server's
+   counters before and after. *)
+let serve_batch ?(batch_window = 0.2) db sqls =
+  with_server ~batch_window db (fun socket_path ctl ->
+      let conns = List.map (fun _ -> connect_when_ready socket_path) sqls in
+      let before = counters_of ctl in
+      let responses = send_together conns sqls in
+      let after = counters_of ctl in
+      List.iter Server.Client.close conns;
+      (responses, before, after))
 
 let flag name j = Jsons.member name j = Some (Jsons.Bool true)
 
+let query_ok c sql =
+  match Server.Client.query c sql with
+  | Ok j when Jsons.member "ok" j = Some (Jsons.Bool true) -> j
+  | Ok j -> Alcotest.failf "query failed: %s" (Jsons.to_string j)
+  | Error e -> Alcotest.failf "query: %s" (Server.Client.err_to_string e)
+
+let timing_of j name =
+  match Option.bind (Jsons.member "timing" j) (Jsons.member name) with
+  | Some (Jsons.Float x) -> x
+  | Some (Jsons.Int n) -> float_of_int n
+  | _ -> Alcotest.failf "no timing.%s in %s" name (Jsons.to_string j)
+
+(* [sql]'s single integer answer on a fresh engine over [path] *)
+let fresh_answer path sql =
+  match Raw_db.scalar (db_over path) sql with
+  | Value.Int n -> n
+  | v -> Alcotest.failf "non-int answer %s" (Value.to_string v)
+
 (* [sql] answered [one-shot answer] rows, shared or not as [shared] says *)
 let check_answer ~path ~shared sql j =
-  let want =
-    match Raw_db.scalar (db_over path) sql with
-    | Value.Int n -> n
-    | v -> Alcotest.failf "non-int answer %s" (Value.to_string v)
-  in
   Alcotest.(check bool) (sql ^ " ok") true (flag "ok" j);
-  Alcotest.(check (list (list int))) sql [ [ want ] ] (int_rows j);
+  Alcotest.(check (list (list int))) sql [ [ fresh_answer path sql ] ]
+    (int_rows j);
   Alcotest.(check bool) (sql ^ " shared") shared (flag "shared" j)
 
 let pair =
@@ -601,6 +636,87 @@ let server_suite =
         ignore (Server.Client.shutdown c);
         Server.Client.close c;
         Thread.join server);
+    Alcotest.test_case "result-cache hits skip the batch window, misses wait"
+      `Slow (fun () ->
+        let window = 0.5 in
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        with_server ~batch_window:window (db_over path) (fun socket_path ctl ->
+            let before = counters_of ctl in
+            let sql = "SELECT COUNT(*) FROM t WHERE col0 < 500" in
+            let c = connect_when_ready socket_path in
+            Alcotest.(check bool) "priming query executed" false
+              (flag "cached" (query_ok c sql));
+            let t0 = Unix.gettimeofday () in
+            let hit = query_ok c sql in
+            let rtt = Unix.gettimeofday () -. t0 in
+            Server.Client.close c;
+            Alcotest.(check bool) "repeat cached" true (flag "cached" hit);
+            Alcotest.(check (float 0.)) "hit queue_s" 0. (timing_of hit "queue_s");
+            Alcotest.(check (float 0.)) "hit execute_s" 0.
+              (timing_of hit "execute_s");
+            if rtt > window /. 5. then
+              Alcotest.failf "hit round trip %.3f s, window %.1f s" rtt window;
+            (* two misses on one table still meet in one window *)
+            let conns = List.map (fun _ -> connect_when_ready socket_path) pair in
+            let responses = send_together conns pair in
+            List.iter Server.Client.close conns;
+            List.iter2 (check_answer ~path ~shared:true) pair responses;
+            let waits = List.map (fun j -> timing_of j "queue_s") responses in
+            Alcotest.(check bool) "the first miss waited the window" true
+              (List.fold_left Float.max 0. waits >= window);
+            Alcotest.(check bool) "both misses waited about the window" true
+              (List.for_all (fun q -> q >= window -. 0.1) waits);
+            let after = counters_of ctl in
+            let moved k = counter after k -. counter before k in
+            Alcotest.(check (float 0.)) "one hit counted" 1.
+              (moved "cache.result.hits");
+            Alcotest.(check (float 0.)) "three misses counted" 3.
+              (moved "cache.result.misses")));
+    Alcotest.test_case "a file grown under a parked miss is served fresh"
+      `Slow (fun () ->
+        let window = 1.0 in
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        with_server ~batch_window:window (db_over path) (fun socket_path ctl ->
+            let a = connect_when_ready socket_path
+            and b = connect_when_ready socket_path in
+            let a_sql = "SELECT SUM(col0) FROM t WHERE col1 = 2"
+            and b_sql = "SELECT COUNT(*) FROM t" in
+            ignore (query_ok b b_sql);
+            Alcotest.(check bool) "b's statement is cached" true
+              (flag "cached" (query_ok b b_sql));
+            (* [sql] on [c] in the background, returning once its miss
+               is parked in the queue: its lookup has counted *)
+            let park c sql =
+              let misses () = counter (counters_of ctl) "cache.result.misses" in
+              let m0 = misses () in
+              let answer = ref Jsons.Null in
+              let th = Thread.create (fun () -> answer := query_ok c sql) () in
+              let deadline = Unix.gettimeofday () +. 10. in
+              while misses () < m0 +. 1. do
+                if Unix.gettimeofday () > deadline then
+                  Alcotest.fail "lookup not counted within 10s";
+                Thread.delay 0.005
+              done;
+              fun () -> Thread.join th; !answer
+            in
+            let grow first =
+              append_rows path (List.init 200 (fun i -> [ first + i; 2; 5; 7 ]))
+            in
+            let a_answer = park a a_sql in
+            grow 1000;
+            let b_answer = query_ok b b_sql in
+            Alcotest.(check bool) "b not served from the cache" false
+              (flag "cached" b_answer);
+            Alcotest.(check (list (list int))) "b answers the grown file"
+              [ [ fresh_answer path b_sql ] ] (int_rows b_answer);
+            Alcotest.(check (list (list int))) "a answers the grown file"
+              [ [ fresh_answer path a_sql ] ] (int_rows (a_answer ()));
+            (* alone in its batch, a parked miss still sees a later append *)
+            let a_answer = park a "SELECT MAX(col0) FROM t" in
+            grow 1200;
+            Alcotest.(check (list (list int))) "a answers the grown file again"
+              [ [ 1399 ] ] (int_rows (a_answer ()));
+            List.iter Server.Client.close [ a; b ]));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -788,12 +904,6 @@ let with_telemetry_server ~parallelism f =
       Server.Client.close c;
       Thread.join server)
     (fun () -> f c)
-
-let query_ok c sql =
-  match Server.Client.query c sql with
-  | Ok j when Jsons.member "ok" j = Some (Jsons.Bool true) -> j
-  | Ok j -> Alcotest.failf "query failed: %s" (Jsons.to_string j)
-  | Error e -> Alcotest.failf "query: %s" (Server.Client.err_to_string e)
 
 (* All retained traces for [sql], slowest first (the ring keeps every run
    of a repeated statement separately). *)
