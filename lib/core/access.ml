@@ -241,7 +241,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
           | Some shred when Shred_pool.subsumes shred rowids ->
             Shred_pool.record_hit pool;
             Metrics.add Metrics.pool_values_gathered (Array.length rowids);
-            Hashtbl.replace results c (Column.gather shred rowids);
+            Hashtbl.replace results c (Column.gather (Shred_pool.column shred) rowids);
             false
           | _ ->
             Shred_pool.record_miss pool;
@@ -290,7 +290,8 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
         (fun c ->
           let key = { Shred_pool.table = entry.name; column = c } in
           Shred_pool.find pool key <> None
-          || Catalog.reserve_bytes cat (9 * n_rows))
+          (* values and validity, 9 bytes a row, plus a coverage bit *)
+          || Catalog.reserve_bytes cat ((9 * n_rows) + ((n_rows + 7) / 8)))
         reachable
     in
     (* the reservations above may have evicted this table's own positional
@@ -330,7 +331,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
             (c, shred, Shred_pool.missing shred rowids))
           reachable
       in
-      let groups : (int array * (int * Column.t) list ref) list ref = ref [] in
+      let groups : (int array * (int * Shred_pool.shred) list ref) list ref = ref [] in
       List.iter
         (fun (c, shred, missing) ->
           match List.find_opt (fun (m, _) -> m = missing) !groups with
@@ -344,13 +345,13 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
           if Array.length missing > 0 then begin
             let packed = read cat ~mode ~entry ~tracked ~cols (Ids missing) in
             List.iteri
-              (fun k (_, shred) -> Column.scatter shred missing packed.(k))
+              (fun k (_, shred) -> Shred_pool.fill shred missing packed.(k))
               members
           end;
           List.iter
             (fun (c, shred) ->
               Metrics.add Metrics.pool_values_gathered (Array.length rowids);
-              Hashtbl.replace results c (Column.gather shred rowids))
+              Hashtbl.replace results c (Column.gather (Shred_pool.column shred) rowids))
             members)
         (List.rev !groups)
     end;

@@ -4,8 +4,9 @@ open Raw_formats
 module Metrics = Raw_obs.Metrics
 
 (* Every structure RAW derives from one version of a raw file. An entry
-   holds exactly one; invalidation swaps in a fresh one whole, so nothing
-   derived from the old bytes can survive a rewrite. *)
+   holds exactly one; a verified append extends it in place, and any
+   other change swaps in a fresh one whole, so nothing derived from
+   replaced bytes can survive. *)
 type state = {
   mutable file : Mmap_file.t option;
   mutable hep : Hep.Reader.t option;
@@ -17,7 +18,7 @@ type state = {
   mutable jarr_index : (int array * int array) option;
   mutable ibx : Ibx.meta option;
   mutable identity : File_id.t option;
-      (* dev/ino/mtime/size stamped when the file was opened *)
+      (* dev/ino/mtime/size of the bytes read *)
 }
 
 let fresh_state () =
@@ -181,7 +182,7 @@ let file t entry =
   | None ->
     let f = Mmap_file.open_file ~config:t.config.mmap entry.path in
     entry.state.file <- Some f;
-    entry.state.identity <- File_id.stat entry.path;
+    entry.state.identity <- Mmap_file.identity f;
     f
 
 let hep_reader t entry =
@@ -201,7 +202,7 @@ let hep_reader t entry =
     entry.state.hep <- Some r;
     (* share the underlying mapped file so page accounting is unified *)
     entry.state.file <- Some (Hep.Reader.file r);
-    entry.state.identity <- File_id.stat entry.path;
+    entry.state.identity <- Mmap_file.identity (Hep.Reader.file r);
     r
 
 let dtypes_of_schema schema =
@@ -270,21 +271,21 @@ let set_row_starts t entry starts =
     entry.state.row_starts <- Some starts
   else Metrics.incr Metrics.gov_fallback_posmap
 
+(* The JSONL row pass from [pos] (a line start) on. Under Skip_row, row
+   identity = the Skip_row scan's acceptance logic, not the physical line
+   structure; child (array) tables keep the structural walk — their
+   schema describes elements, not parent lines. *)
+let jsonl_starts t entry ?pos file =
+  match entry.format, t.config.Config.on_error with
+  | Format_kind.Jsonl, Scan_errors.Skip_row ->
+    Scan_jsonl.valid_row_starts ?pos ~file ~schema:entry.schema ~record:true ()
+  | _ -> Jsonl.row_starts ?pos file
+
 let jsonl_row_starts t entry =
   match entry.state.row_starts with
   | Some starts -> starts
   | None ->
-    let starts =
-      match entry.format, t.config.Config.on_error with
-      (* under Skip_row, row identity = the Skip_row scan's acceptance
-         logic, not the physical line structure; child (array) tables
-         keep the structural walk — their schema describes elements, not
-         parent lines *)
-      | Format_kind.Jsonl, Scan_errors.Skip_row ->
-        Scan_jsonl.valid_row_starts ~file:(file t entry) ~schema:entry.schema
-          ~record:true ()
-      | _ -> Jsonl.row_starts (file t entry)
-    in
+    let starts = jsonl_starts t entry (file t entry) in
     set_row_starts t entry starts;
     starts
 
@@ -304,6 +305,17 @@ let jarr_index t entry =
        idx
      | _ -> invalid_arg "Catalog.jarr_index: not a JSONL child table")
 
+(* The CSV sizing pass, over [range] (row-aligned) or the whole file.
+   Skip_row row identity is schema-wide validation, so it must apply the
+   same acceptance logic (and, being a real pass over the data, it
+   records what it rejects). *)
+let csv_rows t entry ~sep ?range file =
+  match t.config.Config.on_error with
+  | Scan_errors.Skip_row ->
+    Scan_csv.count_valid_rows ?range ~file ~sep ~schema:entry.schema ~record:true ()
+  | Scan_errors.Fail_fast | Scan_errors.Null_fill ->
+    Csv.count_rows ?pos:(Option.map fst range) file
+
 let n_rows t entry =
   match entry.state.n_rows with
   | Some n -> n
@@ -311,16 +323,7 @@ let n_rows t entry =
     let policy = t.config.Config.on_error in
     let n =
       match entry.format with
-      | Format_kind.Csv { sep } ->
-        (match policy with
-         (* Skip_row row identity is schema-wide validation, so the sizing
-            pass must apply the same acceptance logic (and, being a real
-            pass over the data, it records what it rejects) *)
-         | Scan_errors.Skip_row ->
-           Scan_csv.count_valid_rows ~file:(file t entry) ~sep
-             ~schema:entry.schema ~record:true ()
-         | Scan_errors.Fail_fast | Scan_errors.Null_fill ->
-           Csv.count_rows (file t entry))
+      | Format_kind.Csv { sep } -> csv_rows t entry ~sep (file t entry)
       | Format_kind.Jsonl -> Array.length (jsonl_row_starts t entry)
       | Format_kind.Jsonl_array _ -> Array.length (fst (jarr_index t entry))
       | Format_kind.Fwb ->
@@ -376,7 +379,7 @@ let forget_adaptive_state t =
   Template_cache.clear t.templates
 
 (* ------------------------------------------------------------------ *)
-(* File identity and invalidation (PR 6)                               *)
+(* File identity: extension and invalidation                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Drop every per-file structure for every entry sharing [path] (the four
@@ -404,20 +407,149 @@ let invalidate_path t path =
   Hashtbl.remove t.hep_readers path;
   List.sort String.compare !touched
 
-let refresh_path t path =
-  let stamped =
-    Hashtbl.fold
-      (fun _ e acc ->
-        if acc = None && String.equal e.path path then e.state.identity else acc)
-      t.entries None
+(* Why [now] is not [old] grown by an append, if it is not. *)
+let not_grown (old : File_id.t) (now : File_id.t option) =
+  match now with
+  | None -> Some "missing"
+  | Some now when now.dev <> old.dev || now.ino <> old.ino -> Some "replaced"
+  | Some now when now.size < old.size -> Some "truncated"
+  | Some now when now.size = old.size -> Some "rewritten"
+  | Some _ -> None
+
+(* What a fresh open derives from the appended bytes [old_len, end) of
+   [file]: the new rows' count and, for each structure index the entry
+   holds, its entries over those rows — the same row passes, over the new
+   range only. Touches no catalog state. *)
+type growth = { rows : int; starts : int array option; posmap : Posmap.t option }
+
+let growth t entry ~old_len file =
+  match entry.format with
+  | Format_kind.Jsonl ->
+    let starts = jsonl_starts t entry ~pos:old_len file in
+    { rows = Array.length starts;
+      starts = Option.map (fun _ -> starts) entry.state.row_starts;
+      posmap = None }
+  | Format_kind.Csv { sep } ->
+    let range = (old_len, Mmap_file.length file) in
+    let rows = csv_rows t entry ~sep ~range file in
+    let posmap =
+      Option.bind entry.state.posmap (fun pm ->
+          snd
+            (Scan_csv.seq_scan ~mode:Scan_csv.Jit ~policy:t.config.Config.on_error
+               ~range ~file ~sep ~schema:entry.schema ~needed:[]
+               ~tracked:(Array.to_list (Posmap.tracked pm)) ()))
+    in
+    { rows; starts = None; posmap }
+  | _ -> invalid_arg "Catalog.growth: not an extensible format"
+
+let extend_entry t entry (file, g) =
+  let both f a b = match (a, b) with Some a, Some b -> Some (f a b) | _ -> None in
+  let s = entry.state in
+  s.file <- Some file;
+  s.identity <- Mmap_file.identity file;
+  s.loaded <- None;
+  s.row_starts <- both Array.append s.row_starts g.starts;
+  s.posmap <- both (fun pm seg -> Posmap.concat [ pm; seg ]) s.posmap g.posmap;
+  s.n_rows <- Option.map (( + ) g.rows) s.n_rows;
+  Shred_pool.fold
+    (fun (k : Shred_pool.key) shred acc ->
+      if String.equal k.table entry.name then (k, shred) :: acc else acc)
+    t.shreds []
+  |> List.iter (fun (k, shred) ->
+         match s.n_rows with
+         | Some n_rows -> Shred_pool.grow shred ~n_rows
+         | None -> Shred_pool.remove t.shreds k)
+
+(* The changed entries of one path extend iff every one of them is a
+   CSV or JSONL table whose file only grew (same device and inode, larger
+   size), was opened without an injected fault, ended in a newline, and
+   is byte for byte a prefix of the file as read now ({!Mmap_file.extend}:
+   the read a fresh open would pay, an exact compare, no hash). Nothing
+   is changed unless all of them extend. Returns the old bytes verified
+   and the rows appended, or why not. *)
+let try_extend t ~now changed =
+  let ( let* ) = Result.bind in
+  let check cond reason = if cond then Ok () else Error reason in
+  let all f = List.for_all f changed in
+  let held e = Option.get e.state.file in
+  let stamp_reason e now = not_grown (Option.get e.state.identity) now in
+  let* () =
+    check
+      (all (fun e ->
+           match e.format with
+           | Format_kind.Csv _ | Format_kind.Jsonl -> e.state.file <> None
+           | _ -> false))
+      "format"
   in
-  match stamped with
-  | None -> [] (* never opened: nothing cached to go stale *)
-  | Some old -> (
-    match File_id.stat path with
-    | Some now when File_id.equal now old -> []
-    | _ ->
-      let touched = invalidate_path t path in
-      Raw_obs.Decisions.record ~site:"catalog" ~choice:"invalidate_file"
-        [ ("path", path); ("tables", String.concat "," touched) ];
-      touched)
+  let* () = Option.fold ~none:(Ok ()) ~some:Result.error (List.find_map (fun e -> stamp_reason e now) changed) in
+  let ends_in_newline f =
+    let n = Mmap_file.length f in
+    n > 0 && Bytes.get (Mmap_file.bytes f) (n - 1) = '\n'
+  in
+  let* () = check (all (fun e -> ends_in_newline (held e))) "partial_line" in
+  let rec grown acc = function
+    | [] -> Ok (List.rev acc)
+    | e :: rest ->
+      let old = held e in
+      (match Mmap_file.extend ~old e.path with
+       | Ok file -> (
+         match growth t e ~old_len:(Mmap_file.length old) file with
+         | g -> grown ((file, g) :: acc) rest
+         | exception Scan_errors.Error _ -> Error "scan_error")
+       | Error `Fault -> Error "fault"
+       | Error `Prefix -> Error "prefix"
+       | Error (`Stamp stamp) ->
+         Error (Option.value ~default:"changed" (stamp_reason e (Some stamp)))
+       | exception Sys_error _ -> Error "missing")
+  in
+  let* extended = grown [] changed in
+  let verified = List.fold_left (fun a e -> max a (Mmap_file.length (held e))) 0 changed in
+  List.iter2 (extend_entry t) changed extended;
+  Ok (verified, List.fold_left (fun a (_, g) -> a + g.rows) 0 extended)
+
+(* The entries backed by [path], its current stamp, and the opened
+   entries that stamp no longer matches — [None] when nothing at [path]
+   was opened or nothing changed: one stat, no other work. *)
+let changes t path =
+  let at_path =
+    Hashtbl.fold (fun _ e acc -> if String.equal e.path path then e :: acc else acc) t.entries []
+  in
+  match List.filter_map (fun e -> e.state.identity) at_path with
+  | [] -> None (* never opened: nothing cached to go stale *)
+  | stamps ->
+    let now = File_id.stat path in
+    let current id = match now with Some now -> File_id.equal now id | None -> false in
+    if List.for_all current stamps then None
+    else
+      Some
+        ( at_path,
+          now,
+          List.filter
+            (fun e -> match e.state.identity with Some id -> not (current id) | None -> false)
+            at_path
+          |> List.sort (fun a b -> String.compare a.name b.name) )
+
+let stale_path t path = Option.is_some (changes t path)
+
+let refresh_path t path =
+  match changes t path with
+  | None -> []
+  | Some (at_path, now, changed) ->
+    let touched =
+      List.filter (fun e -> e.state.identity <> None || e.state.file <> None) at_path
+      |> List.map (fun e -> e.name)
+      |> List.sort String.compare
+    in
+    let tables = ("tables", String.concat "," touched) in
+    (match try_extend t ~now changed with
+     | Ok (verified, rows) ->
+       Metrics.incr Metrics.catalog_extends;
+       Raw_obs.Decisions.record ~site:"catalog" ~choice:"extend_file"
+         [ ("path", path); tables; ("bytes_verified", string_of_int verified);
+           ("rows_appended", string_of_int rows) ]
+     | Error reason ->
+       ignore (invalidate_path t path);
+       Metrics.incr Metrics.catalog_invalidations;
+       Raw_obs.Decisions.record ~site:"catalog" ~choice:"invalidate_file"
+         [ ("path", path); tables; ("reason", reason) ]);
+    touched

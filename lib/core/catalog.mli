@@ -12,7 +12,8 @@ open Raw_storage
 open Raw_formats
 
 (** Everything derived from one version of an entry's raw file. Only the
-    catalog writes it; {!invalidate_path} replaces it whole. *)
+    catalog writes it: {!refresh_path} extends it over an append, and
+    {!invalidate_path} replaces it whole. *)
 type state = private {
   mutable file : Mmap_file.t option;
   mutable hep : Hep.Reader.t option;
@@ -28,9 +29,10 @@ type state = private {
       (** JSONL child tables: dense row id -> (parent row, element offset) *)
   mutable ibx : Ibx.meta option;  (** IBX footer + index metadata *)
   mutable identity : File_id.t option;
-      (** dev/ino/mtime/size stamped when the file was opened — the version
-          of the file every cached structure above was derived from;
-          [None] while the file is unopened *)
+      (** dev/ino/mtime/size of the bytes read when the file was opened
+          or last extended — the version of the file every cached
+          structure above was derived from; [None] while the file is
+          unopened *)
 }
 
 type entry = private {
@@ -143,13 +145,14 @@ val forget_adaptive_state : t -> unit
 (** {!forget_data_state} plus the template cache — as if no query had ever
     run. Keeps files registered. *)
 
-(** {1 File identity and invalidation}
+(** {1 File identity: extension and invalidation}
 
-    A long-lived server must notice when a raw file is rewritten under it:
+    A long-lived server must notice when a raw file changes under it:
     positional maps, shreds, loaded columns and row counts derived from
-    the old bytes are all wrong. Entries are stamped with a
-    {!Raw_storage.File_id} when their file is opened; {!refresh_path}
-    re-stats and drops everything on mismatch. *)
+    the old bytes may be wrong. Entries are stamped with the
+    {!Raw_storage.File_id} of the bytes read when their file is opened
+    ({!Raw_storage.Mmap_file.identity}); {!refresh_path} re-stats, and on
+    a mismatch extends the state over a verified append or drops it. *)
 
 val invalidate_path : t -> string -> string list
 (** Unconditionally drop all per-file state (mmap handle, posmap, loaded
@@ -158,7 +161,32 @@ val invalidate_path : t -> string -> string list
     reader. Returns the affected table names (sorted); tables whose file
     was never opened are not reported. *)
 
+val stale_path : t -> string -> bool
+(** Whether [path] changed since an entry backed by it was opened: one
+    stat, nothing else touched. *)
+
 val refresh_path : t -> string -> string list
-(** Re-stat [path] and, iff its identity changed since it was opened (or
-    it disappeared), {!invalidate_path} it. Returns the invalidated table
-    names ([[]] when the file is unchanged or was never opened). *)
+(** Re-stat [path]; iff its identity changed since it was opened (or it
+    disappeared), bring the per-file state of its entries up to date.
+    Returns the affected table names — every opened entry of [path],
+    sorted — or [[]] when the file is unchanged or was never opened; the
+    caller drops results cached for them either way.
+
+    The state is {e extended} when every changed entry is a CSV or JSONL
+    table whose file only grew — same device and inode, larger size —
+    was opened without an injected fault, ended in a newline, and still
+    starts with exactly the bytes held ({!Raw_storage.Mmap_file.extend}:
+    an exact compare, no hash). The new rows then get the row pass a
+    fresh open runs, over the appended bytes only: JSONL row starts
+    ({!Raw_formats.Jsonl.row_starts}, or the [Skip_row] scan's), CSV row
+    count plus a positional-map segment over the same tracked columns.
+    Row counts grow, resident pages stay resident, DBMS-loaded columns
+    are dropped and every pooled shred of the table is lengthened with
+    the new rows not fetched ({!Shred_pool.grow}), so the next query
+    fetches only those. Anything else — truncation, a rewrite, a
+    replaced inode, an edited prefix, a partial last line, an injected
+    fault, or a HEP, IBX, FWB or JSONL child table — drops the state
+    ({!invalidate_path}). Each outcome is one [catalog] decision,
+    [extend_file] (bytes verified, rows appended) or [invalidate_file]
+    (with its [reason]), counted under [catalog.extends] or
+    [catalog.invalidations]. *)

@@ -162,13 +162,23 @@ let bind_cached t sql =
     Stmt_cache.put_stmt t.stmt_cache sql plan;
     plan
 
+let paths_of t names =
+  List.filter_map
+    (fun n -> Option.map (fun e -> e.Catalog.path) (Catalog.find t.catalog n))
+    names
+  |> List.sort_uniq String.compare
+
+let stale_tables t names =
+  let stale = List.filter (Catalog.stale_path t.catalog) (paths_of t names) in
+  List.filter
+    (fun n ->
+      match Catalog.find t.catalog n with
+      | Some e -> List.mem e.Catalog.path stale
+      | None -> false)
+    names
+
 let refresh_tables t names =
-  let paths =
-    List.filter_map
-      (fun n -> Option.map (fun e -> e.Catalog.path) (Catalog.find t.catalog n))
-      names
-    |> List.sort_uniq String.compare
-  in
+  let paths = paths_of t names in
   List.concat_map
     (fun path ->
       match Catalog.refresh_path t.catalog path with

@@ -104,13 +104,19 @@ val bind_cached : t -> string -> Logical.t
 
 val refresh_tables : t -> string list -> string list
 (** Re-stat the files behind the named tables (unknown names ignored) and,
-    for any whose identity changed since it was opened, drop the per-file
-    adaptive state ({!Catalog.refresh_path}) and every cached statement
-    and result that mentions an affected table. Returns the invalidated
-    table names; counts one [cache.invalidations] per changed file. The
-    server calls this for a query's tables before consulting the result
-    cache, which is what makes cached answers track file overwrites, and
-    again for a batch's tables before executing it. *)
+    for any whose identity changed since it was opened, extend the
+    per-file adaptive state over a verified append or drop it
+    ({!Catalog.refresh_path}), and drop every cached statement and result
+    that mentions an affected table. Returns the affected table names;
+    counts one [cache.invalidations] per changed file. The server calls
+    this for a batch's tables before executing it. *)
+
+val stale_tables : t -> string list -> string list
+(** The named tables whose files changed since they were opened (one
+    stat per file, nothing else touched). The server drops their cached
+    statements and results before consulting the result cache — what
+    makes cached answers track file changes — and leaves the per-file
+    state to the {!refresh_tables} of the batch that executes the miss. *)
 
 val explain : ?options:Planner.options -> t -> string -> string list
 (** The planner's decision trace for a SQL query (strategy, eager vs

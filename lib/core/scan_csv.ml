@@ -272,9 +272,9 @@ let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ?range ~file ~sep ~schema
 
 (* The catalog sizes a table once; the passes that produce data do the
    error reporting. *)
-let count_valid_rows ~file ~sep ~schema ?(record = false) () =
+let count_valid_rows ?range ~file ~sep ~schema ?(record = false) () =
   let _, _, n =
-    scan ~mode:Jit ~policy:Scan_errors.Skip_row ~record ~file ~sep ~schema
+    scan ~mode:Jit ~policy:Scan_errors.Skip_row ~record ?range ~file ~sep ~schema
       ~needed:[] ~tracked:[] ()
   in
   n

@@ -66,6 +66,7 @@ val seq_scan :
     Both record into {!Raw_storage.Scan_errors}. *)
 
 val count_valid_rows :
+  ?range:int * int ->
   file:Mmap_file.t ->
   sep:char ->
   schema:Schema.t ->
@@ -74,7 +75,8 @@ val count_valid_rows :
   int
 (** How many rows a [Skip_row] scan of this file yields — the same scan
     loop and validation, so cached row counts, positional maps and scan
-    results always agree. [record] (default [false]) says
+    results always agree. [range] restricts the pass to a row-aligned
+    byte range, as in {!seq_scan}. [record] (default [false]) says
     whether the pass also records the errors it encounters. *)
 
 val par_scan :

@@ -92,7 +92,10 @@ let make_kernel ~mode ~policy ~file ~schema ~needed =
   in
   let n_rows = ref 0 in
   let row_at pos =
-    let next = Jsonl.Extract.run buf ~pos ~wanted:trie ~emit:(fun f k s l -> f k s l) in
+    let next =
+      Jsonl.Extract.run ~len:(Mmap_file.length file) buf ~pos ~wanted:trie
+        ~emit:(fun f k s l -> f k s l)
+    in
     Mmap_file.touch file pos (next - pos);
     incr n_rows;
     (* absent fields become NULL *)
@@ -139,7 +142,7 @@ let null_row builders n_rows =
    physical row: conversion errors are nulled in the emitters; a
    structurally broken row yields all-NULL values and resyncs at the next
    line. [Fail_fast] lets the error escape. *)
-let scan ~mode ~policy ?(record = true) ~file ~schema ~needed () =
+let scan ~mode ~policy ?(record = true) ?(from = 0) ~file ~schema ~needed () =
   let skip = policy = Scan_errors.Skip_row in
   let scan_cols =
     if skip then List.init (Schema.arity schema) (fun i -> i) else needed
@@ -152,7 +155,7 @@ let scan ~mode ~policy ?(record = true) ~file ~schema ~needed () =
   let starts = Buffer_int.create () in
   let tick = Cancel.batch_checker (Cancel.current ()) in
   let skipped = ref 0 in
-  let pos = ref (skip_ws buf len 0) in
+  let pos = ref (skip_ws buf len from) in
   while !pos < len do
     tick ();
     let start = !pos in
@@ -186,10 +189,10 @@ let scan ~mode ~policy ?(record = true) ~file ~schema ~needed () =
 let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ~file ~schema ~needed () =
   scan ~mode ~policy ~file ~schema ~needed ()
 
-let valid_row_starts ~file ~schema ?(record = false) () =
+let valid_row_starts ?pos ~file ~schema ?(record = false) () =
   snd
-    (scan ~mode:Interpreted ~policy:Scan_errors.Skip_row ~record ~file ~schema
-       ~needed:[] ())
+    (scan ~mode:Interpreted ~policy:Scan_errors.Skip_row ~record ?from:pos ~file
+       ~schema ~needed:[] ())
 
 (* Point reads of the rows at [offsets.(r)]. A structurally broken row
    yields all-NULL values when [lenient] (and is recorded); otherwise the
@@ -229,7 +232,8 @@ let array_index ~file ~row_starts ~array_path =
   Array.iteri
     (fun row start ->
       let stop =
-        Jsonl.Extract.iter_array_objects buf ~pos:start ~path:array_path
+        Jsonl.Extract.iter_array_objects ~len:(Mmap_file.length file) buf ~pos:start
+          ~path:array_path
           ~f:(fun pos ->
             Buffer_int.add parents row;
             Buffer_int.add positions pos)

@@ -38,13 +38,15 @@ val seq_scan :
     {!Raw_storage.Scan_errors}. *)
 
 val valid_row_starts :
+  ?pos:int ->
   file:Mmap_file.t ->
   schema:Schema.t ->
   ?record:bool ->
   unit ->
   int array
 (** The row starts a [Skip_row] scan keeps — the same scan loop and
-    validation, so cached row counts and scan results agree. [record]
+    validation, so cached row counts and scan results agree. [pos]
+    (default 0, a line start) is where the pass begins. [record]
     (default [false]) says whether the pass also records the errors. *)
 
 val fetch :

@@ -442,9 +442,10 @@ let process_batch t batch =
     (fun p ->
       record_queue_wait p.trace p.timing ~submitted:p.submitted ~until:t_batch)
     batch;
-  (* freshness: a file rewritten since the lookup invalidates cached
-     state again, so the shared pass reads the current bytes and each
-     result is cached under the version it was computed from *)
+  (* freshness: the files changed since they were opened extend or drop
+     their per-file state here, so the shared pass reads the current
+     bytes and each result is cached under the version it was computed
+     from *)
   ignore
     (Raw_db.refresh_tables t.db
        (List.concat_map (fun p -> Logical.tables p.plan) batch));
@@ -663,9 +664,15 @@ let submit t session_id ~trace ~timing sql =
   in
   let look_up () =
     let plan = Raw_db.bind_cached t.db sql in
-    (* freshness: a rewritten raw file invalidates cached state before
-       the lookup, so a hit never serves stale bytes *)
-    ignore (Raw_db.refresh_tables t.db (Logical.tables plan));
+    (* freshness: a changed raw file drops the table's cached statements
+       and results before the lookup, so a hit never serves stale bytes.
+       The miss that follows brings the per-file state up to date on the
+       batcher, which allocates every other engine structure too; settled
+       here, the grown structures would land in each session thread's own
+       malloc arena and raise peak RSS (DESIGN.md §10). *)
+    List.iter
+      (Stmt_cache.invalidate_table (Raw_db.stmt_cache t.db))
+      (Raw_db.stale_tables t.db (Logical.tables plan));
     match
       Option.bind (result_key t plan)
         (Stmt_cache.find_result (Raw_db.stmt_cache t.db))
@@ -725,6 +732,7 @@ let stats_response t id =
   let interesting (k, _) =
     String.starts_with ~prefix:"server." k
     || String.starts_with ~prefix:"cache." k
+    || String.starts_with ~prefix:"catalog." k
     || String.starts_with ~prefix:"gov." k
     || String.starts_with ~prefix:"history." k
   in

@@ -148,8 +148,9 @@
     [server.batches], [server.batched_queries], the armor family ([server.too_large],
     [server.shed_sessions], [server.shed_requests],
     [server.accept_retries], [server.shared_fallbacks],
-    [server.batcher_restarts], [server.session_end.<cause>]), and the
-    [cache.*] family from {!Stmt_cache}. Abnormal session ends are also
+    [server.batcher_restarts], [server.session_end.<cause>]), the
+    [cache.*] family from {!Stmt_cache}, and [catalog.extends] /
+    [catalog.invalidations] from {!Catalog.refresh_path}. Abnormal session ends are also
     logged to stderr with their session id and cause. *)
 
 val serve :

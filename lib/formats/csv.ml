@@ -327,10 +327,10 @@ module Cursor = struct
     Mmap_file.touch t.file start (t.pos - start)
 end
 
-let count_rows file =
+let count_rows ?(pos = 0) file =
   let buf = Mmap_file.bytes file in
   let len = Mmap_file.length file in
-  let n = ref 0 and i = ref 0 in
+  let n = ref 0 and i = ref pos in
   while !i + 8 <= len do
     let w = Bytes.get_int64_le buf !i in
     n := !n + flag_count (flags (zero_bytes (Int64.logxor w newlines)));
@@ -339,7 +339,7 @@ let count_rows file =
   for j = !i to len - 1 do
     if Bytes.unsafe_get buf j = '\n' then incr n
   done;
-  if len > 0 && Bytes.get buf (len - 1) <> '\n' then incr n;
+  if len > pos && Bytes.get buf (len - 1) <> '\n' then incr n;
   !n
 
 (* ---------- morsels ---------- *)

@@ -100,8 +100,9 @@ module Cursor : sig
   (** Advance past the next ['\n'] (or to EOF). *)
 end
 
-val count_rows : Mmap_file.t -> int
-(** Number of newline-terminated rows (a final unterminated row counts),
+val count_rows : ?pos:int -> Mmap_file.t -> int
+(** Number of newline-terminated rows (a final unterminated row counts)
+    in the bytes from [pos] (default 0, a row start) to the end,
     counting newlines 8 bytes at a time. Does no page accounting. *)
 
 val row_aligned_ranges : Mmap_file.t -> n:int -> (int * int) list

@@ -326,8 +326,8 @@ module Extract = struct
     in
     go 0
 
-  let run buf ~pos ~wanted ~emit =
-    let len = Bytes.length buf in
+  let run ?len buf ~pos ~wanted ~emit =
+    let len = Option.value len ~default:(Bytes.length buf) in
     let rec walk_object pos tree =
       let pos = skip_ws buf len pos in
       if pos >= len || Bytes.unsafe_get buf pos <> '{' then
@@ -421,8 +421,8 @@ module Extract = struct
     done;
     (!result, !cur)
 
-  let iter_array_objects buf ~pos ~path ~f =
-    let len = Bytes.length buf in
+  let iter_array_objects ?len buf ~pos ~path ~f =
+    let len = Option.value len ~default:(Bytes.length buf) in
     (* the row's end position, independent of whether the path exists *)
     let _, _, _, row_end = value_span buf len pos in
     let rec descend pos = function
@@ -542,11 +542,11 @@ let parse s =
 (* Rows                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let row_starts file =
+let row_starts ?(pos = 0) file =
   let buf = Mmap_file.bytes file in
   let len = Mmap_file.length file in
   let starts = Buffer_int.create () in
-  let i = ref 0 in
+  let i = ref pos in
   while !i < len do
     (* skip blank space between rows *)
     while !i < len && is_ws (Bytes.unsafe_get buf !i) do

@@ -78,6 +78,7 @@ module Extract : sig
   (** Payloads in compile order. *)
 
   val run :
+    ?len:int ->
     Bytes.t ->
     pos:int ->
     wanted:'a trie ->
@@ -85,18 +86,19 @@ module Extract : sig
     int
   (** Walk the object starting at [pos] (skipping leading whitespace),
       emitting the value span of every wanted path found, and return the
-      position just after the object. Unmatched keys are skipped at byte
+      position just after the object. [len] (default: the whole buffer)
+      is where the data ends. Unmatched keys are skipped at byte
       level without materializing anything. Raises the typed
       [Raw_storage.Scan_errors.Error] on malformed JSON. *)
 
   val iter_array_objects :
-    Bytes.t -> pos:int -> path:string list -> f:(int -> unit) -> int
+    ?len:int -> Bytes.t -> pos:int -> path:string list -> f:(int -> unit) -> int
   (** Flattening support (paper §4.1: nested fields may be kept nested or
       flattened per query): locate the array at [path] inside the object at
       [pos] and call [f] with the byte offset of every element that is
       itself an object (other elements are skipped); returns the position
       after the whole row object. A missing path or non-array value yields
-      no calls. *)
+      no calls. [len] as in {!run}. *)
 end
 
 (** {1 Rows} *)
@@ -104,5 +106,6 @@ end
 val count_rows : Mmap_file.t -> int
 (** Non-empty lines. *)
 
-val row_starts : Mmap_file.t -> int array
-(** Byte offset of each non-empty line — the positional map's contents. *)
+val row_starts : ?pos:int -> Mmap_file.t -> int array
+(** Byte offset of each non-empty line from [pos] (default 0, a line
+    start) on — the positional map's contents. *)

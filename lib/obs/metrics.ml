@@ -339,7 +339,15 @@ let cache_result_misses =
 
 let cache_invalidations =
   counter "cache.invalidations"
-    ~help:"File-identity changes that dropped cached statements/results and per-file adaptive state"
+    ~help:"File-identity changes that dropped cached statements/results and extended or dropped per-file adaptive state"
+
+let catalog_extends =
+  counter "catalog.extends"
+    ~help:"File changes found to be verified appends: per-file state extended over the new rows"
+
+let catalog_invalidations =
+  counter "catalog.invalidations"
+    ~help:"File changes that dropped the per-file state (not a verified append)"
 
 let approx_queries =
   counter "approx.queries"

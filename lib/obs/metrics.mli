@@ -191,7 +191,16 @@ val approx_rows_sampled : t
 
 val cache_invalidations : t
 (** File-identity changes (dev/ino/mtime/size) that dropped cached
-    statements/results and the per-file adaptive state. *)
+    statements/results; the catalog then extended or dropped the
+    per-file adaptive state ({!catalog_extends},
+    {!catalog_invalidations}). *)
+
+val catalog_extends : t
+(** File changes the catalog verified as appends and extended its
+    per-file state over (one per refreshed path). *)
+
+val catalog_invalidations : t
+(** File changes the catalog answered by dropping the per-file state. *)
 
 val par_domain : t
 val obs_decisions_dropped : t

@@ -74,6 +74,7 @@ end
 let site_open = Prof_gate.site "mmap.open"
 let site_inject = Prof_gate.site "mmap.inject"
 let site_fork = Prof_gate.site "mmap.fork_residency"
+let site_extend = Prof_gate.site "mmap.extend"
 
 type residency =
   | Bitmap of Bytes.t
@@ -81,7 +82,11 @@ type residency =
 
 type t = {
   name : string;
-  data : Bytes.t;
+  data : Bytes.t; (* the file is its first [len] bytes; the rest is spare *)
+  len : int;
+  claimed : int ref;
+      (* bytes of [data] some view of it holds: [extend] may write past
+         [len] only when that is this one's end, never under a newer view *)
   config : Config.t;
   n_pages : int;
   mutable residency : residency;
@@ -93,6 +98,8 @@ type t = {
   mutable last_hi : int;
   injected_flips : int;
   injected_truncated_bytes : int;
+  faulted : bool; (* a fault injector applied at open time *)
+  identity : File_id.t option; (* stamp of the bytes read, for opened paths *)
 }
 
 let make_residency config n_pages =
@@ -140,17 +147,17 @@ let inject fault ~page_size:ps data =
   end;
   (data, !flips, len - keep)
 
-let of_bytes ?(config = Config.default) ?fault ~name data =
+let make ?(config = Config.default) ?fault ~identity ~name data =
   if config.Config.page_size <= 0 then
     invalid_arg "Mmap_file: page_size must be positive";
   let fault =
     match fault with Some _ -> fault | None -> Fault.from_env ()
   in
-  let data, injected_flips, injected_truncated_bytes =
+  let faulted, (data, injected_flips, injected_truncated_bytes) =
     match fault with
     | Some f when Fault.applies f ~name ->
-      inject f ~page_size:config.Config.page_size data
-    | _ -> (data, 0, 0)
+      (true, inject f ~page_size:config.Config.page_size data)
+    | _ -> (false, (data, 0, 0))
   in
   let n_pages =
     (Bytes.length data + config.Config.page_size - 1) / config.Config.page_size
@@ -158,6 +165,8 @@ let of_bytes ?(config = Config.default) ?fault ~name data =
   {
     name;
     data;
+    len = Bytes.length data;
+    claimed = ref (Bytes.length data);
     config;
     n_pages;
     residency = make_residency config n_pages;
@@ -169,21 +178,39 @@ let of_bytes ?(config = Config.default) ?fault ~name data =
     last_hi = 0;
     injected_flips;
     injected_truncated_bytes;
+    faulted;
+    identity;
   }
 
+let of_bytes ?config ?fault ~name data = make ?config ?fault ~identity:None ~name data
+
+(* Read from [ic] into [buf] at [off] until [stop] or end of file;
+   returns where the bytes end. *)
+let rec read_into ic buf off stop =
+  if off >= stop then off
+  else match input ic buf off (stop - off) with
+    | 0 -> off
+    | n -> read_into ic buf (off + n) stop
+
+(* The identity comes from the descriptor the bytes are read from, and
+   exactly its [st_size] bytes are read: an append racing the open can
+   neither stamp a size the buffer lacks nor add bytes the stamp lacks.
+   A file that shrank mid-read keeps what was there; its stamp says so. *)
 let open_file ?config ?fault path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      let len = in_channel_length ic in
-      let data = Bytes.create len in
-      really_input ic data 0 len;
+      let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+      let data = Bytes.create st.Unix.st_size in
+      let len = read_into ic data 0 st.Unix.st_size in
+      let data = if len = Bytes.length data then data else Bytes.sub data 0 len in
       Prof_gate.copy site_open len;
-      of_bytes ?config ?fault ~name:path data)
+      let identity = Some { (File_id.of_stats st) with File_id.size = len } in
+      make ?config ?fault ~identity ~name:path data)
 
 let name t = t.name
-let length t = Bytes.length t.data
+let length t = t.len
 let bytes t = t.data
 let config t = t.config
 
@@ -197,7 +224,7 @@ let touch_page t p =
   else begin
     t.last_page <- p;
     t.last_lo <- p * t.config.Config.page_size;
-    t.last_hi <- min (t.last_lo + t.config.Config.page_size) (Bytes.length t.data);
+    t.last_hi <- min (t.last_lo + t.config.Config.page_size) t.len;
     match t.residency with
     | Bitmap b ->
       if Bytes.unsafe_get b p <> '\000' then t.hits <- t.hits + 1
@@ -220,7 +247,7 @@ let touch t pos len =
      dividing by the page size *)
   if len > 0 && pos >= t.last_lo && pos + len <= t.last_hi then t.hits <- t.hits + 1
   else if len > 0 && t.n_pages > 0 then begin
-    let last = Bytes.length t.data - 1 in
+    let last = t.len - 1 in
     let lo = min (max pos 0) last in
     let hi = min (max (pos + len - 1) 0) last in
     let ps = t.config.Config.page_size in
@@ -237,6 +264,102 @@ let hits t = t.hits
 let resident_pages t = t.resident
 let injected_flips t = t.injected_flips
 let injected_truncated_bytes t = t.injected_truncated_bytes
+let faulted t = t.faulted
+let identity t = t.identity
+
+(* [a] and [b] agree on [n] bytes from [ia] and [ib]: 8 bytes per
+   compare, then the tail. *)
+let equal_range a ia b ib n =
+  let rec words k =
+    if k + 8 > n then tail k
+    else
+      Int64.equal (Bytes.get_int64_ne a (ia + k)) (Bytes.get_int64_ne b (ib + k))
+      && words (k + 8)
+  and tail k =
+    k >= n || (Bytes.unsafe_get a (ia + k) = Bytes.unsafe_get b (ib + k) && tail (k + 1))
+  in
+  words 0
+
+(* Page residency of [from] carried into a fresh structure for [n_pages]. *)
+let carried_residency from n_pages =
+  match from.residency with
+  | Bitmap a ->
+    let b = Bytes.make (max n_pages 1) '\000' in
+    Bytes.blit a 0 b 0 (min from.n_pages n_pages);
+    (Bitmap b, from.resident)
+  | Bounded src ->
+    let dst = match Lru.capacity src with Some c -> Lru.create ~capacity:c () | None -> Lru.create () in
+    List.iter (fun p -> ignore (Lru.add dst p ())) (List.rev (Lru.keys src));
+    (Bounded dst, Lru.length dst)
+
+let spare len = max 4096 (len / 8)
+
+let extend ?fault ~old path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let st = Unix.fstat (Unix.descr_of_in_channel ic) in
+      let stamp = File_id.of_stats st in
+      let fault = match fault with Some _ -> fault | None -> Fault.from_env () in
+      let same_file =
+        match old.identity with
+        | Some id -> id.File_id.dev = stamp.dev && id.ino = stamp.ino
+        | None -> false
+      in
+      if old.faulted || (match fault with Some f -> Fault.applies f ~name:path | None -> false)
+      then Error `Fault
+      else if (not same_file) || stamp.size <= old.len then Error (`Stamp stamp)
+      else begin
+        let n = old.len in
+        let chunk = Bytes.create 65536 in
+        let rec prefix_ok off =
+          off >= n
+          ||
+          let got = read_into ic chunk 0 (min 65536 (n - off)) in
+          got > 0 && equal_range chunk 0 old.data off got && prefix_ok (off + got)
+        in
+        if not (prefix_ok 0) then Error `Prefix
+        else begin
+          (* the new bytes go into [old]'s spare room when it holds them
+             and no newer view has claimed it, else into a new buffer
+             with spare room, after the (verified) old bytes *)
+          let data, claimed =
+            if stamp.size <= Bytes.length old.data && !(old.claimed) = n then
+              (old.data, old.claimed)
+            else begin
+              let data = Bytes.create (stamp.size + spare stamp.size) in
+              Bytes.blit old.data 0 data 0 n;
+              (data, ref n)
+            end
+          in
+          let len = read_into ic data n stamp.size in
+          claimed := max !claimed len;
+          Prof_gate.copy site_extend (if data == old.data then len - n else len);
+          let stamp = { stamp with size = len } in
+          if len <= n then Error (`Stamp stamp)
+          else begin
+            let n_pages = (len + old.config.Config.page_size - 1) / old.config.Config.page_size in
+            let residency, resident = carried_residency old n_pages in
+            Ok
+              {
+                old with
+                data;
+                len;
+                claimed;
+                n_pages;
+                residency;
+                resident;
+                faults = 0;
+                hits = 0;
+                last_page = -1;
+                last_lo = 0;
+                last_hi = 0;
+                identity = Some stamp;
+              }
+          end
+        end
+      end)
 
 (* ---------- concurrent-read views ---------- *)
 

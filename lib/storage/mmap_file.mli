@@ -59,8 +59,15 @@ end
 type t
 
 val open_file : ?config:Config.t -> ?fault:Fault.t -> string -> t
-(** Reads the whole file. Raises [Sys_error] if unreadable. An explicit
-    [?fault] overrides any environment-configured injection. *)
+(** Reads the whole file: exactly the [st_size] bytes [fstat] reports on
+    the descriptor read from (fewer if it shrank meanwhile). Raises
+    [Sys_error] if unreadable. An explicit [?fault] overrides any
+    environment-configured injection. *)
+
+val identity : t -> File_id.t option
+(** The stamp of the bytes {!open_file} read, taken from the same
+    descriptor, with [size] = {!length} unless a fault truncated the
+    copy. [None] for {!of_bytes}. *)
 
 val of_bytes : ?config:Config.t -> ?fault:Fault.t -> name:string -> Bytes.t -> t
 (** In-memory file, mainly for tests. When a fault applies, the stored
@@ -72,13 +79,36 @@ val injected_flips : t -> int
 val injected_truncated_bytes : t -> int
 (** Bytes the fault injector removed from the tail at open time. *)
 
+val faulted : t -> bool
+(** Whether a fault injector applied to this file at open time (even one
+    that happened to flip nothing). *)
+
+val extend :
+  ?fault:Fault.t ->
+  old:t ->
+  string ->
+  (t, [ `Fault | `Prefix | `Stamp of File_id.t ]) result
+(** [extend ~old path] re-reads the file [old] was opened from, when it
+    only grew: same device and inode, more bytes, and its first
+    [length old] bytes equal [old]'s — an exact compare against [old]'s
+    buffer, word at a time. The result holds the grown file with [old]'s
+    resident pages still resident and fresh counters. The new bytes go
+    into spare room at the end of [old]'s buffer when it has enough
+    (buffers [extend] allocates keep an eighth, at least 4 KiB, spare), so an append
+    costs no second copy of the file; [old] keeps seeing only its own
+    bytes. [`Fault]: a fault injector applied to [old] or applies to
+    [path] ([?fault] as in {!open_file}); [`Stamp s]: the file read is not [old] grown ([s] is
+    its stamp); [`Prefix]: the old bytes changed. Raises [Sys_error] if
+    unreadable. *)
+
 val name : t -> string
 val length : t -> int
 
 val bytes : t -> Bytes.t
-(** The raw contents. Parsers read this directly (zero-copy) and are
-    responsible for calling {!touch} on the ranges they consume. Treat as
-    read-only. *)
+(** The raw contents: the first {!length} bytes (a buffer grown by
+    {!extend} may be longer — never read past {!length}). Parsers read
+    this directly (zero-copy) and are responsible for calling {!touch} on
+    the ranges they consume. Treat as read-only. *)
 
 val touch : t -> int -> int -> unit
 (** [touch t pos len] records an access to bytes [pos, pos+len). Cheap when

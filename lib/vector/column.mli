@@ -1,9 +1,9 @@
 (** Typed columns: the unit of data the engine operates on.
 
-    A column is a monomorphic array plus an optional validity bitmap. The
-    bitmap serves two purposes: SQL NULLs, and — central to column shreds
-    (paper §5) — marking rows of a cached shred that were *never loaded from
-    the raw file* because a previous filter eliminated them. *)
+    A column is a monomorphic array plus an optional validity bitmap that
+    marks SQL NULLs. (Which rows of a cached column shred were ever
+    loaded from the raw file is the shred pool's business — see
+    {!Raw_core.Shred_pool} — not the bitmap's.) *)
 
 type data =
   | Int_data of int array
@@ -54,9 +54,9 @@ val string_array : t -> string array
 
 (** {1 Mutation}
 
-    Columns are mostly write-once, but the shred pool ({!Raw_core.Shreds})
-    fills previously-unloaded rows of a cached column in place when a later
-    query needs them. *)
+    Columns are mostly write-once, but the shred pool
+    ({!Raw_core.Shred_pool}) fills previously-unloaded rows of a cached
+    column in place when a later query needs them. *)
 
 val set : t -> int -> Value.t -> unit
 (** Writes the value and marks the row valid. Raises on type mismatch.
@@ -64,7 +64,7 @@ val set : t -> int -> Value.t -> unit
     value is [Null]. *)
 
 val invalidate_all : t -> t
-(** Returns a column sharing the data but with a fresh all-invalid bitmap. *)
+(** Returns a column sharing the data but with a fresh all-NULL bitmap. *)
 
 val to_values : t -> Value.t list
 val equal : t -> t -> bool
@@ -81,7 +81,7 @@ val gather : t -> int array -> t
 (** [gather c idx] builds the packed column [ [|c.(idx.(0)); ...|] ]. *)
 
 val scatter : t -> int array -> t -> unit
-(** [scatter dst idx src] writes [src.(k)] into [dst.(idx.(k))] and marks
-    those rows valid — the typed bulk form of {!set} used to fill pooled
-    shreds. Raises [Invalid_argument] on type mismatch or if
-    [length src <> Array.length idx]. *)
+(** [scatter dst idx src] writes [src.(k)] into [dst.(idx.(k))], and its
+    validity into [dst]'s bitmap when [dst] has one — the typed bulk form
+    of {!set} used to fill pooled shreds. Raises [Invalid_argument] on
+    type mismatch or if [length src <> Array.length idx]. *)

@@ -359,7 +359,45 @@ let serve () =
                r.Raw_obs.History.status = Raw_obs.History.Completed)
              records)
         "history: %d record(s), %d malformed, %g executed queries"
-        (List.length records) malformed executed)
+        (List.length records) malformed executed;
+      (* rows appended to a between rounds extend its per-file state: the
+         next answer equals one-shot rawq over the grown file, and no
+         refresh falls back to dropping that state *)
+      let extends = counter stats "catalog.extends"
+      and fallbacks = counter stats "catalog.invalidations" in
+      let sql = "SELECT COUNT(*), SUM(col2), MAX(col1) FROM a WHERE col0 >= 1500" in
+      List.iter
+        (fun first ->
+          Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644 (file "a.csv")
+            (fun oc ->
+              for i = first to first + 99 do
+                Printf.fprintf oc "%d,%d,%d\n" i (i mod 7) (i * 37 mod 100)
+              done);
+          let served = rawq_ok [ "client"; "--socket"; s.sock; sql ]
+          and oneshot =
+            rawq_ok [ "--csv"; "a=" ^ file "a.csv" ^ "@col0:int,col1:int,col2:int"; sql ]
+          in
+          (* the client separates cells with tabs, one-shot with " | " *)
+          let cells out =
+            List.map
+              (fun r ->
+                String.map (fun c -> if c = '\t' then '|' else c) r
+                |> String.split_on_char '|' |> List.map String.trim)
+              (rows_of out)
+          in
+          check
+            (cells served = cells oneshot && cells served <> [])
+            "after appending rows %d..: served %S, one-shot %S" first served oneshot)
+        [ 2000; 2100 ];
+      let stats = rpc "stats" s Client.stats in
+      check
+        (counter stats "catalog.extends" -. extends = 2.)
+        "appends did not extend: catalog.extends %g -> %g" extends
+        (counter stats "catalog.extends");
+      check
+        (counter stats "catalog.invalidations" = fallbacks)
+        "an append fell back: catalog.invalidations %g -> %g" fallbacks
+        (counter stats "catalog.invalidations"))
 
 let chaos () =
   let csv =

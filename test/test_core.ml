@@ -141,31 +141,59 @@ let template_tests =
 
 let pool_tests =
   [
-    Alcotest.test_case "ensure creates invalid column" `Quick (fun () ->
+    Alcotest.test_case "ensure creates uncovered column" `Quick (fun () ->
         let p = Shred_pool.create ~capacity:4 in
         let key = { Shred_pool.table = "t"; column = 1 } in
-        let c = Shred_pool.ensure p key ~n_rows:5 ~dtype:Dtype.Int in
-        Alcotest.(check int) "length" 5 (Column.length c);
-        Alcotest.(check int) "nothing loaded" 0 (Column.valid_count c);
+        let s = Shred_pool.ensure p key ~n_rows:5 ~dtype:Dtype.Int in
+        Alcotest.(check int) "length" 5 (Column.length (Shred_pool.column s));
+        Alcotest.(check (array int)) "nothing covered" [| 0; 1; 2; 3; 4 |]
+          (Shred_pool.missing s [| 0; 1; 2; 3; 4 |]);
         Alcotest.(check bool) "same instance back" true
-          (Shred_pool.ensure p key ~n_rows:5 ~dtype:Dtype.Int == c));
+          (Shred_pool.ensure p key ~n_rows:5 ~dtype:Dtype.Int == s));
     Alcotest.test_case "subsumes and missing" `Quick (fun () ->
         let p = Shred_pool.create ~capacity:4 in
         let key = { Shred_pool.table = "t"; column = 0 } in
-        let c = Shred_pool.ensure p key ~n_rows:6 ~dtype:Dtype.Float in
-        Column.scatter c [| 1; 3 |] (Column.of_float_array [| 1.0; 3.0 |]);
-        Alcotest.(check bool) "subsumed" true (Shred_pool.subsumes c [| 1; 3 |]);
-        Alcotest.(check bool) "not subsumed" false (Shred_pool.subsumes c [| 1; 2 |]);
+        let s = Shred_pool.ensure p key ~n_rows:6 ~dtype:Dtype.Float in
+        Shred_pool.fill s [| 1; 3 |] (Column.of_float_array [| 1.0; 3.0 |]);
+        Alcotest.(check bool) "subsumed" true (Shred_pool.subsumes s [| 1; 3 |]);
+        Alcotest.(check bool) "not subsumed" false (Shred_pool.subsumes s [| 1; 2 |]);
         Alcotest.(check (array int)) "missing" [| 2; 5 |]
-          (Shred_pool.missing c [| 1; 2; 3; 5 |]));
+          (Shred_pool.missing s [| 1; 2; 3; 5 |]));
+    Alcotest.test_case "fetched NULLs stay covered" `Quick (fun () ->
+        let p = Shred_pool.create ~capacity:4 in
+        let key = { Shred_pool.table = "t"; column = 0 } in
+        let s = Shred_pool.ensure p key ~n_rows:4 ~dtype:Dtype.Int in
+        Shred_pool.fill s [| 0; 2 |] (Column.of_values Dtype.Int [ Null; Int 7 ]);
+        Alcotest.(check bool) "NULL row covered" true (Shred_pool.subsumes s [| 0; 2 |]);
+        Alcotest.(check (array int)) "missing" [| 1; 3 |]
+          (Shred_pool.missing s [| 0; 1; 2; 3 |]);
+        check_value "NULL kept" Null (Column.get (Shred_pool.column s) 0);
+        check_value "value kept" (Int 7) (Column.get (Shred_pool.column s) 2));
     Alcotest.test_case "progressive fill converges" `Quick (fun () ->
         let p = Shred_pool.create ~capacity:4 in
         let key = { Shred_pool.table = "t"; column = 0 } in
-        let c = Shred_pool.ensure p key ~n_rows:4 ~dtype:Dtype.Int in
-        Column.scatter c [| 0; 1 |] (Column.of_int_array [| 10; 11 |]);
-        Column.scatter c [| 2; 3 |] (Column.of_int_array [| 12; 13 |]);
-        Alcotest.(check bool) "fully loaded" true (Column.all_valid c || Column.valid_count c = 4);
-        check_value "kept earlier fill" (Int 10) (Column.get c 0));
+        let s = Shred_pool.ensure p key ~n_rows:4 ~dtype:Dtype.Int in
+        Shred_pool.fill s [| 0; 1 |] (Column.of_int_array [| 10; 11 |]);
+        Shred_pool.fill s [| 2; 3 |] (Column.of_int_array [| 12; 13 |]);
+        Alcotest.(check (array int)) "fully loaded" [||]
+          (Shred_pool.missing s [| 0; 1; 2; 3 |]);
+        check_value "kept earlier fill" (Int 10) (Column.get (Shred_pool.column s) 0));
+    Alcotest.test_case "grow keeps old rows and covers no new one" `Quick
+      (fun () ->
+        let p = Shred_pool.create ~capacity:4 in
+        let key = { Shred_pool.table = "t"; column = 0 } in
+        Shred_pool.put p key (Column.of_int_array [| 1; 2; 3 |]);
+        let s = Option.get (Shred_pool.find p key) in
+        Shred_pool.grow s ~n_rows:12;
+        Alcotest.(check (array int)) "only new rows missing"
+          [| 3; 4; 5; 6; 7; 8; 9; 10; 11 |]
+          (Shred_pool.missing s (Array.init 12 Fun.id));
+        check_value "old value" (Int 3) (Column.get (Shred_pool.column s) 2);
+        Shred_pool.fill s [| 9 |] (Column.of_values Dtype.Int [ Null ]);
+        Shred_pool.grow s ~n_rows:20;
+        Alcotest.(check (array int)) "partial grows too" [| 8; 10; 19 |]
+          (Shred_pool.missing s [| 2; 8; 9; 10; 19 |]);
+        check_value "fetched NULL kept" Null (Column.get (Shred_pool.column s) 9));
     Alcotest.test_case "LRU eviction at capacity" `Quick (fun () ->
         let p = Shred_pool.create ~capacity:2 in
         let k i = { Shred_pool.table = "t"; column = i } in
@@ -190,7 +218,8 @@ let pool_tests =
         let key = { Shred_pool.table = "t"; column = 0 } in
         Shred_pool.put p key (Column.of_int_array [| 1; 2 |]);
         (match Shred_pool.find p key with
-         | Some c -> Alcotest.(check bool) "full column" true (Column.all_valid c)
+         | Some s ->
+           Alcotest.(check bool) "full column" true (Shred_pool.subsumes s [| 0; 1 |])
          | None -> Alcotest.fail "missing");
         Shred_pool.remove p key;
         Alcotest.(check bool) "removed" true (Shred_pool.find p key = None));

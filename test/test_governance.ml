@@ -27,23 +27,21 @@ let contains hay needle =
 (* Sum of column c over the n-row grid: cell (r, c) = r * 100 + c. *)
 let grid_sum ~n c = (100 * n * (n - 1) / 2) + (n * c)
 
-(* A pooled shred for the grid table may be partially valid — that is its
-   design — but every row it marks valid must hold exactly the raw file's
-   value. A cancelled query must never leave half-written garbage behind a
-   valid bit. *)
+(* A pooled shred for the grid table may be partially covered — that is
+   its design — but every row it marks covered must hold exactly the raw
+   file's value. A cancelled query must never leave half-written garbage
+   behind a coverage bit. *)
 let check_shreds_consistent db =
   let pool = Catalog.shreds (Raw_db.catalog db) in
   Shred_pool.fold
-    (fun key col () ->
-      let c = key.Shred_pool.column in
+    (fun key shred () ->
+      let c = key.Shred_pool.column and col = Shred_pool.column shred in
       for r = 0 to Column.length col - 1 do
-        match Column.get col r with
-        | Value.Null -> ()
-        | v ->
+        if Shred_pool.covered shred r then
           check_value
             (Printf.sprintf "shred col%d row %d" c r)
             (Value.Int ((r * 100) + c))
-            v
+            (Column.get col r)
       done)
     pool ()
 

@@ -6,4 +6,5 @@ let () =
    @ Test_index.suites @ Test_cost.suites @ Test_executor.suites @ Test_props.suites
    @ Test_faults.suites @ Test_governance.suites @ Test_obs.suites
    @ Test_history.suites @ Test_server.suites @ Test_server_chaos.suites
-   @ Test_approx.suites @ Test_prof.suites @ Test_semantics.suites)
+   @ Test_approx.suites @ Test_prof.suites @ Test_semantics.suites
+   @ Test_refresh.suites)
