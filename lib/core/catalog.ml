@@ -60,42 +60,55 @@ let sorted_entries t =
   Hashtbl.fold (fun _ e acc -> e :: acc) t.entries []
   |> List.sort (fun a b -> String.compare a.name b.name)
 
+let index_bytes (a, b) = 8 * (Array.length a + Array.length b)
+
 (* The degradation ladder: under pressure the budget drops consumers'
    items in this priority order. Priority 0 is reserved for the result cache
    (registered by Stmt_cache — pure derived data, cheapest to lose), then
    cold shreds (the next query re-fetches the rows it needs), then
    templates (recompiling re-charges simulated compile latency), then
-   positional maps and JSONL structure indexes (the next query
-   re-tokenizes), and only last the simulated file page cache (re-reads
-   charge simulated I/O). *)
+   positional maps and structure indexes (the next query re-tokenizes, or
+   re-reads the index slots and collection headers), and only last the
+   simulated file page cache (re-reads charge simulated I/O). *)
 let register_consumers t budget =
   let register name priority items = Mem_budget.register budget ~name ~priority ~items in
+  let item bytes drop = if bytes > 0 then Some { Mem_budget.bytes; drop } else None in
   register "shreds" 1 (fun () -> Shred_pool.items t.shreds);
   register "templates" 2 (fun () -> Template_cache.items t.templates);
-  (* whole per-table structure indexes, in name order for determinism;
-     they are rebuilt from the raw file on demand *)
+  (* whole per-table structure indexes, in name order for determinism,
+     then each HEP file's decoded event offsets, in path order; all are
+     rebuilt from the raw file on demand *)
   register "posmaps" 3 (fun () ->
       List.filter_map
         (fun e ->
+          let s = e.state in
+          let size f = Option.fold ~none:0 ~some:f in
           let bytes =
-            (match e.state.posmap with Some pm -> Posmap.byte_size pm | None -> 0)
-            + match e.state.row_starts with Some s -> 8 * Array.length s | None -> 0
+            size Posmap.byte_size s.posmap
+            + size (fun a -> 8 * Array.length a) s.row_starts
+            + size index_bytes s.hep_index + size index_bytes s.jarr_index
           in
-          let drop () =
-            e.state.posmap <- None;
-            e.state.row_starts <- None;
-            Raw_obs.Decisions.record ~site:"governance" ~choice:"evict_posmap"
-              [ ("table", e.name); ("freed_bytes", string_of_int bytes) ]
-          in
-          if bytes > 0 then Some { Mem_budget.bytes; drop } else None)
-        (sorted_entries t));
+          item bytes (fun () ->
+              s.posmap <- None;
+              s.row_starts <- None;
+              s.hep_index <- None;
+              s.jarr_index <- None;
+              Raw_obs.Decisions.record ~site:"governance" ~choice:"evict_posmap"
+                [ ("table", e.name); ("freed_bytes", string_of_int bytes) ]))
+        (sorted_entries t)
+      @ (Hashtbl.fold (fun path r acc -> (path, r) :: acc) t.hep_readers []
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+        |> List.filter_map (fun (path, r) ->
+               let bytes = Hep.Reader.offsets_bytes r in
+               item bytes (fun () ->
+                   Hep.Reader.drop_offsets r;
+                   Raw_obs.Decisions.record ~site:"governance"
+                     ~choice:"evict_event_offsets"
+                     [ ("path", path); ("freed_bytes", string_of_int bytes) ]))));
   register "file_pages" 4 (fun () ->
       let ps = t.config.Config.mmap.Mmap_file.Config.page_size in
       List.filter_map
-        (fun f ->
-          let bytes = ps * Mmap_file.resident_pages f in
-          let drop () = Mmap_file.drop_cache f in
-          if bytes > 0 then Some { Mem_budget.bytes; drop } else None)
+        (fun f -> item (ps * Mmap_file.resident_pages f) (fun () -> Mmap_file.drop_cache f))
         (open_files t))
 
 let create ?(config = Config.default) () =
@@ -238,19 +251,32 @@ let hep_entry_ids t r =
     Hep.Reader.record_invalid_entries r;
     Hep.Reader.valid_entries r
 
+(* A count pass over the enumerated entries, then exact-size arrays. *)
 let build_hep_index t entry coll =
   let r = hep_reader t entry in
-  let entries = Buffer_int.create () in
-  let items = Buffer_int.create () in
-  Array.iter
-    (fun e ->
-      let len = Hep.Reader.collection_length r e coll in
-      for i = 0 to len - 1 do
-        Buffer_int.add entries e;
-        Buffer_int.add items i
+  let ids = hep_entry_ids t r in
+  let lens = Array.map (fun e -> Hep.Reader.collection_length r e coll) ids in
+  let n = Array.fold_left ( + ) 0 lens in
+  let entry_of = Array.make n 0 and item_of = Array.make n 0 in
+  let row = ref 0 in
+  Array.iteri
+    (fun k e ->
+      for i = 0 to lens.(k) - 1 do
+        entry_of.(!row) <- e;
+        item_of.(!row) <- i;
+        incr row
       done)
-    (hep_entry_ids t r);
-  (Buffer_int.contents entries, Buffer_int.contents items)
+    ids;
+  (entry_of, item_of)
+
+(* A row-id index (HEP particles, JSONL child elements) is retained only
+   if the budget can hold it, like a positional map; either way it sets
+   the row count. *)
+let retain_index t entry idx set =
+  if reserve_bytes t (index_bytes idx) then set (Some idx)
+  else Metrics.incr Metrics.gov_fallback_posmap;
+  entry.state.n_rows <- Some (Array.length (fst idx));
+  idx
 
 let hep_index t entry =
   match entry.state.hep_index with
@@ -258,10 +284,8 @@ let hep_index t entry =
   | None ->
     (match entry.format with
      | Format_kind.Hep_particles coll ->
-       let idx = build_hep_index t entry coll in
-       entry.state.hep_index <- Some idx;
-       entry.state.n_rows <- Some (Array.length (fst idx));
-       idx
+       retain_index t entry (build_hep_index t entry coll) (fun i ->
+           entry.state.hep_index <- i)
      | _ -> invalid_arg "Catalog.hep_index: not a HEP particle table")
 
 (* Row starts are the JSONL positional map: retained only if the budget
@@ -295,14 +319,11 @@ let jarr_index t entry =
   | None ->
     (match entry.format with
      | Format_kind.Jsonl_array { array_path } ->
-       let idx =
-         Scan_jsonl.array_index ~file:(file t entry)
-           ~row_starts:(jsonl_row_starts t entry)
-           ~array_path:(String.split_on_char '.' array_path)
-       in
-       entry.state.jarr_index <- Some idx;
-       entry.state.n_rows <- Some (Array.length (fst idx));
-       idx
+       retain_index t entry
+         (Scan_jsonl.array_index ~file:(file t entry)
+            ~row_starts:(jsonl_row_starts t entry)
+            ~array_path:(String.split_on_char '.' array_path))
+         (fun i -> entry.state.jarr_index <- i)
      | _ -> invalid_arg "Catalog.jarr_index: not a JSONL child table")
 
 (* The CSV sizing pass, over [range] (row-aligned) or the whole file.
@@ -369,7 +390,11 @@ let forget_data_state t =
       s.loaded <- None;
       s.row_starts <- None;
       s.jarr_index <- None;
-      Option.iter Hep.Reader.clear_object_cache s.hep)
+      Option.iter
+        (fun r ->
+          Hep.Reader.clear_object_cache r;
+          Hep.Reader.drop_offsets r)
+        s.hep)
     t.entries;
   Shred_pool.clear t.shreds
 

@@ -22,7 +22,8 @@ type state = private {
       (** DBMS-mode fully-loaded columns, schema order *)
   mutable n_rows : int option;
   mutable hep_index : (int array * int array) option;
-      (** particle tables: dense row id -> (entry, item) *)
+      (** particle tables: dense row id -> (entry, item), built from the
+          reader's decoded event offsets *)
   mutable row_starts : int array option;
       (** JSONL: byte offset of each row — the structure index *)
   mutable jarr_index : (int array * int array) option;
@@ -52,7 +53,12 @@ val create : ?config:Config.t -> unit -> t
     with the shred pool, template cache, positional maps and simulated file
     page caches registered as its consumers (eviction priorities 1..4 in
     that order — priority 0 is reserved for the result cache, registered
-    separately by {!Stmt_cache.register_budget}). *)
+    separately by {!Stmt_cache.register_budget}). The positional-map
+    consumer also lists the other structure indexes: JSONL row starts,
+    the HEP particle and JSONL child-table indexes (with their table's
+    posmap, one item per table) and each HEP file's decoded event
+    offsets (one item per file). Each eviction is one [governance]
+    decision, [evict_posmap] or [evict_event_offsets]. *)
 
 val config : t -> Config.t
 val shreds : t -> Shred_pool.t
@@ -99,10 +105,15 @@ val n_rows : t -> entry -> int
     row-id index). *)
 
 val hep_index : t -> entry -> int array * int array
+(** HEP particle tables: builds the index by a count pass over the
+    entries the error policy enumerates, then exact-size arrays, and
+    retains it under the same rule as {!set_posmap}. Raises
+    [Invalid_argument] for other formats. *)
 
 val jarr_index : t -> entry -> int array * int array
-(** JSONL child tables: builds (and caches) the element index. Raises
-    [Invalid_argument] for other formats. *)
+(** JSONL child tables: builds the element index and retains it under
+    the same rule as {!set_posmap}. Raises [Invalid_argument] for other
+    formats. *)
 
 val fwb_layout : entry -> Fwb.layout
 (** Raises [Invalid_argument] if the entry is not FWB. *)
@@ -135,8 +146,8 @@ val drop_file_caches : t -> unit
 
 val forget_data_state : t -> unit
 (** Drops positional maps, JSONL row starts and child-table element
-    indexes, DBMS-loaded columns, the shred pool and the HEP object
-    caches, but keeps compiled templates — the state of a session
+    indexes, DBMS-loaded columns, the shred pool, the HEP object caches
+    and decoded event offsets, but keeps compiled templates — the state of a session
     whose data caches were reset while the generated-library cache (which
     only depends on query/file shapes, paper §4.2) stays warm. Benchmarks
     use this between measurements of the same query shape. *)

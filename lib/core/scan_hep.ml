@@ -35,16 +35,26 @@ let scan ~mode ~schema ~jit ~value ~ids needed =
   Metrics.add Metrics.scan_values_built (n * List.length needed);
   columns
 
+(* The field API: what the interpreted readers call per value. *)
 let event_field reader col =
   match col with
   | 0 -> Hep.Reader.read_event_id reader
   | 1 -> Hep.Reader.read_run_number reader
   | _ -> invalid_arg "Scan_hep.scan_events: bad column"
 
+(* A JIT events column: one load at the entry's decoded offset. *)
+let event_column reader col =
+  let field =
+    match col with
+    | 0 | 1 -> 8 * col
+    | _ -> invalid_arg "Scan_hep.scan_events: bad column"
+  in
+  fun e -> Hep.Reader.read_i64 reader (Hep.Reader.event_offset reader e + field)
+
 let scan_events ~mode ?(policy = Scan_errors.Fail_fast) ~reader ~needed
     ~rowids () =
   scan ~mode ~schema:Format_kind.hep_event_schema
-    ~jit:(fun n col -> Scan_kit.ints n (event_field reader col))
+    ~jit:(fun n col -> Scan_kit.ints n (event_column reader col))
     ~value:(fun col r -> Value.Int (event_field reader col r))
     ~ids:(entry_ids ~policy reader rowids) needed
 
@@ -59,6 +69,25 @@ let all_particles (entry_of, _) = function
   | Some ids -> ids
   | None -> Array.init (Array.length entry_of) (fun i -> i)
 
+(* A JIT particle column. A table's rows run through each event's
+   collection in order, so the collection's start is resolved once per
+   run of rows from one event; each value is then one load. *)
+let particle_column reader coll (entry_of, item_of) pfield =
+  let field = Hep.Reader.pfield_offset pfield in
+  let last = ref (-1) and start = ref 0 and len = ref 0 in
+  fun r ->
+    let e = entry_of.(r) in
+    if e <> !last then begin
+      let s, l = Hep.Reader.collection_span reader (Hep.Reader.event_offset reader e) coll in
+      last := e;
+      start := s;
+      len := l
+    end;
+    let item = item_of.(r) in
+    if item < 0 || item >= !len then
+      invalid_arg (Printf.sprintf "Scan_hep.scan_particles: item %d/%d" item !len);
+    Hep.Reader.read_f64 reader (!start + (item * Hep.particle_size) + field)
+
 let scan_particles ~mode ~reader ~coll ~index ~needed ~rowids =
   let entry_of, item_of = index in
   let event r = Hep.Reader.read_event_id reader entry_of.(r) in
@@ -68,8 +97,10 @@ let scan_particles ~mode ~reader ~coll ~index ~needed ~rowids =
   in
   scan ~mode ~schema:Format_kind.hep_particle_schema
     ~jit:(fun n col ->
-      if col = 0 then Scan_kit.ints n event
-      else Scan_kit.floats n (field (pfield_col col)))
+      if col = 0 then
+        Scan_kit.ints n (fun r ->
+            Hep.Reader.read_i64 reader (Hep.Reader.event_offset reader entry_of.(r)))
+      else Scan_kit.floats n (particle_column reader coll index (pfield_col col)))
     ~value:(fun col r ->
       if col = 0 then Value.Int (event r)
       else Value.Float (field (pfield_col col) r))
@@ -77,12 +108,15 @@ let scan_particles ~mode ~reader ~coll ~index ~needed ~rowids =
 
 (* The record index (entry ids, or dense particle row ids) is the morsel
    axis: contiguous slices of the id array, one worker domain per slice
-   against a forked reader. *)
-let par ~parallelism ~reader work ids =
+   against a forked reader. A JIT scan first decodes the entries it will
+   read ([entry] maps an id to its entry), so the views share one decoded
+   array and each slot is read, and its page charged, once. *)
+let par ~mode ~parallelism ~reader ~entry work ids =
   let n = Array.length ids in
   match if parallelism <= 1 then [] else Morsel.split_range ~lo:0 ~hi:n ~n:parallelism with
   | [] | [ _ ] -> work reader ids
   | slices ->
+    if mode = Scan_csv.Jit then Array.iter (fun i -> Hep.Reader.decode reader (entry i)) ids;
     Morsel.concat_columns
       (Morsel.fork_join
          ~fork:(fun () -> Hep.Reader.fork_view reader)
@@ -94,12 +128,12 @@ let par ~parallelism ~reader work ids =
 let par_scan_events ~mode ?(policy = Scan_errors.Fail_fast) ~parallelism
     ~reader ~needed ~rowids () =
   (* resolve the enumeration (and its error recording) exactly once *)
-  par ~parallelism ~reader
+  par ~mode ~parallelism ~reader ~entry:Fun.id
     (fun reader ids -> scan_events ~mode ~reader ~needed ~rowids:(Some ids) ())
     (entry_ids ~policy reader rowids)
 
 let par_scan_particles ~mode ~parallelism ~reader ~coll ~index ~needed ~rowids =
-  par ~parallelism ~reader
+  par ~mode ~parallelism ~reader ~entry:(Array.get (fst index))
     (fun reader ids ->
       scan_particles ~mode ~reader ~coll ~index ~needed ~rowids:(Some ids))
     (all_particles index rowids)

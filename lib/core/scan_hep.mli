@@ -1,10 +1,14 @@
 (** HEP scan kernels (paper §6).
 
     RAW's generated access paths for ROOT "emit code that calls the ROOT
-    I/O API instead of interpreting bytes" — here, calls into
-    {!Raw_formats.Hep.Reader}'s field-level API. Entry-id addressability is
-    what the paper maps to index-based scans: fetching a subset of entries
-    touches only those entries' bytes.
+    I/O API instead of interpreting bytes". The interpreted readers call
+    {!Raw_formats.Hep.Reader}'s field-level API per value. The JIT readers
+    go through its decoded event offsets: an events value is one load at
+    its record offset, and a particle column resolves its collection's
+    start once per event, then reads each value with one load. Both fault
+    the same pages. Entry-id addressability is what the paper maps to
+    index-based scans: fetching a subset of entries touches only those
+    entries' bytes.
 
     Particle tables are the flattened relational view (one row per
     particle, with its event id); dense row ids map to (entry, item) pairs
@@ -53,8 +57,9 @@ val par_scan_events :
   Column.t array
 (** Morsel-driven parallel {!scan_events}: the entry-id array is cut into
     contiguous slices, one worker domain per slice against a forked reader
-    view, columns concatenated in slice order. Bit-identical to
-    {!scan_events} at any [parallelism]. *)
+    view, columns concatenated in slice order. A JIT scan decodes the
+    entries' offsets before forking, so the views share them. Bit-identical
+    to {!scan_events} at any [parallelism]. *)
 
 val par_scan_particles :
   mode:Scan_csv.mode ->

@@ -111,6 +111,8 @@ module Reader = struct
     mutable cache_hits : int;
     mutable cache_misses : int;
     mutable valid : int array option; (* entries whose spans fit; lazy *)
+    mutable offsets : int array option;
+        (* decoded index slots, -1 until first read; lazy, shared by views *)
   }
 
   (* Reads are bounds-checked against the mapped length: a corrupt record
@@ -152,6 +154,7 @@ module Reader = struct
         cache_hits = 0;
         cache_misses = 0;
         valid = None;
+        offsets = None;
       }
     in
     let n_events = read_i64 t 8 in
@@ -163,10 +166,11 @@ module Reader = struct
   let file t = t.file
   let n_events t = t.n_events
 
-  (* A reader for a worker domain: shares the underlying bytes and event
-     index, but owns a private page-residency view and a fresh object cache
-     (the LRU is not safe for concurrent mutation). The coordinator absorbs
-     the forked file's counters via [Mmap_file.absorb] after joining. *)
+  (* A reader for a worker domain: shares the underlying bytes, event
+     index and decoded offsets, but owns a private page-residency view and
+     a fresh object cache (the LRU is not safe for concurrent mutation).
+     The coordinator absorbs the forked file's counters via
+     [Mmap_file.absorb] after joining. *)
   let fork_view t =
     let cache =
       match Lru.capacity t.cache with
@@ -185,12 +189,55 @@ module Reader = struct
     if entry < 0 || entry >= t.n_events then
       invalid_arg (Printf.sprintf "Hep.Reader: entry %d out of range" entry)
 
-  let event_offset t entry =
+  (* The field API re-reads an entry's index slot on every call, as the
+     library API it stands in for does. *)
+  let slot_offset t entry =
     check_entry t entry;
     read_i64 t (t.index_off + (8 * entry))
 
-  let read_event_id t entry = read_i64 t (event_offset t entry)
-  let read_run_number t entry = read_i64 t (event_offset t entry + 8)
+  let read_event_id t entry = read_i64 t (slot_offset t entry)
+  let read_run_number t entry = read_i64 t (slot_offset t entry + 8)
+
+  (* The decoded offsets cover the entries whose slot lies inside the
+     file; a slot past EOF is never cached, so reading it raises exactly
+     where the field API would. *)
+  let offsets t =
+    match t.offsets with
+    | Some a -> a
+    | None ->
+      let len = Bytes.length t.buf in
+      let decodable =
+        if t.index_off < 0 || t.index_off > len then 0
+        else min t.n_events ((len - t.index_off) / 8)
+      in
+      let a = Array.make decodable (-1) in
+      t.offsets <- Some a;
+      a
+
+  (* Page-accounted on the first read of a slot only. A negative offset is
+     corrupt (any read at it raises) and is left undecoded. *)
+  let event_offset t entry =
+    let offs = offsets t in
+    if entry >= 0 && entry < Array.length offs then begin
+      let o = Array.unsafe_get offs entry in
+      if o >= 0 then o
+      else begin
+        let o = slot_offset t entry in
+        if o >= 0 then Array.unsafe_set offs entry o;
+        o
+      end
+    end
+    else slot_offset t entry
+
+  let decode t entry =
+    let offs = offsets t in
+    if entry >= 0 && entry < Array.length offs && Array.unsafe_get offs entry < 0
+    then ignore (event_offset t entry)
+
+  let offsets_bytes t =
+    match t.offsets with Some a -> 8 * Array.length a | None -> 0
+
+  let drop_offsets t = t.offsets <- None
 
   (* Structural validation of one index entry: its slot must lie inside
      the file and the record it points at — fixed header, aux payload and
@@ -264,15 +311,15 @@ module Reader = struct
     | Electrons -> read_i32 t (off + 20)
     | Jets -> read_i32 t (off + 24)
 
-  let pfield_off = function Pt -> 0 | Eta -> 8 | Phi -> 16
+  let pfield_offset = function Pt -> 0 | Eta -> 8 | Phi -> 16
 
   let read_particle_field t ~entry coll ~item f =
-    let off = event_offset t entry in
+    let off = slot_offset t entry in
     let start, len = collection_span t off coll in
     if item < 0 || item >= len then
       invalid_arg
         (Printf.sprintf "Hep.Reader.read_particle_field: item %d/%d" item len);
-    read_f64 t (start + (item * particle_size) + pfield_off f)
+    read_f64 t (start + (item * particle_size) + pfield_offset f)
 
   (* copy-accounting: deserialization duplicates each particle's bytes
      into an OCaml record; charged per collection, not per field read *)
@@ -286,7 +333,7 @@ module Reader = struct
           phi = read_f64 t (base + 16) })
 
   let deserialize t entry =
-    let off = event_offset t entry in
+    let off = slot_offset t entry in
     let event_id = read_i64 t off in
     let run_number = read_i64 t (off + 8) in
     let n_mu = read_i32 t (off + 16) in

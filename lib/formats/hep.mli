@@ -41,6 +41,9 @@ type event = {
 type coll = Muons | Electrons | Jets
 type pfield = Pt | Eta | Phi
 
+val particle_size : int
+(** Bytes per particle record: pt, eta, phi as f64. *)
+
 val coll_to_string : coll -> string
 val pfield_to_string : pfield -> string
 
@@ -113,11 +116,77 @@ module Reader : sig
 
   (** {2 Field-level API}
 
-      Point reads used by RAW's generated access paths; they bypass the
-      object cache and touch only the bytes of the requested field. *)
+      Point reads by entry id, as the ROOT I/O library offers them: each
+      call re-reads the entry's index slot and whatever collection header
+      it needs, then the field, touching only those bytes. They bypass
+      the object cache. The interpreted access paths read through them
+      (the library-call baseline). *)
 
   val read_event_id : t -> int -> int
   val read_run_number : t -> int -> int
-  val collection_length : t -> int -> coll -> int
   val read_particle_field : t -> entry:int -> coll -> item:int -> pfield -> float
+
+  (** {2 Decoded offsets}
+
+      RAW's generated access paths read through offsets instead of
+      navigating per value: the event index is decoded once per file into
+      one [int array] (an entry's record offset, or unread), held by the
+      reader, shared by the four tables over the file and by every
+      {!fork_view}. An entry's slot is decoded, lazily, the first time
+      {!event_offset} asks for it; from then on the slot is never read
+      again.
+
+      {b Page accounting.} Decoding a slot reads it through the simulated
+      page cache like any field read; a decoded slot costs nothing
+      further. So a sequential scan through the decoded offsets touches a
+      subsequence of what the field-API walk touches, first touch of
+      every page included: on a fresh reader (or after
+      {!Raw_storage.Mmap_file.drop_cache} and {!drop_offsets}) it faults
+      exactly the same pages, whatever entries it reads, full scan or
+      sparse fetch. Only {!Raw_storage.Mmap_file.hits} is lower.
+
+      Under a bounded [residency_capacity] the JIT path still touches the
+      same distinct pages, but fewer times: later queries no longer
+      re-touch index slots, and a collection header is read once per
+      event and column instead of once per value. The LRU then evicts in
+      a different order, and fault counts can move either way: a page
+      the field API keeps recent by re-reading it can be evicted between
+      two JIT reads of it (2 events, 56-byte pages, 3 resident: 15 faults
+      against the field API's 14), while pages the JIT path no longer
+      revisits stop displacing others. *)
+
+  val event_offset : t -> int -> int
+  (** The record offset of an entry, decoded on first use. A slot past
+      EOF raises the typed scan error on every call, and a negative
+      offset is returned undecoded (any read at it raises), so a corrupt
+      slot fails wherever the field API fails. Raises [Invalid_argument]
+      for an entry id out of range. *)
+
+  val decode : t -> int -> unit
+  (** Decode one entry's slot if it lies inside the file and is not yet
+      decoded; never raises. A parallel scan decodes its entries before
+      {!fork_view}, so its views share the work. *)
+
+  val offsets_bytes : t -> int
+  (** Bytes the decoded offsets hold; 0 before the first decode. *)
+
+  val drop_offsets : t -> unit
+  (** Forget the decoded offsets (a memory-budget eviction); the next
+      {!event_offset} re-reads and re-charges its slot. *)
+
+  val collection_length : t -> int -> coll -> int
+  (** One collection's length, at the entry's decoded offset. *)
+
+  val collection_span : t -> int -> coll -> int * int
+  (** [collection_span t off coll] = (start, length) of a collection of
+      the record at offset [off]: reads its length and the counts before
+      it. *)
+
+  val read_i64 : t -> int -> int
+  val read_f64 : t -> int -> float
+  (** Page-accounted reads at an absolute position; raise the typed scan
+      error past EOF. *)
+
+  val pfield_offset : pfield -> int
+  (** A field's byte offset within a particle. *)
 end

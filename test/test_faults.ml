@@ -261,6 +261,40 @@ let corpus_tests =
             check_value "sum pt" (Value.Float 80.0)
               (Raw_db.scalar db "SELECT SUM(pt) FROM atlas_muons"))
           [ Scan_errors.Skip_row; Scan_errors.Null_fill ]);
+    Alcotest.test_case "bad_index.hep: JIT fails and records like the field API"
+      `Quick (fun () ->
+        (* the JIT readers go through decoded offsets, the interpreted
+           ones through the field API: the same typed error, or the same
+           answers and recorded errors, on every table and policy *)
+        let outcome policy access sql =
+          let config = { Config.default with Config.on_error = policy } in
+          let db = Raw_db.create ~config ~options:{ Planner.default with access } () in
+          reg_hep db;
+          match Raw_db.query db sql with
+          | r ->
+            Ok
+              (Array.map Column.to_values (Chunk.columns r.chunk), errors_of r)
+          | exception Scan_errors.Error e -> Error e
+        in
+        List.iter
+          (fun policy ->
+            List.iter
+              (fun sql ->
+                let jit = outcome policy Access.Jit sql in
+                if jit <> outcome policy Access.In_situ sql then
+                  Alcotest.failf "%s: JIT differs from the field API" sql;
+                match (policy, jit) with
+                | Scan_errors.Fail_fast, Ok _ -> Alcotest.failf "%s: expected an error" sql
+                | (Scan_errors.Skip_row | Scan_errors.Null_fill), Error _ ->
+                  Alcotest.failf "%s: unexpected error" sql
+                | _ -> ())
+              [
+                "SELECT SUM(run_number), MAX(event_id) FROM atlas_events";
+                "SELECT SUM(pt), MIN(event_id) FROM atlas_muons";
+                "SELECT MAX(eta), SUM(phi) FROM atlas_electrons";
+                "SELECT COUNT(*), MIN(phi) FROM atlas_jets";
+              ])
+          [ Scan_errors.Fail_fast; Scan_errors.Skip_row; Scan_errors.Null_fill ]);
     Alcotest.test_case "report: tolerated errors render in pp_report" `Quick
       (fun () ->
         let r =

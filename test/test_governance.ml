@@ -394,6 +394,117 @@ let index_eviction_tests =
           (Raw_db.scalar db "SELECT SUM(e) FROM c WHERE a < 500000000"));
   ]
 
+(* Row-id indexes held outside positional maps — the HEP particle index,
+   each HEP file's decoded event offsets and the JSONL child-table
+   element index — are budget items too: under a tight budget a session
+   answers exactly as an unbudgeted engine does while they are evicted
+   and rebuilt. The HEP tables have no positional map, so their posmap
+   evictions are those indexes. *)
+let budgeted_session ~budget register queries =
+  let answers config =
+    let db = Raw_db.create ~config () in
+    register db;
+    let h = Raw_obs.Decisions.create () in
+    let before = Io_stats.snapshot () in
+    let rows =
+      Raw_obs.Decisions.with_handle h (fun () ->
+          List.map
+            (fun q ->
+              let c = (Raw_db.query db q).Executor.chunk in
+              List.init (Chunk.n_rows c) (fun k -> List.map Value.to_string (Chunk.row c k)))
+            queries)
+    in
+    let evictions =
+      Option.value ~default:0.
+        (List.assoc_opt "gov.evictions.posmaps" (Io_stats.snapshot ()))
+      -. Option.value ~default:0. (List.assoc_opt "gov.evictions.posmaps" before)
+    in
+    (db, rows, evictions, Raw_obs.Decisions.records h)
+  in
+  let _, want, _, _ = answers Config.default in
+  let db, got, evictions, decisions =
+    answers { Config.default with Config.memory_budget = Some budget }
+  in
+  if got <> want then Alcotest.fail "budgeted answers differ from unbudgeted";
+  Alcotest.(check bool) "gov.evictions.posmaps moved" true (evictions > 0.);
+  ( db,
+    List.filter_map
+      (fun (d : Raw_obs.Decisions.record) ->
+        if d.site = "governance" && String.starts_with ~prefix:"evict_" d.choice then
+          Some (d.choice, d.inputs)
+        else None)
+      decisions )
+
+let row_index_budget_tests =
+  [
+    Alcotest.test_case "HEP session evicts its particle index and offsets"
+      `Quick (fun () ->
+        let path = fresh_path ".hep" in
+        Raw_formats.Hep.generate ~path ~n_events:3000 ~seed:5 ();
+        let budget = 384 * 1024 in
+        let db, evicted =
+          budgeted_session ~budget
+            (fun db -> Raw_db.register_hep db ~name_prefix:"h" ~path)
+            [
+              "SELECT COUNT(*) FROM h_muons";
+              "SELECT SUM(pt) FROM h_muons WHERE eta > 0";
+              "SELECT MAX(pt), COUNT(*) FROM h_jets WHERE phi < 0";
+              "SELECT SUM(run_number) FROM h_events WHERE event_id < 500";
+              "SELECT COUNT(*) FROM h_muons JOIN h_events ON h_muons.event_id = \
+               h_events.event_id WHERE run_number < 10";
+              "SELECT SUM(eta) FROM h_electrons";
+              "SELECT SUM(pt) FROM h_muons WHERE eta > 0";
+              "SELECT MIN(pt), SUM(phi) FROM h_jets";
+            ]
+        in
+        let choices = List.sort_uniq compare (List.map fst evicted) in
+        Alcotest.(check (list string)) "evicted structures"
+          [ "evict_event_offsets"; "evict_posmap" ] choices;
+        (* a reservation of the whole budget drops every index whole *)
+        let cat = Raw_db.catalog db in
+        ignore (Catalog.reserve_bytes cat budget);
+        Alcotest.(check int) "offsets dropped" 0
+          (Raw_formats.Hep.Reader.offsets_bytes (Raw_db.hep_reader db "h_events"));
+        List.iter
+          (fun t ->
+            Alcotest.(check bool) (t ^ " index dropped") true
+              ((Catalog.get cat t).state.hep_index = None))
+          [ "h_muons"; "h_electrons"; "h_jets" ]);
+    Alcotest.test_case "JSONL child-table session evicts its element index"
+      `Quick (fun () ->
+        let n = 3000 in
+        let path = fresh_path ".jsonl" in
+        let st = Random.State.make [| 3 |] in
+        Out_channel.with_open_text path (fun oc ->
+            for i = 0 to n - 1 do
+              Printf.fprintf oc "{\"id\": %d, \"items\": [%s]}\n" i
+                (String.concat ", "
+                   (List.init (Random.State.int st 6) (fun _ ->
+                        Printf.sprintf "{\"qty\": %d}" (Random.State.int st 100))))
+            done);
+        let _, evicted =
+          budgeted_session ~budget:(256 * 1024)
+            (fun db ->
+              Raw_db.register_jsonl db ~name:"orders" ~path ~columns:[ ("id", Dtype.Int) ];
+              Raw_db.register_jsonl_array db ~name:"items" ~path ~array_path:"items"
+                ~columns:[ ("qty", Dtype.Int) ])
+            [
+              "SELECT COUNT(*), SUM(qty) FROM items";
+              "SELECT SUM(qty) FROM items WHERE qty > 50";
+              "SELECT COUNT(*) FROM orders WHERE id < 100";
+              "SELECT MAX(parent), MIN(qty) FROM items WHERE parent > 1000";
+              "SELECT SUM(qty) FROM items WHERE qty > 50";
+            ]
+        in
+        (* more than the child table's row starts alone (8 bytes a line) *)
+        Alcotest.(check bool) "element index evicted" true
+          (List.exists
+             (fun (_, inputs) ->
+               List.assoc_opt "table" inputs = Some "items"
+               && int_of_string (List.assoc "freed_bytes" inputs) > 8 * n)
+             evicted));
+  ]
+
 (* One deterministic session over a CSV and a JSONL table, replayed at
    several budgets from "everything evicts" to "nothing does". After each
    query its result is put into the result cache under a fixed key, as the
@@ -657,6 +768,7 @@ let suites =
     ("governance:pressure", pressure_tests);
     ("governance:index_eviction", index_eviction_tests);
     ("governance:budget_session", budget_session_tests);
+    ("governance:row_index_budget", row_index_budget_tests);
     ("governance:admission", admission_tests);
     ("governance:config", config_tests);
   ]

@@ -912,6 +912,96 @@ let prop_jit_faults_match =
       in
       run Raw_core.Scan_csv.Interpreted = run Raw_core.Scan_csv.Jit)
 
+(* ---------------- HEP access paths ---------------- *)
+
+(* Bit-for-bit, floats included. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Float x, Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+(* What the object API ([get_entry]) says a HEP table holds: one row per
+   event, or per particle with its event id. *)
+let hep_object_rows path coll =
+  let module H = Raw_formats.Hep in
+  let r = H.Reader.open_file path in
+  List.concat_map
+    (fun e ->
+      let ev = H.Reader.get_entry r e in
+      match coll with
+      | None -> [ [| Value.Int ev.event_id; Value.Int ev.run_number |] ]
+      | Some coll ->
+        let ps = match (coll : H.coll) with Muons -> ev.muons | Electrons -> ev.electrons | Jets -> ev.jets in
+        Array.to_list
+          (Array.map
+             (fun (p : H.particle) ->
+               [| Value.Int ev.event_id; Value.Float p.pt; Value.Float p.eta; Value.Float p.phi |])
+             ps))
+    (List.init (H.Reader.n_events r) Fun.id)
+
+(* The JIT readers go through decoded offsets, the interpreted ones
+   through the field API. On every table and column subset, for a full
+   scan and for a sorted sparse fetch as the very first access of a fresh
+   catalog, both return exactly what the object API returns, and fault
+   the same pages (small pages, so records straddle them). *)
+let prop_hep_paths_agree =
+  qtest "HEP JIT, field-API and object-API reads agree, faults included" ~count:60
+    (Gen.triple events_gen (Gen.int_range 8 64) Gen.int)
+    (fun (events, page_size, seed) ->
+      let module H = Raw_formats.Hep in
+      let module M = Raw_storage.Mmap_file in
+      let open Raw_core in
+      let path = fresh_path ".hep" in
+      H.write_file ~path (List.to_seq events);
+      let rng = Random.State.make [| seed |] in
+      let config =
+        { Config.default with Config.mmap = { M.Config.default with page_size } }
+      in
+      List.for_all
+        (fun (table, coll) ->
+          let want = Array.of_list (hep_object_rows path coll) in
+          let arity = if coll = None then 2 else 4 in
+          let needed = List.filter (fun _ -> Random.State.bool rng) (List.init arity Fun.id) in
+          let needed = if needed = [] then [ Random.State.int rng arity ] else needed in
+          let rowids =
+            if Random.State.bool rng then None
+            else
+              Some
+                (Array.of_list
+                   (List.filter (fun _ -> Random.State.int rng 4 = 0)
+                      (List.init (Array.length want) Fun.id)))
+          in
+          let run mode =
+            let cat = Catalog.create ~config () in
+            Catalog.register_hep cat ~name_prefix:"h" ~path;
+            let entry = Catalog.get cat table in
+            let reader = Catalog.hep_reader cat entry in
+            let cols =
+              match coll with
+              | None -> Scan_hep.scan_events ~mode ~reader ~needed ~rowids ()
+              | Some coll ->
+                Scan_hep.scan_particles ~mode ~reader ~coll
+                  ~index:(Catalog.hep_index cat entry) ~needed ~rowids
+            in
+            let file = H.Reader.file reader in
+            (cols, M.faults file, M.simulated_io_seconds file)
+          in
+          let jit, jit_faults, jit_io = run Scan_csv.Jit in
+          let interp, faults, io = run Scan_csv.Interpreted in
+          let rows = match rowids with Some ids -> ids | None -> Array.init (Array.length want) Fun.id in
+          List.for_all2
+            (fun col k ->
+              Array.for_all
+                (fun (c : Column.t array) ->
+                  Column.length c.(k) = Array.length rows
+                  && Array.for_all Fun.id
+                       (Array.mapi (fun i r -> same_value (Column.get c.(k) i) want.(r).(col)) rows))
+                [| jit; interp |])
+            needed (List.init (List.length needed) Fun.id)
+          && jit_faults = faults && jit_io = io)
+        [ ("h_events", None); ("h_muons", Some H.Muons); ("h_electrons", Some H.Electrons);
+          ("h_jets", Some H.Jets) ])
+
 (* ---------------- parallel scans vs sequential ---------------- *)
 
 (* Run [f], returning its result plus the Io_stats work-counter delta it
@@ -1026,28 +1116,39 @@ let prop_parallel_hep =
         ( Array.of_list (List.map fst pairs),
           Array.of_list (List.map snd pairs) )
       in
+      (* A JIT scan decodes the offsets before forking, so the views
+         share the coordinator's array: it holds them afterwards. *)
+      let decoded mode r =
+        mode = Raw_core.Scan_csv.Interpreted || Raw_formats.Hep.Reader.offsets_bytes r > 0
+      in
       let run_events parallelism =
         let r = Raw_formats.Hep.Reader.open_file path in
-        delta_counters (fun () ->
-            Raw_core.Scan_hep.par_scan_events ~mode:Raw_core.Scan_csv.Jit
-              ~parallelism ~reader:r ~needed:[ 0; 1 ] ~rowids:None ())
+        let c, d =
+          delta_counters (fun () ->
+              Raw_core.Scan_hep.par_scan_events ~mode:Raw_core.Scan_csv.Jit
+                ~parallelism ~reader:r ~needed:[ 0; 1 ] ~rowids:None ())
+        in
+        (c, d, decoded Raw_core.Scan_csv.Jit r)
       in
-      let run_particles parallelism =
+      let run_particles mode parallelism =
         let r = Raw_formats.Hep.Reader.open_file path in
-        delta_counters (fun () ->
-            Raw_core.Scan_hep.par_scan_particles
-              ~mode:Raw_core.Scan_csv.Interpreted ~parallelism ~reader:r
-              ~coll:Raw_formats.Hep.Muons ~index ~needed:[ 0; 1; 2; 3 ]
-              ~rowids:None)
+        let c, d =
+          delta_counters (fun () ->
+              Raw_core.Scan_hep.par_scan_particles ~mode ~parallelism ~reader:r
+                ~coll:Raw_formats.Hep.Muons ~index ~needed:[ 0; 1; 2; 3 ]
+                ~rowids:None)
+        in
+        (c, d, index = ([||], [||]) || decoded mode r)
       in
-      let e1, de1 = run_events 1 in
-      let e4, de4 = run_events 4 in
-      let p1, dp1 = run_particles 1 in
-      let p4, dp4 = run_particles 4 in
-      Array.for_all2 Column.equal e1 e4
-      && de1 = de4
-      && Array.for_all2 Column.equal p1 p4
-      && dp1 = dp4)
+      let e1, de1, _ = run_events 1 in
+      let e4, de4, ok = run_events 4 in
+      ok && Array.for_all2 Column.equal e1 e4 && de1 = de4
+      && List.for_all
+           (fun mode ->
+             let p1, dp1, _ = run_particles mode 1 in
+             let p4, dp4, ok = run_particles mode 4 in
+             ok && Array.for_all2 Column.equal p1 p4 && dp1 = dp4)
+           [ Raw_core.Scan_csv.Interpreted; Raw_core.Scan_csv.Jit ])
 
 (* ---------------- io_stats merge algebra ---------------- *)
 
@@ -1132,6 +1233,7 @@ let suites =
         prop_split_rows;
         prop_count_rows;
         prop_jit_faults_match;
+        prop_hep_paths_agree;
         prop_parallel_csv;
         prop_parallel_fwb;
         prop_parallel_hep;
