@@ -236,18 +236,13 @@ let record_sample ~label (r : Executor.report) =
   match !current_samples with
   | None -> ()
   | Some acc ->
-    let rows_scanned =
-      match List.assoc_opt "scan.rows_scanned" r.counters with
-      | Some v -> int_of_float v
-      | None -> 0
-    in
     acc :=
       {
         label;
         wall_seconds = r.total_seconds;
         io_seconds = r.io_seconds;
         compile_seconds = r.compile_seconds;
-        rows_scanned;
+        rows_scanned = r.rows_scanned;
         result_rows = Chunk.n_rows r.chunk;
         counters = r.counters;
       }

@@ -159,6 +159,9 @@ let run_query db ~stats ~metrics ~trace_out ~profile ~profile_out sql =
          Printf.sprintf " (field %d)" e.Scan_errors.field
        else "");
     3
+  | exception (Kernels.Overflow _ as e) ->
+    Format.eprintf "%s@." (Printexc.to_string e);
+    3
   | exception Resource_error.Deadline_exceeded p ->
     Format.eprintf "deadline exceeded: %a@." Resource_error.pp_progress p;
     4

@@ -13,6 +13,7 @@ type report = {
   compile_seconds : float;
   total_seconds : float;
   parallelism : int;
+  rows_scanned : int;
   domain_seconds : (string * float) list;
   counters : (string * float) list;
   errors : Scan_errors.snapshot;
@@ -398,6 +399,7 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
     compile_seconds;
     total_seconds = cpu_seconds +. io_seconds +. compile_seconds;
     parallelism = cfg.Config.parallelism;
+    rows_scanned;
     domain_seconds;
     counters = List.sort (fun (a, _) (b, _) -> String.compare a b) counters;
     errors = Scan_errors.snapshot ();

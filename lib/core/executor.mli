@@ -18,6 +18,10 @@ type report = {
   compile_seconds : float;  (** simulated JIT compilation *)
   total_seconds : float;  (** sum of the three *)
   parallelism : int;  (** {!Config.parallelism} in effect for this query *)
+  rows_scanned : int;
+  (** rows the scans produced: the [scan.rows_scanned] delta where a
+      cancel token counted it, else the rows that entered the filter chain
+      ([filter.rows_in]); 0 for a query with neither *)
   domain_seconds : (string * float) list;
   (** per-worker-domain wall clock ([par.domain<i>.seconds] entries recorded
       by {!Morsel.map_domains}); empty when no scan went parallel *)

@@ -98,7 +98,12 @@ let fill s rowids values =
           p.covered <- p.covered + 1
         end)
       rowids;
-    if p.covered = Column.length s.column then s.coverage <- Complete
+    if p.covered = Column.length s.column then begin
+      s.coverage <- Complete;
+      (* no NULL fetched: the all-ones bitmap would only cost a byte a row
+         and send every kernel down its NULL-aware path *)
+      if Column.all_valid s.column then s.column <- Column.make (Column.data s.column)
+    end
 
 (* New rows are NULL and not fetched; a complete shred regains a bitset. *)
 let grow s ~n_rows =

@@ -54,7 +54,8 @@ val missing : shred -> int array -> int array
 val fill : shred -> int array -> Column.t -> unit
 (** [fill s rowids values] writes [values.(k)] (NULLs included) at
     [rowids.(k)] and marks those rows covered; a shred whose every row
-    is covered becomes complete and drops its bitset. *)
+    is covered becomes complete and drops its bitset, and its validity
+    bitmap too when no row is NULL. *)
 
 val grow : shred -> n_rows:int -> unit
 (** Lengthen the shred to [n_rows] rows after an append to its file: old

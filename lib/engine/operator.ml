@@ -138,96 +138,6 @@ let to_chunk op = Chunk.concat (collect op)
 
 (* ---------- aggregation ---------- *)
 
-(* Incremental aggregation state. Numeric updates stay unboxed (the grouped
-   path calls {!acc_update_at} once per row); bool/string extremes fall back
-   to boxed values. *)
-type acc = {
-  op : Kernels.agg;
-  mutable count : int; (* valid values seen *)
-  mutable sum : float;
-  mutable i_best : int;
-  mutable f_best : float;
-  mutable v_best : Value.t; (* Max/Min over bool/string columns *)
-  mutable kind : [ `None | `Int | `Float | `Other ];
-  distinct : (Value.t, unit) Hashtbl.t Lazy.t; (* COUNT DISTINCT *)
-}
-
-let acc_create op =
-  { op; count = 0; sum = 0.; i_best = 0; f_best = 0.; v_best = Value.Null;
-    kind = `None; distinct = lazy (Hashtbl.create 16) }
-
-(* one-row update, typed; [i] must be a valid row of [col] *)
-let acc_update_at a (col : Column.t) i =
-  match Column.data col with
-  | Column.Int_data arr ->
-    let x = arr.(i) in
-    (match a.op with
-     | Kernels.Count -> ()
-     | Kernels.Count_distinct ->
-       Hashtbl.replace (Lazy.force a.distinct) (Value.Int x) ()
-     | Kernels.Sum | Kernels.Avg -> a.sum <- a.sum +. float_of_int x
-     | Kernels.Max -> if a.kind = `None || x > a.i_best then a.i_best <- x
-     | Kernels.Min -> if a.kind = `None || x < a.i_best then a.i_best <- x);
-    a.kind <- `Int;
-    a.count <- a.count + 1
-  | Column.Float_data arr ->
-    let x = arr.(i) in
-    (match a.op with
-     | Kernels.Count -> ()
-     | Kernels.Count_distinct ->
-       Hashtbl.replace (Lazy.force a.distinct) (Value.Float x) ()
-     | Kernels.Sum | Kernels.Avg -> a.sum <- a.sum +. x
-     | Kernels.Max -> if a.kind = `None || x > a.f_best then a.f_best <- x
-     | Kernels.Min -> if a.kind = `None || x < a.f_best then a.f_best <- x);
-    a.kind <- `Float;
-    a.count <- a.count + 1
-  | Column.Bool_data _ | Column.String_data _ ->
-    let v = Column.get col i in
-    (match a.op with
-     | Kernels.Count -> ()
-     | Kernels.Count_distinct -> Hashtbl.replace (Lazy.force a.distinct) v ()
-     | Kernels.Sum | Kernels.Avg ->
-       invalid_arg "aggregate: SUM/AVG over non-numeric column"
-     | Kernels.Max | Kernels.Min ->
-       if Value.is_null a.v_best then a.v_best <- v
-       else
-         let c = Value.compare v a.v_best in
-         let take = match a.op with Kernels.Max -> c > 0 | _ -> c < 0 in
-         if take then a.v_best <- v);
-    a.kind <- `Other;
-    a.count <- a.count + 1
-
-(* whole-column update for the scalar (ungrouped) path *)
-let acc_update a (col : Column.t) =
-  let n = Column.length col in
-  if Column.all_valid col then
-    for i = 0 to n - 1 do
-      acc_update_at a col i
-    done
-  else
-    for i = 0 to n - 1 do
-      if Column.is_valid col i then acc_update_at a col i
-    done
-
-let acc_result a : Value.t =
-  match a.op with
-  | Kernels.Count -> Value.Int a.count
-  | Kernels.Count_distinct ->
-    Value.Int (if Lazy.is_val a.distinct then Hashtbl.length (Lazy.force a.distinct) else 0)
-  | Kernels.Avg ->
-    if a.count = 0 then Value.Null else Value.Float (a.sum /. float_of_int a.count)
-  | Kernels.Sum ->
-    (match a.kind with
-     | `None -> Value.Null
-     | `Int -> Value.Int (int_of_float a.sum)
-     | `Float | `Other -> Value.Float a.sum)
-  | Kernels.Max | Kernels.Min ->
-    (match a.kind with
-     | `None -> Value.Null
-     | `Int -> Value.Int a.i_best
-     | `Float -> Value.Float a.f_best
-     | `Other -> a.v_best)
-
 let result_dtype (op : Kernels.agg) (v : Value.t) : Dtype.t =
   match op, Value.dtype v with
   | (Kernels.Count | Kernels.Count_distinct), _ -> Dtype.Int
@@ -235,19 +145,28 @@ let result_dtype (op : Kernels.agg) (v : Value.t) : Dtype.t =
   | _, Some dt -> dt
   | _, None -> Dtype.Int (* NULL result; dtype is arbitrary *)
 
+(* COUNT over a non-NULL constant — COUNT( * ) — counts rows; it never
+   builds the constant column *)
+let counts_rows ((op : Kernels.agg), (e : Expr.t)) =
+  match op, e with
+  | Kernels.Count, Expr.Const v -> not (Value.is_null v)
+  | _ -> false
+
 let aggregate specs input =
   let done_ = ref false in
   of_fn () ~close:input.close_fn ~next:(fun () ->
       if !done_ then None
       else begin
         done_ := true;
-        let accs = List.map (fun (op, _) -> acc_create op) specs in
+        let accs = List.map (fun (op, _) -> Kernels.acc_create op 1) specs in
         let rec drain () =
-          match input.next_fn () with
+          match next_nonempty input with
           | None -> ()
           | Some c ->
             List.iter2
-              (fun a (_, e) -> if Chunk.n_rows c > 0 then acc_update a (Expr.eval e c))
+              (fun a spec ->
+                if counts_rows spec then Kernels.acc_count_rows a (Chunk.n_rows c)
+                else Kernels.acc_update a (Expr.eval (snd spec) c) None)
               accs specs;
             drain ()
         in
@@ -256,116 +175,141 @@ let aggregate specs input =
         let cols =
           List.map2
             (fun a (op, _) ->
-              let v = acc_result a in
+              let v = Kernels.acc_result a 0 in
               Column.of_values (result_dtype op v) [ v ])
             accs specs
         in
         Some (Chunk.of_columns cols)
       end)
 
+module String_table = Hashtbl.Make (String)
+
+(* Each chunk first maps every row to its group id, then one typed loop
+   per aggregate column folds the rows into their groups' slots. Ids run
+   from 1 in first-seen order; slot 0 of every accumulator takes the NULL
+   values (see {!Kernels.acc_update_groups}). A single Int key goes
+   through a flat {!Int_table}, a single String key through a string
+   table, any other key through boxed [Value.t list] keys. NULL keys form
+   one group of their own. *)
 let group_by ~keys ~aggs input =
   let done_ = ref false in
   of_fn () ~close:input.close_fn ~next:(fun () ->
       if !done_ then None
       else begin
         done_ := true;
-        (* first-seen group order; each group holds (key values, accs) *)
-        let order : (Value.t list * acc array) list ref = ref [] in
+        let accs = Array.of_list (List.map (fun (op, _) -> Kernels.acc_create op 1) aggs) in
+        (* each group's key values, newest first *)
+        let group_keys : Value.t list list ref = ref [] in
+        let n_groups = ref 0 in
         let new_group key =
-          let a = Array.of_list (List.map (fun (op, _) -> acc_create op) aggs) in
-          order := (key, a) :: !order;
-          a
+          group_keys := key :: !group_keys;
+          incr n_groups;
+          !n_groups
         in
-        let update_row accs agg_cols i =
-          Array.iteri
-            (fun j col ->
-              if Column.is_valid col i then acc_update_at accs.(j) col i)
-            agg_cols
+        let null_group = ref 0 in
+        let null_gid () =
+          if !null_group = 0 then null_group := new_group [ Value.Null ];
+          !null_group
         in
-        (* fast path: single Int key column, hashed unboxed *)
-        let int_groups : (int, acc array) Hashtbl.t = Hashtbl.create 256 in
-        let null_group : acc array option ref = ref None in
-        let generic_groups : (Value.t list, acc array) Hashtbl.t =
-          Hashtbl.create 64
+        let int_groups = Int_table.create 0 in
+        let string_groups = String_table.create 16 in
+        let value_groups : (Value.t list, int) Hashtbl.t = Hashtbl.create 16 in
+        let gids = ref [||] in
+        let assign key_cols n =
+          if Array.length !gids < n then gids := Array.make n 0;
+          let gids = !gids in
+          (match key_cols with
+           | [ kc ] when Column.dtype kc = Dtype.Int ->
+             let ks = Column.int_array kc in
+             let add k =
+               let g = new_group [ Value.Int k ] in
+               Int_table.replace int_groups k g;
+               g
+             in
+             (match Column.validity kc with
+              | None ->
+                for i = 0 to n - 1 do
+                  let k = ks.(i) in
+                  let g = Int_table.find int_groups k in
+                  gids.(i) <- (if g > 0 then g else add k)
+                done
+              | Some v ->
+                for i = 0 to n - 1 do
+                  let k = ks.(i) in
+                  let g = Int_table.find int_groups k in
+                  gids.(i) <-
+                    (if Bytes.get v i = '\000' then null_gid () else if g > 0 then g else add k)
+                done)
+           | [ kc ] when Column.dtype kc = Dtype.String ->
+             let ks = Column.string_array kc in
+             let gid k =
+               match String_table.find_opt string_groups k with
+               | Some g -> g
+               | None ->
+                 let g = new_group [ Value.String k ] in
+                 String_table.replace string_groups k g;
+                 g
+             in
+             (match Column.validity kc with
+              | None -> for i = 0 to n - 1 do gids.(i) <- gid ks.(i) done
+              | Some v ->
+                for i = 0 to n - 1 do
+                  gids.(i) <- (if Bytes.get v i = '\000' then null_gid () else gid ks.(i))
+                done)
+           | _ ->
+             for i = 0 to n - 1 do
+               let key = List.map (fun col -> Column.get col i) key_cols in
+               gids.(i) <-
+                 (match Hashtbl.find_opt value_groups key with
+                  | Some g -> g
+                  | None ->
+                    let g = new_group key in
+                    Hashtbl.replace value_groups key g;
+                    g)
+             done);
+          gids
         in
         let rec drain () =
-          match input.next_fn () with
+          match next_nonempty input with
           | None -> ()
-          | Some c when Chunk.n_rows c = 0 -> drain ()
           | Some c ->
-            let key_cols = List.map (fun e -> Expr.eval e c) keys in
-            let agg_cols =
-              Array.of_list (List.map (fun (_, e) -> Expr.eval e c) aggs)
-            in
-            (match key_cols with
-             | [ kc ] when Column.dtype kc = Dtype.Int ->
-               let ks = Column.int_array kc in
-               let all_valid = Column.all_valid kc in
-               for i = 0 to Chunk.n_rows c - 1 do
-                 let accs =
-                   if all_valid || Column.is_valid kc i then begin
-                     let k = ks.(i) in
-                     match Hashtbl.find_opt int_groups k with
-                     | Some a -> a
-                     | None ->
-                       let a = new_group [ Value.Int k ] in
-                       Hashtbl.replace int_groups k a;
-                       a
-                   end
-                   else
-                     match !null_group with
-                     | Some a -> a
-                     | None ->
-                       let a = new_group [ Value.Null ] in
-                       null_group := Some a;
-                       a
-                 in
-                 update_row accs agg_cols i
-               done
-             | _ ->
-               for i = 0 to Chunk.n_rows c - 1 do
-                 let key = List.map (fun col -> Column.get col i) key_cols in
-                 let accs =
-                   match Hashtbl.find_opt generic_groups key with
-                   | Some a -> a
-                   | None ->
-                     let a = new_group key in
-                     Hashtbl.replace generic_groups key a;
-                     a
-                 in
-                 update_row accs agg_cols i
-               done);
+            let n = Chunk.n_rows c in
+            let gids = assign (List.map (fun e -> Expr.eval e c) keys) n in
+            List.iteri
+              (fun j spec ->
+                let a = accs.(j) in
+                Kernels.acc_reserve a (!n_groups + 1);
+                if counts_rows spec then Kernels.acc_count_groups a gids n
+                else Kernels.acc_update_groups a (Expr.eval (snd spec) c) gids n)
+              aggs;
             drain ()
         in
         drain ();
         input.close_fn ();
         (* no groups still yields the key and aggregate columns, empty *)
-        let groups_in_order = List.rev !order in
-        let n_keys = List.length keys in
+        let typed_column vs dtype_of =
+          let dt =
+            match List.find_opt (fun v -> not (Value.is_null v)) vs with
+            | Some v -> dtype_of v
+            | None -> Dtype.Int
+          in
+          Column.of_values dt vs
+        in
+        let keys_in_order = List.rev !group_keys in
         let key_cols =
-          List.init n_keys (fun k ->
-              let vs =
-                List.map (fun (key, _) -> List.nth key k) groups_in_order
-              in
-              let dt =
-                match List.find_opt (fun v -> not (Value.is_null v)) vs with
-                | Some v -> Option.get (Value.dtype v)
-                | None -> Dtype.Int
-              in
-              Column.of_values dt vs)
+          List.mapi
+            (fun k _ ->
+              typed_column
+                (List.map (fun key -> List.nth key k) keys_in_order)
+                (fun v -> Option.get (Value.dtype v)))
+            keys
         in
         let agg_cols =
           List.mapi
             (fun j (op, _) ->
-              let vs =
-                List.map (fun (_, accs) -> acc_result accs.(j)) groups_in_order
-              in
-              let dt =
-                match List.find_opt (fun v -> not (Value.is_null v)) vs with
-                | Some v -> result_dtype op v
-                | None -> Dtype.Int
-              in
-              Column.of_values dt vs)
+              typed_column
+                (List.init !n_groups (fun g -> Kernels.acc_result accs.(j) (g + 1)))
+                (result_dtype op))
             aggs
         in
         Some (Chunk.of_columns (key_cols @ agg_cols))
@@ -373,45 +317,24 @@ let group_by ~keys ~aggs input =
 
 (* ---------- join ---------- *)
 
-(* Int build keys live in one flat open-addressing table sized from the
-   build row count. Slot [s] is the pair [slots.(2s)] = key,
-   [slots.(2s+1)] = first build row with that key, shifted left one bit,
-   the low bit set when [next] chains more rows (-1 while the slot is
-   empty, whatever its key word holds). Chains run in ascending build-row
-   order. *)
-type int_table = { shift : int; mask : int; slots : int array; next : int array }
-
-(* Fibonacci hashing: the top bits of [k * golden] spread keys that differ
-   only in their high bits (multiples of a large power of two) *)
-let slot_of t k = (k * 0x1E3779B97F4A7C15) lsr t.shift
-
-let rec find_slot t k s =
-  let h = Array.unsafe_get t.slots ((2 * s) + 1) in
-  if h < 0 || Array.unsafe_get t.slots (2 * s) = k then s
-  else find_slot t k ((s + 1) land t.mask)
+(* Int build keys live in one flat {!Int_table}: a key maps to the first
+   build row with that key, shifted left one bit, the low bit set when
+   [next] chains more rows. Chains run in ascending build-row order. *)
+type int_table = { heads : Int_table.t; next : int array }
 
 let int_table_build keys (col : Column.t) =
   let n = Array.length keys in
-  let bits = ref 4 in
-  while 1 lsl !bits < 2 * n do incr bits done;
-  let cap = 1 lsl !bits in
-  let t =
-    { shift = 63 - !bits; mask = cap - 1;
-      slots = Array.make (2 * cap) (-1);
-      next = Array.make n (-1) }
-  in
+  let t = { heads = Int_table.create n; next = Array.make n (-1) } in
   let all_valid = Column.all_valid col in
   (* insert back to front: pushing at the head leaves chains ascending *)
   for i = n - 1 downto 0 do
     if all_valid || Column.is_valid col i then begin
       let k = keys.(i) in
-      let s = find_slot t k (slot_of t k) in
-      let h = t.slots.((2 * s) + 1) in
-      t.slots.(2 * s) <- k;
-      if h < 0 then t.slots.((2 * s) + 1) <- i lsl 1
+      let h = Int_table.find t.heads k in
+      if h < 0 then Int_table.replace t.heads k (i lsl 1)
       else begin
         t.next.(i) <- h lsr 1;
-        t.slots.((2 * s) + 1) <- (i lsl 1) lor 1
+        Int_table.replace t.heads k ((i lsl 1) lor 1)
       end
     end
   done;
@@ -419,7 +342,7 @@ let int_table_build keys (col : Column.t) =
 
 (* every build row matching [k], ascending, paired with probe row [i] *)
 let int_table_probe t k i pidx bidx =
-  let h = Array.unsafe_get t.slots ((2 * find_slot t k (slot_of t k)) + 1) in
+  let h = Int_table.find t.heads k in
   if h >= 0 then begin
     Buffer_idx.add pidx i;
     Buffer_idx.add bidx (h lsr 1);

@@ -47,11 +47,15 @@ val union_all : t list -> t
 
 val aggregate : (Kernels.agg * Expr.t) list -> t -> t
 (** Scalar aggregation: consumes the input, emits a single 1-row chunk.
-    With an empty input, [COUNT] yields 0 and other aggregates NULL. *)
+    With an empty input, [COUNT] yields 0 and other aggregates NULL.
+    Aggregates are {!Kernels.aggregate}'s over all the input's rows; a
+    [COUNT] of a non-NULL constant counts rows without evaluating it. *)
 
 val group_by : keys:Expr.t list -> aggs:(Kernels.agg * Expr.t) list -> t -> t
-(** Hash group-by; output columns are keys then aggregates. Group order is
-    unspecified (sort downstream for stable output). *)
+(** Hash group-by; output columns are keys then aggregates. Groups come
+    out in the order their first row arrived; NULL keys form one group.
+    Keys compare as [compare] does (every NaN one key, [-0.0] is [0.0]).
+    Raises {!Kernels.Overflow} when an Int [SUM] of a group overflows. *)
 
 (** {1 Join} *)
 

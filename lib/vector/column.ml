@@ -48,6 +48,8 @@ let of_float_array a = { data = Float_data a; valid = None }
 let of_bool_array a = { data = Bool_data a; valid = None }
 let of_string_array a = { data = String_data a; valid = None }
 
+let validity t = t.valid
+
 let is_valid t i =
   match t.valid with
   | None -> true
@@ -155,7 +157,22 @@ let of_values dt values =
   in
   { data; valid = (if !has_null then Some valid else None) }
 
-let const dt v n = of_values dt (List.init n (fun _ -> v))
+let const dt v n =
+  let data =
+    match dt, (v : Value.t) with
+    | Dtype.Int, Int x -> Int_data (Array.make n x)
+    | Dtype.Int, Null -> Int_data (Array.make n 0)
+    | Dtype.Float, Float x -> Float_data (Array.make n x)
+    | Dtype.Float, Int x -> Float_data (Array.make n (float_of_int x))
+    | Dtype.Float, Null -> Float_data (Array.make n 0.)
+    | Dtype.Bool, Bool x -> Bool_data (Array.make n x)
+    | Dtype.Bool, Null -> Bool_data (Array.make n false)
+    | Dtype.String, String x -> String_data (Array.make n x)
+    | Dtype.String, Null -> String_data (Array.make n "")
+    | _, _ -> invalid_arg "Column.const: type mismatch"
+  in
+  let valid = if Value.is_null v && n > 0 then Some (Bytes.make n '\000') else None in
+  { data; valid }
 
 let set t i v =
   let mark_valid () =
@@ -225,10 +242,14 @@ let concat parts =
     List.iter
       (fun c ->
         let n = length c in
+        (* typed loops for immediates: [Array.blit] into an array on the
+           major heap goes through the write barrier per element *)
         (match dst, c.data with
-         | Int_data d, Int_data s -> Array.blit s 0 d !pos n
+         | Int_data d, Int_data s ->
+           for k = 0 to n - 1 do Array.unsafe_set d (!pos + k) s.(k) done
          | Float_data d, Float_data s -> Array.blit s 0 d !pos n
-         | Bool_data d, Bool_data s -> Array.blit s 0 d !pos n
+         | Bool_data d, Bool_data s ->
+           for k = 0 to n - 1 do Array.unsafe_set d (!pos + k) s.(k) done
          | String_data d, String_data s -> Array.blit s 0 d !pos n
          | _, _ -> invalid_arg "Column.concat: type mismatch");
         (match valid, c.valid with
@@ -262,20 +283,29 @@ let gather t idx =
     match t.data with
     | Int_data a ->
       let out = Array.make n 0 in
-      for k = 0 to n - 1 do out.(k) <- a.(idx.(k)) done;
+      for k = 0 to n - 1 do Array.unsafe_set out k a.(Array.unsafe_get idx k) done;
       Int_data out
     | Float_data a ->
       let out = Array.create_float n in
-      for k = 0 to n - 1 do out.(k) <- a.(idx.(k)) done;
+      for k = 0 to n - 1 do Array.unsafe_set out k a.(Array.unsafe_get idx k) done;
       Float_data out
-    | Bool_data a -> Bool_data (Array.map (fun i -> a.(i)) idx)
-    | String_data a -> String_data (Array.map (fun i -> a.(i)) idx)
+    | Bool_data a ->
+      let out = Array.make n false in
+      for k = 0 to n - 1 do Array.unsafe_set out k a.(Array.unsafe_get idx k) done;
+      Bool_data out
+    | String_data a ->
+      let out = Array.make n "" in
+      for k = 0 to n - 1 do Array.unsafe_set out k a.(Array.unsafe_get idx k) done;
+      String_data out
   in
+  (* the data loop above bounds-checked every index *)
   let valid =
     Option.map
       (fun v ->
-        let out = Bytes.create (Array.length idx) in
-        Array.iteri (fun j i -> Bytes.set out j (Bytes.get v i)) idx;
+        let out = Bytes.create n in
+        for k = 0 to n - 1 do
+          Bytes.unsafe_set out k (Bytes.unsafe_get v (Array.unsafe_get idx k))
+        done;
         out)
       t.valid
   in

@@ -34,12 +34,18 @@ val of_bool_array : bool array -> t
 val of_string_array : string array -> t
 val of_values : Dtype.t -> Value.t list -> t
 val const : Dtype.t -> Value.t -> int -> t
+(** [const dt v n]: [n] copies of [v] (an Int [v] widens to a Float
+    column); all NULL when [v] is [Null]. *)
 
 (** {1 Access} *)
 
 val get : t -> int -> Value.t
 (** Dynamically-typed access; [Null] when the row is invalid. Bounds-checked.
     For hot paths use the typed arrays via {!data} instead. *)
+
+val validity : t -> Bytes.t option
+(** The bitmap itself, [None] when the column has none (every row valid).
+    A bitmap may still mark every row valid. *)
 
 val is_valid : t -> int -> bool
 val all_valid : t -> bool

@@ -2,6 +2,13 @@ type cmp = Lt | Le | Gt | Ge | Eq | Ne
 type arith = Add | Sub | Mul | Div | Mod
 type agg = Max | Min | Sum | Count | Count_distinct | Avg
 
+exception Overflow of string
+
+let () =
+  Printexc.register_printer (function
+    | Overflow what -> Some ("integer overflow: " ^ what)
+    | _ -> None)
+
 let cmp_to_string = function
   | Lt -> "<"
   | Le -> "<="
@@ -25,98 +32,228 @@ let agg_to_string = function
   | Count_distinct -> "COUNT DISTINCT"
   | Avg -> "AVG"
 
-(* Iterate the candidate rows of a column: either all rows or a selection. *)
-let iter_candidates col sel f =
-  match sel with
-  | Some s -> Sel.iter f s
-  | None ->
-    let n = Column.length col in
-    for i = 0 to n - 1 do
-      f i
-    done
+(* ---------- candidate rows ---------- *)
 
-(* Collect qualifying indices into a Sel.t. Candidates arrive in ascending
-   order, so the output is ascending by construction. *)
-let collect col sel keep =
-  let buf = ref (Array.make 64 0) in
-  let n = ref 0 in
-  let push i =
-    if !n >= Array.length !buf then begin
-      let a = Array.make (2 * Array.length !buf) 0 in
-      Array.blit !buf 0 a 0 !n;
-      buf := a
-    end;
-    !buf.(!n) <- i;
-    incr n
-  in
-  iter_candidates col sel (fun i -> if keep i then push i);
-  Sel.of_array_unchecked (Array.sub !buf 0 !n)
+(* Every kernel visits the rows [idx.(0 .. m-1)]. Without a selection
+   [idx] is a prefix of this shared identity array, which no kernel hands
+   out or writes. *)
+let identity = Atomic.make [||]
 
-let int_cmp_fn = function
-  | Lt -> fun (a : int) b -> a < b
-  | Le -> fun a b -> a <= b
-  | Gt -> fun a b -> a > b
-  | Ge -> fun a b -> a >= b
-  | Eq -> fun a b -> a = b
-  | Ne -> fun a b -> a <> b
+let all_rows n =
+  let a = Atomic.get identity in
+  if Array.length a >= n then a
+  else begin
+    let a = Array.init (max n 4096) Fun.id in
+    Atomic.set identity a;
+    a
+  end
 
-let float_cmp_fn = function
-  | Lt -> fun (a : float) b -> a < b
-  | Le -> fun a b -> a <= b
-  | Gt -> fun a b -> a > b
-  | Ge -> fun a b -> a >= b
-  | Eq -> fun a b -> a = b
-  | Ne -> fun a b -> a <> b
+(* The candidates that are valid in [v]: the input itself when every one
+   is, else an exact-size copy (count, then fill). *)
+let keep_valid v idx m =
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    count := !count + Bool.to_int (Bytes.get v (Array.unsafe_get idx k) <> '\000')
+  done;
+  if !count = m then (idx, m)
+  else begin
+    let out = Array.make !count 0 in
+    let j = ref 0 and k = ref 0 in
+    while !j < !count do
+      let i = Array.unsafe_get idx !k in
+      Array.unsafe_set out !j i;
+      j := !j + Bool.to_int (Bytes.unsafe_get v i <> '\000');
+      incr k
+    done;
+    (out, !count)
+  end
 
-let string_cmp_fn op =
-  let keep =
-    match op with
-    | Lt -> fun c -> c < 0
-    | Le -> fun c -> c <= 0
-    | Gt -> fun c -> c > 0
-    | Ge -> fun c -> c >= 0
-    | Eq -> fun c -> c = 0
-    | Ne -> fun c -> c <> 0
-  in
-  fun a b -> keep (String.compare a b)
+let indexed n = function Some c -> c | None -> (all_rows n, n)
 
-let bool_cmp_fn op =
-  let keep =
-    match op with
-    | Lt -> fun c -> c < 0
-    | Le -> fun c -> c <= 0
-    | Gt -> fun c -> c > 0
-    | Ge -> fun c -> c >= 0
-    | Eq -> fun c -> c = 0
-    | Ne -> fun c -> c <> 0
-  in
-  fun a b -> keep (Stdlib.compare (a : bool) b)
+(* The rows a kernel visits: the selection (or every row) minus the rows
+   NULL in any of [cols], as [Some (idx, m)], or [None] for every row of
+   the chunk. NULLs are dropped here, once per chunk, so the typed loops
+   below never test validity. *)
+let candidates cols n sel =
+  List.fold_left
+    (fun acc c ->
+      match Column.validity c with
+      | None -> acc
+      | Some v ->
+        let idx, m = indexed n acc in
+        Some (keep_valid v idx m))
+    (Option.map (fun s -> (Sel.to_array s, Sel.length s)) sel)
+    cols
 
-let valid_fn col =
-  if Column.all_valid col then fun _ -> true else Column.is_valid col
+let non_null col sel =
+  let n = Column.length col in
+  match candidates [ col ] n sel with
+  | None -> Sel.all n
+  | Some (idx, m) -> Sel.of_array_unchecked (Array.sub idx 0 m)
+
+(* ---------- filters ---------- *)
+
+(* Each filter is one typed loop per chunk. A comparison becomes a range
+   test, [lo <= key <= hi] read as the unsigned compare [key - lo <= hi -
+   lo] ([within] precomputes both sides), so a range with [lo > hi] wraps
+   round and [<>] is the complement of [=]'s range. Selections are sized
+   exactly: Int filters count the qualifying rows, then fill; the others,
+   whose test costs more than a byte store, mark the candidates in one
+   pass and fill from the marks. Either fill stops at the last match. *)
+
+let within ~lo ~hi = (min_int - lo, hi - lo + min_int)
+
+(* the [count] candidates marked 1 in [keep] *)
+let fill_marked keep idx count =
+  let out = Array.make count 0 in
+  let j = ref 0 and k = ref 0 in
+  while !j < count do
+    Array.unsafe_set out !j (Array.unsafe_get idx !k);
+    j := !j + Char.code (Bytes.unsafe_get keep !k);
+    incr k
+  done;
+  Sel.of_array_unchecked out
+
+(* Int values in [lo, hi]. The commonest filter, so a chunk with neither
+   selection nor NULLs gets loops that index the column directly. *)
+let select_int (a : int array) cands ~lo ~hi =
+  let off, bound = within ~lo ~hi in
+  let count = ref 0 in
+  (match cands with
+   | None ->
+     for i = 0 to Array.length a - 1 do
+       count := !count + Bool.to_int (a.(i) + off <= bound)
+     done
+   | Some (idx, m) ->
+     for k = 0 to m - 1 do
+       count := !count + Bool.to_int (a.(Array.unsafe_get idx k) + off <= bound)
+     done);
+  let out = Array.make !count 0 in
+  let j = ref 0 and k = ref 0 in
+  (match cands with
+   | None ->
+     while !j < !count do
+       Array.unsafe_set out !j !k;
+       j := !j + Bool.to_int (Array.unsafe_get a !k + off <= bound);
+       incr k
+     done
+   | Some (idx, _) ->
+     while !j < !count do
+       let i = Array.unsafe_get idx !k in
+       Array.unsafe_set out !j i;
+       j := !j + Bool.to_int (Array.unsafe_get a i + off <= bound);
+       incr k
+     done);
+  Sel.of_array_unchecked out
+
+(* Bool values, as 0 or 1, in [lo, hi] *)
+let select_bool (a : bool array) idx m ~lo ~hi =
+  let off, bound = within ~lo ~hi in
+  let keep = Bytes.create m and count = ref 0 in
+  for k = 0 to m - 1 do
+    let b = Bool.to_int (Bool.to_int a.(Array.unsafe_get idx k) + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr b);
+    count := !count + b
+  done;
+  fill_marked keep idx !count
+
+(* Float values in [lo, hi] ([flip = 0]) or outside it ([flip = 1]); NaN is
+   never inside *)
+let select_float (a : float array) idx m ~lo ~hi ~flip =
+  let keep = Bytes.create m and count = ref 0 in
+  for k = 0 to m - 1 do
+    let x = a.(Array.unsafe_get idx k) in
+    let b = Bool.to_int (lo <= x) land Bool.to_int (x <= hi) lxor flip in
+    Bytes.unsafe_set keep k (Char.unsafe_chr b);
+    count := !count + b
+  done;
+  fill_marked keep idx !count
+
+(* Int values, as floats, as [select_float] tests them *)
+let select_int_as_float (a : int array) idx m ~lo ~hi ~flip =
+  let keep = Bytes.create m and count = ref 0 in
+  for k = 0 to m - 1 do
+    let x = float_of_int a.(Array.unsafe_get idx k) in
+    let b = Bool.to_int (lo <= x) land Bool.to_int (x <= hi) lxor flip in
+    Bytes.unsafe_set keep k (Char.unsafe_chr b);
+    count := !count + b
+  done;
+  fill_marked keep idx !count
+
+(* [String.compare] promises only a sign *)
+let sign r = Bool.to_int (r > 0) - Bool.to_int (r < 0)
+
+(* the sign of [String.compare] of each value with [c] in [lo, hi] *)
+let select_string (a : string array) c idx m ~lo ~hi =
+  let off, bound = within ~lo ~hi in
+  let keep = Bytes.create m and count = ref 0 in
+  for k = 0 to m - 1 do
+    let b = Bool.to_int (sign (String.compare a.(Array.unsafe_get idx k) c) + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr b);
+    count := !count + b
+  done;
+  fill_marked keep idx !count
+
+(* The range of a three-way comparison result that [op] keeps. *)
+let order_range = function
+  | Lt -> (-1, -1)
+  | Le -> (-1, 0)
+  | Gt -> (1, 1)
+  | Ge -> (0, 1)
+  | Eq -> (0, 0)
+  | Ne -> (1, -1)
+
+(* The Int keys [v] with [v <op> c], as a range; [None] when empty. *)
+let int_range op c =
+  match op with
+  | Lt -> if c = min_int then None else Some (min_int, c - 1)
+  | Le -> Some (min_int, c)
+  | Gt -> if c = max_int then None else Some (c + 1, max_int)
+  | Ge -> Some (c, max_int)
+  | Eq -> Some (c, c)
+  | Ne -> Some (c + 1, c - 1)
+
+(* The Float values [v] with [v <op> x], as [lo <= v <= hi] or its
+   complement ([flip = 1]); [None] when empty. For [x] not -inf,
+   [v < x] is [v <= pred x]. A NaN [x] yields a range nothing is in. *)
+let float_range op x =
+  match op with
+  | Lt -> if x = neg_infinity then None else Some (neg_infinity, Float.pred x, 0)
+  | Le -> Some (neg_infinity, x, 0)
+  | Gt -> if x = infinity then None else Some (Float.succ x, infinity, 0)
+  | Ge -> Some (x, infinity, 0)
+  | Eq -> Some (x, x, 0)
+  | Ne -> Some (x, x, 1)
 
 let filter_const op col v sel =
-  let valid = valid_fn col in
+  let n = Column.length col in
+  let pick range select =
+    match range with
+    | None -> Sel.empty
+    | Some r -> select (candidates [ col ] n sel) r
+  in
+  let pick_indexed range select =
+    pick range (fun cands r ->
+        let idx, m = indexed n cands in
+        select idx m r)
+  in
   match Column.data col, (v : Value.t) with
   | Column.Int_data a, Int x ->
-    let f = int_cmp_fn op in
-    collect col sel (fun i -> valid i && f a.(i) x)
+    pick (int_range op x) (fun cands (lo, hi) -> select_int a cands ~lo ~hi)
   | Column.Int_data a, Float x ->
-    let f = float_cmp_fn op in
-    collect col sel (fun i -> valid i && f (float_of_int a.(i)) x)
-  | Column.Float_data a, Float x ->
-    let f = float_cmp_fn op in
-    collect col sel (fun i -> valid i && f a.(i) x)
-  | Column.Float_data a, Int x ->
-    let f = float_cmp_fn op in
-    let x = float_of_int x in
-    collect col sel (fun i -> valid i && f a.(i) x)
+    pick_indexed (float_range op x) (fun idx m (lo, hi, flip) ->
+        select_int_as_float a idx m ~lo ~hi ~flip)
+  | Column.Float_data a, (Float _ | Int _) ->
+    pick_indexed (float_range op (Value.to_float v)) (fun idx m (lo, hi, flip) ->
+        select_float a idx m ~lo ~hi ~flip)
   | Column.Bool_data a, Bool x ->
-    let f = bool_cmp_fn op in
-    collect col sel (fun i -> valid i && f a.(i) x)
+    (* [v - x] is the three-way comparison of two bools *)
+    let lo, hi = order_range op in
+    let x = Bool.to_int x in
+    pick_indexed (Some (lo + x, hi + x)) (fun idx m (lo, hi) -> select_bool a idx m ~lo ~hi)
   | Column.String_data a, String x ->
-    let f = string_cmp_fn op in
-    collect col sel (fun i -> valid i && f a.(i) x)
+    pick_indexed (Some (order_range op)) (fun idx m (lo, hi) ->
+        select_string a x idx m ~lo ~hi)
   | _, Null -> Sel.empty
   | _, _ ->
     invalid_arg
@@ -124,30 +261,91 @@ let filter_const op col v sel =
          (Dtype.to_string (Column.dtype col))
          (Value.to_string v))
 
+(* Column/column comparisons mark the rows whose three-way comparison
+   [c] — -1, 0 or 1, and 2 when a NaN leaves two floats unordered — lies in
+   [order_range op]. *)
+
+let code_float (x : float) y =
+  let gt = Bool.to_int (x > y) and lt = Bool.to_int (x < y) in
+  gt - lt + (2 * (1 - gt - lt - Bool.to_int (x = y)))
+
+let mark_col_int (a : int array) (b : int array) keep idx m ~off ~bound =
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    let x = a.(i) and y = b.(i) in
+    let c = Bool.to_int (x > y) - Bool.to_int (x < y) in
+    let t = Bool.to_int (c + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr t);
+    count := !count + t
+  done;
+  !count
+
+let mark_col_float (a : float array) (b : float array) keep idx m ~off ~bound =
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    let t = Bool.to_int (code_float a.(i) b.(i) + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr t);
+    count := !count + t
+  done;
+  !count
+
+let mark_col_int_float (a : int array) (b : float array) keep idx m ~off ~bound =
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    let t = Bool.to_int (code_float (float_of_int a.(i)) b.(i) + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr t);
+    count := !count + t
+  done;
+  !count
+
+let mark_col_bool (a : bool array) (b : bool array) keep idx m ~off ~bound =
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    let t = Bool.to_int (Bool.to_int a.(i) - Bool.to_int b.(i) + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr t);
+    count := !count + t
+  done;
+  !count
+
+let mark_col_string (a : string array) (b : string array) keep idx m ~off ~bound =
+  let count = ref 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    let t = Bool.to_int (sign (String.compare a.(i) b.(i)) + off <= bound) in
+    Bytes.unsafe_set keep k (Char.unsafe_chr t);
+    count := !count + t
+  done;
+  !count
+
+let flip_cmp = function
+  | Lt -> Gt
+  | Le -> Ge
+  | Gt -> Lt
+  | Ge -> Le
+  | Eq -> Eq
+  | Ne -> Ne
+
 let filter_col op ca cb sel =
-  if Column.length ca <> Column.length cb then
-    invalid_arg "Kernels.filter_col: length mismatch";
-  let va = valid_fn ca and vb = valid_fn cb in
-  let valid i = va i && vb i in
+  let n = Column.length ca in
+  if Column.length cb <> n then invalid_arg "Kernels.filter_col: length mismatch";
+  let run op mark =
+    let lo, hi = order_range op in
+    let off, bound = within ~lo ~hi in
+    let idx, m = indexed n (candidates [ ca; cb ] n sel) in
+    let keep = Bytes.create m in
+    fill_marked keep idx (mark keep idx m ~off ~bound)
+  in
   match Column.data ca, Column.data cb with
-  | Column.Int_data a, Column.Int_data b ->
-    let f = int_cmp_fn op in
-    collect ca sel (fun i -> valid i && f a.(i) b.(i))
-  | Column.Float_data a, Column.Float_data b ->
-    let f = float_cmp_fn op in
-    collect ca sel (fun i -> valid i && f a.(i) b.(i))
-  | Column.Int_data a, Column.Float_data b ->
-    let f = float_cmp_fn op in
-    collect ca sel (fun i -> valid i && f (float_of_int a.(i)) b.(i))
-  | Column.Float_data a, Column.Int_data b ->
-    let f = float_cmp_fn op in
-    collect ca sel (fun i -> valid i && f a.(i) (float_of_int b.(i)))
-  | Column.Bool_data a, Column.Bool_data b ->
-    let f = bool_cmp_fn op in
-    collect ca sel (fun i -> valid i && f a.(i) b.(i))
-  | Column.String_data a, Column.String_data b ->
-    let f = string_cmp_fn op in
-    collect ca sel (fun i -> valid i && f a.(i) b.(i))
+  | Column.Int_data a, Column.Int_data b -> run op (mark_col_int a b)
+  | Column.Float_data a, Column.Float_data b -> run op (mark_col_float a b)
+  | Column.Int_data a, Column.Float_data b -> run op (mark_col_int_float a b)
+  | Column.Float_data a, Column.Int_data b -> run (flip_cmp op) (mark_col_int_float b a)
+  | Column.Bool_data a, Column.Bool_data b -> run op (mark_col_bool a b)
+  | Column.String_data a, Column.String_data b -> run op (mark_col_string a b)
   | _, _ -> invalid_arg "Kernels.filter_col: incompatible column types"
 
 (* ---------- arithmetic ---------- *)
@@ -232,102 +430,317 @@ let arith_col op ca cb =
          (Array.init (Array.length a) (fun i -> f a.(i) (float_of_int b.(i)))))
   | _, _ -> invalid_arg "Kernels.arith_col: non-numeric operands"
 
+(* ---------- COUNT DISTINCT sets ---------- *)
+
+(* One group's distinct non-NULL values. Values are equal as under
+   [compare]: every NaN is one value and -0.0 is 0.0. A Float is keyed by
+   the low 63 bits of its normalised bit pattern; the value stored under
+   the key records which sign bits were seen (1 clear, 2 set). *)
+type distinct =
+  | Empty
+  | Ints of Int_table.t
+  | Floats of { keys : Int_table.t; mutable n : int }
+  | Boxed of (Value.t, unit) Hashtbl.t
+
+let distinct_count = function
+  | Empty -> 0
+  | Ints t -> Int_table.length t
+  | Floats f -> f.n
+  | Boxed h -> Hashtbl.length h
+
+let add_int sets g x =
+  match sets.(g) with
+  | Ints t -> ignore (Int_table.find_or_add t x 0)
+  | _ ->
+    let t = Int_table.create 8 in
+    Int_table.replace t x 0;
+    sets.(g) <- Ints t
+
+let add_float sets g x =
+  let x = if x = 0. then 0. else if Float.is_nan x then Float.nan else x in
+  let bits = Int64.bits_of_float x in
+  let k = Int64.to_int bits and sign = if Int64.compare bits 0L < 0 then 2 else 1 in
+  match sets.(g) with
+  | Floats f ->
+    let seen = Int_table.find f.keys k in
+    if seen < 0 || seen land sign = 0 then begin
+      Int_table.replace f.keys k (max seen 0 lor sign);
+      f.n <- f.n + 1
+    end
+  | _ ->
+    let keys = Int_table.create 8 in
+    Int_table.replace keys k sign;
+    sets.(g) <- Floats { keys; n = 1 }
+
+let add_value sets g v =
+  match sets.(g) with
+  | Boxed h -> Hashtbl.replace h v ()
+  | _ ->
+    let h = Hashtbl.create 16 in
+    Hashtbl.replace h v ();
+    sets.(g) <- Boxed h
+
 (* ---------- aggregation ---------- *)
 
-let fold_valid col sel ~init ~f =
-  let valid = valid_fn col in
-  let acc = ref init in
-  iter_candidates col sel (fun i -> if valid i then acc := f !acc i);
-  !acc
+(* An aggregate's running state, one typed slot per group id: [ints]
+   holds SUM over Int and MAX/MIN over Int; [floats] SUM over Float, the
+   AVG sum and MAX/MIN over Float; [values] MAX/MIN over Bool and String. *)
+type acc = {
+  op : agg;
+  mutable dtype : Dtype.t; (* of the values seen *)
+  mutable count : int array; (* non-NULL values per group *)
+  mutable ints : int array;
+  mutable floats : float array;
+  mutable values : Value.t array;
+  mutable sets : distinct array;
+}
+
+let acc_create op groups =
+  let n = max groups 1 in
+  {
+    op;
+    dtype = Dtype.Int;
+    count = Array.make n 0;
+    ints = Array.make n 0;
+    floats = Array.make n 0.;
+    values = Array.make n Value.Null;
+    sets = Array.make n Empty;
+  }
+
+let acc_reserve a groups =
+  let n = Array.length a.count in
+  if groups > n then begin
+    let cap = max groups (2 * n) in
+    let extend arr fill =
+      let b = Array.make cap fill in
+      Array.blit arr 0 b 0 n;
+      b
+    in
+    a.count <- extend a.count 0;
+    a.ints <- extend a.ints 0;
+    a.floats <- extend a.floats 0.;
+    a.values <- extend a.values Value.Null;
+    a.sets <- extend a.sets Empty
+  end
+
+let non_numeric op =
+  invalid_arg
+    (Printf.sprintf "Kernels.aggregate: %s over non-numeric column" (agg_to_string op))
+
+let sum_overflow () = raise (Overflow "SUM over INT leaves the integer range")
+
+(* Scalar loops over the candidates, each starting from the running state,
+   so a Float sum adds in row order and a NaN extreme stays put. *)
+
+let sum_int init (x : int array) idx m =
+  let s = ref init and ov = ref 0 in
+  for k = 0 to m - 1 do
+    let v = x.(Array.unsafe_get idx k) in
+    let s' = !s + v in
+    (* the sign flips iff both addends share a sign the sum lacks *)
+    ov := !ov lor ((s' lxor !s) land (s' lxor v));
+    s := s'
+  done;
+  if !ov < 0 then sum_overflow ();
+  !s
+
+let sum_float init (x : float array) idx m =
+  let s = ref init in
+  for k = 0 to m - 1 do
+    s := !s +. x.(Array.unsafe_get idx k)
+  done;
+  !s
+
+let sum_int_as_float init (x : int array) idx m =
+  let s = ref init in
+  for k = 0 to m - 1 do
+    s := !s +. float_of_int x.(Array.unsafe_get idx k)
+  done;
+  !s
+
+let max_int_from init (x : int array) idx m =
+  let b = ref init in
+  for k = 0 to m - 1 do
+    let v = x.(Array.unsafe_get idx k) in
+    if v > !b then b := v
+  done;
+  !b
+
+let min_int_from init (x : int array) idx m =
+  let b = ref init in
+  for k = 0 to m - 1 do
+    let v = x.(Array.unsafe_get idx k) in
+    if v < !b then b := v
+  done;
+  !b
+
+let max_float_from init (x : float array) idx m =
+  let b = ref init in
+  for k = 0 to m - 1 do
+    let v = x.(Array.unsafe_get idx k) in
+    if v > !b then b := v
+  done;
+  !b
+
+let min_float_from init (x : float array) idx m =
+  let b = ref init in
+  for k = 0 to m - 1 do
+    let v = x.(Array.unsafe_get idx k) in
+    if v < !b then b := v
+  done;
+  !b
+
+let better op v best =
+  let c = Value.compare v best in
+  match op with Max -> c > 0 | _ -> c < 0
+
+let acc_update a col sel =
+  let n = Column.length col in
+  let idx, m = indexed n (candidates [ col ] n sel) in
+  if m > 0 then begin
+    (* the first value seen starts MAX and MIN *)
+    let fresh = a.count.(0) = 0 in
+    let first = idx.(0) in
+    (match a.op, Column.data col with
+     | Count, _ -> ()
+     | Count_distinct, Column.Int_data x ->
+       for k = 0 to m - 1 do add_int a.sets 0 x.(idx.(k)) done
+     | Count_distinct, Column.Float_data x ->
+       for k = 0 to m - 1 do add_float a.sets 0 x.(idx.(k)) done
+     | Count_distinct, _ ->
+       for k = 0 to m - 1 do add_value a.sets 0 (Column.get col idx.(k)) done
+     | Sum, Column.Int_data x -> a.ints.(0) <- sum_int a.ints.(0) x idx m
+     | (Sum | Avg), Column.Float_data x -> a.floats.(0) <- sum_float a.floats.(0) x idx m
+     | Avg, Column.Int_data x -> a.floats.(0) <- sum_int_as_float a.floats.(0) x idx m
+     | Max, Column.Int_data x ->
+       a.ints.(0) <- max_int_from (if fresh then x.(first) else a.ints.(0)) x idx m
+     | Min, Column.Int_data x ->
+       a.ints.(0) <- min_int_from (if fresh then x.(first) else a.ints.(0)) x idx m
+     | Max, Column.Float_data x ->
+       a.floats.(0) <- max_float_from (if fresh then x.(first) else a.floats.(0)) x idx m
+     | Min, Column.Float_data x ->
+       a.floats.(0) <- min_float_from (if fresh then x.(first) else a.floats.(0)) x idx m
+     | (Max | Min), (Column.Bool_data _ | Column.String_data _) ->
+       for k = 0 to m - 1 do
+         let v = Column.get col idx.(k) in
+         if (fresh && k = 0) || better a.op v a.values.(0) then a.values.(0) <- v
+       done
+     | (Sum | Avg), (Column.Bool_data _ | Column.String_data _) -> non_numeric a.op);
+    a.count.(0) <- a.count.(0) + m;
+    a.dtype <- Column.dtype col
+  end
+
+let acc_count_rows a n = a.count.(0) <- a.count.(0) + n
+
+(* Grouped loops: [gids.(i)] is row [i]'s group, group 0 the rows whose
+   value is NULL, which is never read back. Each loop counts as it goes. *)
+
+let acc_count_groups a gids n =
+  let count = a.count in
+  for i = 0 to n - 1 do
+    let g = gids.(i) in
+    count.(g) <- count.(g) + 1
+  done
+
+let acc_update_groups a col gids n =
+  let gids =
+    match Column.validity col with
+    | None -> gids
+    | Some v ->
+      let g = Array.sub gids 0 n in
+      for i = 0 to n - 1 do
+        if Bytes.get v i = '\000' then g.(i) <- 0
+      done;
+      g
+  in
+  let count = a.count in
+  (match a.op, Column.data col with
+   | Count, _ -> acc_count_groups a gids n
+   | Count_distinct, Column.Int_data x ->
+     for i = 0 to n - 1 do add_int a.sets gids.(i) x.(i) done
+   | Count_distinct, Column.Float_data x ->
+     for i = 0 to n - 1 do add_float a.sets gids.(i) x.(i) done
+   | Count_distinct, _ ->
+     for i = 0 to n - 1 do add_value a.sets gids.(i) (Column.get col i) done
+   | Sum, Column.Int_data x ->
+     let sums = a.ints and ov = ref 0 in
+     for i = 0 to n - 1 do
+       let g = gids.(i) and v = x.(i) in
+       let s = sums.(g) in
+       let s' = s + v in
+       sums.(g) <- s';
+       count.(g) <- count.(g) + 1;
+       (* [-g] keeps the sign bit for a real group and clears it for 0 *)
+       ov := !ov lor ((s' lxor s) land (s' lxor v) land (-g))
+     done;
+     if !ov < 0 then sum_overflow ()
+   | (Sum | Avg), Column.Float_data x ->
+     let sums = a.floats in
+     for i = 0 to n - 1 do
+       let g = gids.(i) in
+       sums.(g) <- sums.(g) +. x.(i);
+       count.(g) <- count.(g) + 1
+     done
+   | Avg, Column.Int_data x ->
+     let sums = a.floats in
+     for i = 0 to n - 1 do
+       let g = gids.(i) in
+       sums.(g) <- sums.(g) +. float_of_int x.(i);
+       count.(g) <- count.(g) + 1
+     done
+   | Max, Column.Int_data x ->
+     let best = a.ints in
+     for i = 0 to n - 1 do
+       let g = gids.(i) and v = x.(i) in
+       if count.(g) = 0 || v > best.(g) then best.(g) <- v;
+       count.(g) <- count.(g) + 1
+     done
+   | Min, Column.Int_data x ->
+     let best = a.ints in
+     for i = 0 to n - 1 do
+       let g = gids.(i) and v = x.(i) in
+       if count.(g) = 0 || v < best.(g) then best.(g) <- v;
+       count.(g) <- count.(g) + 1
+     done
+   | Max, Column.Float_data x ->
+     let best = a.floats in
+     for i = 0 to n - 1 do
+       let g = gids.(i) and v = x.(i) in
+       if count.(g) = 0 || v > best.(g) then best.(g) <- v;
+       count.(g) <- count.(g) + 1
+     done
+   | Min, Column.Float_data x ->
+     let best = a.floats in
+     for i = 0 to n - 1 do
+       let g = gids.(i) and v = x.(i) in
+       if count.(g) = 0 || v < best.(g) then best.(g) <- v;
+       count.(g) <- count.(g) + 1
+     done
+   | (Max | Min), (Column.Bool_data _ | Column.String_data _) ->
+     for i = 0 to n - 1 do
+       let g = gids.(i) and v = Column.get col i in
+       if count.(g) = 0 || better a.op v a.values.(g) then a.values.(g) <- v;
+       count.(g) <- count.(g) + 1
+     done
+   | (Sum | Avg), (Column.Bool_data _ | Column.String_data _) ->
+     for i = 0 to n - 1 do
+       if gids.(i) > 0 then non_numeric a.op
+     done);
+  a.dtype <- Column.dtype col
+
+let acc_result a g : Value.t =
+  match a.op with
+  | Count -> Int a.count.(g)
+  | Count_distinct -> Int (distinct_count a.sets.(g))
+  | _ when a.count.(g) = 0 -> Null
+  | Avg -> Float (a.floats.(g) /. float_of_int a.count.(g))
+  | Sum | Max | Min ->
+    (match a.dtype with
+     | Dtype.Int -> Int a.ints.(g)
+     | Dtype.Float -> Float a.floats.(g)
+     | Dtype.Bool | Dtype.String -> a.values.(g))
 
 let aggregate op col sel =
-  match op, Column.data col with
-  | Count, _ ->
-    Value.Int (fold_valid col sel ~init:0 ~f:(fun acc _ -> acc + 1))
-  | Count_distinct, _ ->
-    let seen = Hashtbl.create 64 in
-    ignore
-      (fold_valid col sel ~init:() ~f:(fun () i ->
-           Hashtbl.replace seen (Column.get col i) ()));
-    Value.Int (Hashtbl.length seen)
-  | Max, Column.Int_data a ->
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           match acc with
-           | None -> Some a.(i)
-           | Some m -> Some (if a.(i) > m then a.(i) else m))
-     with
-     | None -> Value.Null
-     | Some m -> Value.Int m)
-  | Min, Column.Int_data a ->
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           match acc with
-           | None -> Some a.(i)
-           | Some m -> Some (if a.(i) < m then a.(i) else m))
-     with
-     | None -> Value.Null
-     | Some m -> Value.Int m)
-  | Max, Column.Float_data a ->
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           match acc with
-           | None -> Some a.(i)
-           | Some m -> Some (if a.(i) > m then a.(i) else m))
-     with
-     | None -> Value.Null
-     | Some m -> Value.Float m)
-  | Min, Column.Float_data a ->
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           match acc with
-           | None -> Some a.(i)
-           | Some m -> Some (if a.(i) < m then a.(i) else m))
-     with
-     | None -> Value.Null
-     | Some m -> Value.Float m)
-  | (Max | Min), (Column.Bool_data _ | Column.String_data _) ->
-    let better =
-      match op with
-      | Max -> fun a b -> Value.compare a b > 0
-      | _ -> fun a b -> Value.compare a b < 0
-    in
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           let v = Column.get col i in
-           match acc with
-           | None -> Some v
-           | Some m -> Some (if better v m then v else m))
-     with
-     | None -> Value.Null
-     | Some m -> m)
-  | Sum, Column.Int_data a ->
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           Some (Option.value acc ~default:0 + a.(i)))
-     with
-     | None -> Value.Null
-     | Some s -> Value.Int s)
-  | Sum, Column.Float_data a ->
-    (match
-       fold_valid col sel ~init:None ~f:(fun acc i ->
-           Some (Option.value acc ~default:0. +. a.(i)))
-     with
-     | None -> Value.Null
-     | Some s -> Value.Float s)
-  | Avg, (Column.Int_data _ | Column.Float_data _) ->
-    let sum, n =
-      match Column.data col with
-      | Column.Int_data a ->
-        fold_valid col sel ~init:(0., 0) ~f:(fun (s, n) i ->
-            (s +. float_of_int a.(i), n + 1))
-      | Column.Float_data a ->
-        fold_valid col sel ~init:(0., 0) ~f:(fun (s, n) i ->
-            (s +. a.(i), n + 1))
-      | _ -> assert false
-    in
-    if n = 0 then Value.Null else Value.Float (sum /. float_of_int n)
-  | (Sum | Avg), (Column.Bool_data _ | Column.String_data _) ->
-    invalid_arg
-      (Printf.sprintf "Kernels.aggregate: %s over non-numeric column"
-         (agg_to_string op))
+  let a = acc_create op 1 in
+  acc_update a col sel;
+  acc_result a 0

@@ -1,10 +1,13 @@
 (** Vectorized kernels.
 
-    Each kernel dispatches on the column type {e once} and then runs a tight
-    monomorphic loop — the columnar analogue of the paper's observation that
-    per-value type dispatch belongs outside the critical path. All kernels
-    accept an optional selection vector and skip invalid (NULL / not-loaded)
-    rows; comparisons involving NULL are false, aggregates ignore NULLs. *)
+    Each filter and aggregate kernel picks the column type, the operator,
+    the NULL handling and the selection {e once} per chunk and then runs a
+    tight monomorphic loop, with no closure call per row — the columnar
+    analogue of the paper's observation that per-value type dispatch
+    belongs outside the critical path. (The arithmetic kernels still map
+    the operator's function over the column.) Filters and aggregates
+    accept an optional selection vector and skip invalid (NULL) rows;
+    comparisons involving NULL are false, aggregates ignore NULLs. *)
 
 type cmp = Lt | Le | Gt | Ge | Eq | Ne
 type arith = Add | Sub | Mul | Div | Mod
@@ -16,16 +19,26 @@ type agg =
   | Count_distinct  (** COUNT(DISTINCT x): distinct non-NULL values *)
   | Avg
 
+exception Overflow of string
+(** Raised by [SUM] over Int when the running sum leaves the integer
+    range; the query fails rather than answer a wrapped sum. *)
+
 val cmp_to_string : cmp -> string
 val arith_to_string : arith -> string
 val agg_to_string : agg -> string
 
 val filter_const : cmp -> Column.t -> Value.t -> Sel.t option -> Sel.t
 (** Indices (in original chunk coordinates) of rows where
-    [col.(i) <cmp> const]. Numeric constants coerce between Int and Float. *)
+    [col.(i) <cmp> const], sized exactly. Numeric constants coerce between
+    Int and Float as [float_of_int] does; floats compare as IEEE does (NaN
+    is unordered, [-0.0 = 0.0]); strings as [String.compare]; [false <
+    true]. A NULL constant selects nothing. *)
 
 val filter_col : cmp -> Column.t -> Column.t -> Sel.t option -> Sel.t
-(** Row-wise column/column comparison. *)
+(** Row-wise column/column comparison, with {!filter_const}'s coercions. *)
+
+val non_null : Column.t -> Sel.t option -> Sel.t
+(** The selected rows (every row without a selection) that are not NULL. *)
 
 val arith_const : arith -> Column.t -> Value.t -> Column.t
 val arith_col : arith -> Column.t -> Column.t -> Column.t
@@ -34,6 +47,42 @@ val arith_col : arith -> Column.t -> Column.t -> Column.t
     for every row; validity propagates (NULL in → NULL out). *)
 
 val aggregate : agg -> Column.t -> Sel.t option -> Value.t
-(** [Null] when no valid rows qualify (except [Count], which yields
-    [Int 0]). [Sum]/[Avg]/[Max]/[Min] require a numeric column ([Max]/[Min]
-    also accept strings and bools, ordered as in {!Value.compare}). *)
+(** [Null] when no valid rows qualify (except [Count] and
+    [Count_distinct], which yield [Int 0]). [Sum]/[Avg] require a numeric
+    column and raise [Invalid_argument] on a non-numeric one with a valid
+    row; [Max]/[Min] also accept strings and bools, ordered as in
+    {!Value.compare}. [Sum] over Int is exact or raises {!Overflow}; [Avg]
+    and [Sum] over Float add in row order. [Count_distinct] counts values
+    apart as [compare] does: one NaN, and [-0.0] is [0.0]. *)
+
+(** {1 Accumulators}
+
+    The running state of one aggregate, one slot per group id: {!aggregate}
+    is one slot updated once. The scalar and grouped updates of the
+    operators feed the same state. *)
+
+type acc
+
+val acc_create : agg -> int -> acc
+(** [acc_create op n] has slots for groups [0 .. n-1]. *)
+
+val acc_reserve : acc -> int -> unit
+(** Grows the state to at least [n] slots; new slots start empty. *)
+
+val acc_update : acc -> Column.t -> Sel.t option -> unit
+(** Folds the selected non-NULL values into slot 0. *)
+
+val acc_count_rows : acc -> int -> unit
+(** Adds [n] rows to slot 0's count: [COUNT] over a never-NULL value,
+    without a column. *)
+
+val acc_update_groups : acc -> Column.t -> int array -> int -> unit
+(** [acc_update_groups a col gids n] folds row [i < n] into slot
+    [gids.(i)]. Rows NULL in [col] go to slot 0, which grouped callers
+    reserve for them and never read back: groups are [1 ..]. *)
+
+val acc_count_groups : acc -> int array -> int -> unit
+(** Counts row [i < n] in slot [gids.(i)]: the grouped {!acc_count_rows}. *)
+
+val acc_result : acc -> int -> Value.t
+(** The slot's answer, as {!aggregate} gives it. *)

@@ -171,7 +171,7 @@ let prop_gather_scatter =
       Column.scatter dst even packed;
       Column.equal (Column.gather dst even) packed)
 
-(* ---------------- kernels vs naive model ---------------- *)
+(* ---------------- kernels vs per-row reference ---------------- *)
 
 let cmp_gen =
   Gen.oneofl
@@ -186,32 +186,420 @@ let cmp_fn (op : Kernels.cmp) a b =
   | Eq -> a = b
   | Ne -> a <> b
 
+(* IEEE: every comparison with NaN is false but [<>] *)
+let float_cmp (op : Kernels.cmp) (a : float) (b : float) =
+  match op with
+  | Lt -> a < b
+  | Le -> a <= b
+  | Gt -> a > b
+  | Ge -> a >= b
+  | Eq -> a = b
+  | Ne -> a <> b
+
+(* What a WHERE comparison keeps, one row at a time: NULL never; Int
+   against Float as floats. *)
+let ref_cmp op (x : Value.t) (c : Value.t) =
+  match x, c with
+  | Null, _ | _, Null -> false
+  | Int a, Int b -> cmp_fn op a b
+  | Int a, Float b -> float_cmp op (float_of_int a) b
+  | Float a, Int b -> float_cmp op a (float_of_int b)
+  | Float a, Float b -> float_cmp op a b
+  | String a, String b -> cmp_fn op (String.compare a b) 0
+  | Bool a, Bool b -> cmp_fn op (Stdlib.compare a b) 0
+  | _ -> invalid_arg "ref_cmp"
+
+(* the extremes: min_int/max_int, 2^53 + 1 (no float holds it), 2^62 (the
+   float of max_int), NaN, infinities, signed zeros *)
+let int_gen =
+  Gen.frequency
+    [ (6, Gen.int_range (-3) 3);
+      (2, Gen.oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+      (2, Gen.oneofl [ 9007199254740992; 9007199254740993; -9007199254740993 ]);
+      (1, Gen.int) ]
+
+(* 2^53 next to small values makes a sum depend on its order *)
+let float_gen =
+  Gen.frequency
+    [ (6, Gen.oneofl [ -1.5; -1.; 0.; 0.5; 1.; 2.; 3. ]);
+      (3, Gen.oneofl [ -0.; nan; infinity; neg_infinity; Float.pred 1. ]);
+      (3, Gen.oneofl [ 9007199254740992.; 4.611686018427388e18; -4.611686018427388e18 ]);
+      (1, Gen.float) ]
+
+let string_gen = Gen.oneofl [ ""; "a"; "ab"; "b"; "B"; "\xc3\xa9" ]
+
+let value_gen (dt : Dtype.t) =
+  match dt with
+  | Int -> Gen.map (fun x -> Value.Int x) int_gen
+  | Float -> Gen.map (fun x -> Value.Float x) float_gen
+  | String -> Gen.map (fun x -> Value.String x) string_gen
+  | Bool -> Gen.map (fun x -> Value.Bool x) Gen.bool
+
+(* [n] cells of [dt], some NULL. NULL slots hold a junk value, often one
+   that would overflow a sum or poison an extreme, and a column without
+   NULLs sometimes still carries an all-ones bitmap: kernels must read the
+   bitmap, not the data. *)
+let column_gen dt n =
+  let poison : Value.t =
+    match (dt : Dtype.t) with
+    | Int -> Int max_int
+    | Float -> Float nan
+    | String -> String "\xff"
+    | Bool -> Bool true
+  in
+  Gen.(
+    let* cells = list_repeat n (option ~ratio:0.8 (value_gen dt)) in
+    let* junk = oneof [ value_gen dt; return poison ] in
+    let* ones = bool in
+    let values = List.map (Option.value ~default:Value.Null) cells in
+    let data = Column.of_values dt (List.map (Option.value ~default:junk) cells) in
+    let valid = Bytes.of_string (String.concat "" (List.map (fun c -> if c = None then "\000" else "\001") cells)) in
+    let col =
+      if List.mem None cells || ones then Column.make ~valid (Column.data data) else data
+    in
+    return (values, col))
+
+(* an incoming selection: none, or an ascending subset *)
+let sel_gen n =
+  Gen.(
+    option
+      (map
+         (fun keep ->
+           Sel.of_array (Array.of_list (List.filter_map Fun.id (List.mapi (fun i k -> if k then Some i else None) keep))))
+         (list_repeat n bool)))
+
+let candidates n sel =
+  match sel with Some s -> Array.to_list (Sel.to_array s) | None -> List.init n Fun.id
+
+let dtype_gen = Gen.oneofl [ Dtype.Int; Dtype.Float; Dtype.String; Dtype.Bool ]
+
+(* a constant for [dt]: its own type, the other numeric type, or NULL *)
+let const_gen (dt : Dtype.t) =
+  Gen.frequency
+    ((5, value_gen dt)
+     :: (1, Gen.return Value.Null)
+     :: (match dt with
+         | Int -> [ (3, value_gen Dtype.Float) ]
+         | Float -> [ (3, value_gen Dtype.Int) ]
+         | String | Bool -> []))
+
 let prop_filter_const =
-  qtest "filter_const agrees with list filter"
-    (Gen.triple cmp_gen (Gen.array_size (Gen.int_range 0 200) (Gen.int_range (-50) 50))
-       (Gen.int_range (-50) 50))
-    (fun (op, values, x) ->
-      let col = Column.of_int_array values in
-      let got = Sel.to_array (Kernels.filter_const op col (Int x) None) in
-      let want =
-        Array.of_list
-          (List.filteri (fun _ _ -> true)
-             (List.filter_map
-                (fun i -> if cmp_fn op values.(i) x then Some i else None)
-                (List.init (Array.length values) Fun.id)))
-      in
-      got = want)
+  qtest "filter_const agrees with list filter" ~count:500
+    Gen.(
+      let* dt = dtype_gen in
+      let* n = int_range 0 40 in
+      let* values, col = column_gen dt n in
+      let* c = const_gen dt in
+      let* op = cmp_gen in
+      let* sel = sel_gen n in
+      return (values, col, c, op, sel))
+    (fun (values, col, c, op, sel) ->
+      let values = Array.of_list values in
+      let got = Array.to_list (Sel.to_array (Kernels.filter_const op col c sel)) in
+      got = List.filter (fun i -> ref_cmp op values.(i) c) (candidates (Array.length values) sel))
+
+let col_pair_gen =
+  Gen.oneofl
+    [ (Dtype.Int, Dtype.Int); (Dtype.Float, Dtype.Float); (Dtype.Int, Dtype.Float);
+      (Dtype.Float, Dtype.Int); (Dtype.String, Dtype.String); (Dtype.Bool, Dtype.Bool) ]
+
+let prop_filter_col =
+  qtest "filter_col agrees with a per-row comparison" ~count:500
+    Gen.(
+      let* da, db = col_pair_gen in
+      let* n = int_range 0 40 in
+      let* va, ca = column_gen da n in
+      let* vb, cb = column_gen db n in
+      let* op = cmp_gen in
+      let* sel = sel_gen n in
+      return (va, ca, vb, cb, op, sel))
+    (fun (va, ca, vb, cb, op, sel) ->
+      let va = Array.of_list va and vb = Array.of_list vb in
+      let got = Array.to_list (Sel.to_array (Kernels.filter_col op ca cb sel)) in
+      got = List.filter (fun i -> ref_cmp op va.(i) vb.(i)) (candidates (Array.length va) sel))
+
+(* Predicates over a nullable Int column 0, a nullable Float column 1 and
+   a nullable String column 2; the [Arith] comparison takes [eval_filter]'s
+   generic path through a boolean column. *)
+let pred_gen =
+  let open Raw_engine in
+  Gen.(
+    let leaf =
+      oneof
+        [ map2 (fun op c -> Expr.Cmp (op, Expr.Col 0, Expr.Const c)) cmp_gen (const_gen Dtype.Int);
+          map2 (fun op c -> Expr.Cmp (op, Expr.Const c, Expr.Col 1)) cmp_gen (const_gen Dtype.Float);
+          map2 (fun op c -> Expr.Cmp (op, Expr.Col 2, Expr.Const c)) cmp_gen (value_gen Dtype.String);
+          map (fun op -> Expr.Cmp (op, Expr.Col 0, Expr.Col 1)) cmp_gen;
+          map2
+            (fun op c -> Expr.Cmp (op, Expr.Arith (Kernels.Add, Expr.Col 0, Expr.int 0), Expr.Const c))
+            cmp_gen (value_gen Dtype.Int);
+          map (fun b -> Expr.Const (Value.Bool b)) bool ]
+    in
+    sized_size (int_range 0 3)
+      (fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [ (2, leaf);
+                 (2, map2 (fun a b -> Expr.And (a, b)) (self (n - 1)) (self (n - 1)));
+                 (2, map2 (fun a b -> Expr.Or (a, b)) (self (n - 1)) (self (n - 1)));
+                 (1, map (fun a -> Expr.Not a) (self (n - 1))) ])))
+
+(* three-valued, [None] = NULL *)
+let rec ref_pred (row : Value.t array) (e : Raw_engine.Expr.t) =
+  let open Raw_engine.Expr in
+  let term = function
+    | Col i | Arith (_, Col i, _) -> row.(i)
+    | Const v -> v
+    | _ -> invalid_arg "ref_pred"
+  in
+  match e with
+  | Cmp (op, a, b) ->
+    (match term a, term b with
+     | Value.Null, _ | _, Value.Null -> None
+     | x, y -> Some (ref_cmp op x y))
+  | And (a, b) ->
+    (match ref_pred row a, ref_pred row b with
+     | Some false, _ | _, Some false -> Some false
+     | Some true, Some true -> Some true
+     | _ -> None)
+  | Or (a, b) ->
+    (match ref_pred row a, ref_pred row b with
+     | Some true, _ | _, Some true -> Some true
+     | Some false, Some false -> Some false
+     | _ -> None)
+  | Not a -> Option.map not (ref_pred row a)
+  | Const (Value.Bool b) -> Some b
+  | _ -> invalid_arg "ref_pred"
+
+let prop_eval_filter =
+  qtest "eval_filter keeps the rows a three-valued reference makes TRUE" ~count:500
+    Gen.(
+      let* n = int_range 0 30 in
+      let* v0, c0 = column_gen Dtype.Int n in
+      let* v1, c1 = column_gen Dtype.Float n in
+      let* v2, c2 = column_gen Dtype.String n in
+      let* e = pred_gen in
+      let* sel = sel_gen n in
+      return ([| v0; v1; v2 |], Chunk.of_columns [ c0; c1; c2 ], e, sel))
+    (fun (cols, chunk, e, sel) ->
+      let cols = Array.map Array.of_list cols in
+      let got = Array.to_list (Sel.to_array (Raw_engine.Expr.eval_filter e chunk sel)) in
+      got
+      = List.filter
+          (fun i -> ref_pred (Array.map (fun c -> c.(i)) cols) e = Some true)
+          (candidates (Chunk.n_rows chunk) sel))
+
+(* ---------------- aggregates vs a list model ---------------- *)
+
+(* Answers compare bit for bit, so -0.0 is not 0.0 here; but any NaN is
+   NaN: IEEE leaves the sign and payload of an operation's NaN open, and
+   which operand x86 hands on depends on register allocation. *)
+let same_value (a : Value.t) (b : Value.t) =
+  match a, b with
+  | Float x, Float y ->
+    (Float.is_nan x && Float.is_nan y)
+    || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_rows a b = List.equal (List.equal same_value) a b
+
+(* One aggregate over the non-NULL values of a group, in row order, as the
+   engine defines it: MAX/MIN start from the first value and take a value
+   only when it compares greater (less), so a leading NaN stays; float sums
+   add in row order from 0; an Int SUM fails once its running sum leaves
+   the int range; distinct values are told apart as [compare] does. *)
+exception Model_overflow
+
+let model_agg (op : Kernels.agg) (values : Value.t list) : Value.t =
+  let vs = List.filter (fun v -> not (Value.is_null v)) values in
+  let better v best =
+    match op, v, best with
+    | Max, Value.Float x, Value.Float y -> x > y
+    | Min, Value.Float x, Value.Float y -> x < y
+    | Max, _, _ -> Value.compare v best > 0
+    | _ -> Value.compare v best < 0
+  in
+  let fsum = List.fold_left (fun s v -> s +. Value.to_float v) 0. in
+  match op, vs with
+  | Count, _ -> Int (List.length vs)
+  | Count_distinct, _ -> Int (List.length (List.sort_uniq Value.compare vs))
+  | _, [] -> Null
+  | Sum, Int _ :: _ ->
+    Int
+      (List.fold_left
+         (fun s v ->
+           let x = Value.as_int v in
+           let s' = s + x in
+           if (x > 0 && s' < s) || (x < 0 && s' > s) then raise Model_overflow;
+           s')
+         0 vs)
+  | Sum, _ -> Float (fsum vs)
+  | Avg, _ -> Float (fsum vs /. float_of_int (List.length vs))
+  | (Max | Min), first :: rest ->
+    List.fold_left (fun best v -> if better v best then v else best) first rest
+
+let agg_gen dt =
+  let numeric = dt = Dtype.Int || dt = Dtype.Float in
+  Gen.oneofl
+    (List.filter_map Fun.id
+       [ Some Kernels.Count; Some Kernels.Max; Some Kernels.Min; Some Kernels.Count_distinct;
+         (if numeric then Some Kernels.Sum else None); (if numeric then Some Kernels.Avg else None) ])
+
+(* [rows] cut into chunks of [1 .. chunk_rows] rows, an empty one mixed in *)
+let chunked cols n chunk_rows =
+  let rec go lo =
+    if lo >= n then []
+    else
+      let len = min chunk_rows (n - lo) in
+      Chunk.of_columns (List.map (fun c -> Column.slice c lo len) cols) :: go (lo + len)
+  in
+  Chunk.of_columns (List.map (fun c -> Column.slice c 0 0) cols) :: go 0
+
+let outcome f = match f () with v -> Ok v | exception (Kernels.Overflow _ | Model_overflow) -> Error ()
 
 let prop_aggregate =
-  qtest "aggregates agree with folds"
-    (Gen.array_size (Gen.int_range 1 200) (Gen.int_range (-1000) 1000))
-    (fun values ->
-      let col = Column.of_int_array values in
-      let l = Array.to_list values in
-      Kernels.aggregate Kernels.Max col None = Int (List.fold_left max min_int l)
-      && Kernels.aggregate Kernels.Min col None = Int (List.fold_left min max_int l)
-      && Kernels.aggregate Kernels.Sum col None = Int (List.fold_left ( + ) 0 l)
-      && Kernels.aggregate Kernels.Count col None = Int (List.length l))
+  qtest "aggregates agree with folds" ~count:500
+    Gen.(
+      let* dt = dtype_gen in
+      let* n = int_range 0 30 in
+      let* values, col = column_gen dt n in
+      let* aggs = list_size (int_range 1 4) (agg_gen dt) in
+      let* count_star = bool in
+      let* chunk_rows = int_range 1 8 in
+      return (values, col, aggs, count_star, chunk_rows))
+    (fun (values, col, aggs, count_star, chunk_rows) ->
+      let open Raw_engine in
+      let specs =
+        List.map (fun op -> (op, Expr.col 0)) aggs
+        @ if count_star then [ (Kernels.Count, Expr.int 1) ] else []
+      in
+      let got () =
+        let out =
+          Operator.to_chunk
+            (Operator.aggregate specs
+               (Operator.of_chunks (chunked [ col ] (List.length values) chunk_rows)))
+        in
+        List.init (Chunk.n_rows out) (Chunk.row out)
+      in
+      let want () =
+        [ List.map (fun op -> model_agg op values) aggs
+          @ if count_star then [ Value.Int (List.length values) ] else [] ]
+      in
+      let scalar () = List.map (fun op -> Kernels.aggregate op col None) aggs in
+      (* the operator over chunks, the model, and the kernel over the whole column *)
+      match outcome got, outcome want, outcome scalar with
+      | Ok g, Ok w, Ok s ->
+        same_rows g w && same_rows [ s ] [ List.filteri (fun i _ -> i < List.length aggs) (List.hd w) ]
+      | Error (), Error (), Error () -> true
+      | _ -> false)
+
+(* ---------------- group_by vs naive model ---------------- *)
+
+(* Key columns: one Int, String or Float column, or two of any type;
+   groups come out in first-seen order, NULL keys forming their own. *)
+let prop_group_by =
+  qtest "group_by sums agree with a naive fold" ~count:500
+    Gen.(
+      let* key_types =
+        oneof
+          [ map (fun d -> [ d ]) (oneofl [ Dtype.Int; Dtype.String; Dtype.Float ]);
+            pair dtype_gen dtype_gen |> map (fun (a, b) -> [ a; b ]) ]
+      in
+      let* vdt = dtype_gen in
+      let* n = int_range 0 30 in
+      (* few distinct keys, so groups repeat *)
+      let small (dt : Dtype.t) =
+        match dt with
+        | Int -> oneofl [ Value.Int 0; Value.Int 1; Value.Int min_int; Value.Int max_int ]
+        | Float -> oneofl [ Value.Float 0.; Value.Float (-0.); Value.Float nan; Value.Float 2.5 ]
+        | String -> oneofl [ Value.String ""; Value.String "a"; Value.String "b" ]
+        | Bool -> map (fun b -> Value.Bool b) bool
+      in
+      let* keys =
+        flatten_l
+          (List.map
+             (fun dt ->
+               map
+                 (fun cells ->
+                   let vs = List.map (Option.value ~default:Value.Null) cells in
+                   (vs, Column.of_values dt vs))
+                 (list_repeat n (option ~ratio:0.85 (small dt))))
+             key_types)
+      in
+      let* values, col = column_gen vdt n in
+      let* aggs = list_size (int_range 1 4) (agg_gen vdt) in
+      let* chunk_rows = int_range 1 8 in
+      return (keys, values, col, aggs, chunk_rows))
+    (fun (keys, values, col, aggs, chunk_rows) ->
+      let open Raw_engine in
+      let nk = List.length keys in
+      let n = List.length values in
+      let specs =
+        List.map (fun op -> (op, Expr.col nk)) aggs @ [ (Kernels.Count, Expr.int 1) ]
+      in
+      let got () =
+        let out =
+          Operator.to_chunk
+            (Operator.group_by
+               ~keys:(List.init nk Expr.col)
+               ~aggs:specs
+               (Operator.of_chunks (chunked (List.map snd keys @ [ col ]) n chunk_rows)))
+        in
+        List.init (Chunk.n_rows out) (Chunk.row out)
+      in
+      let want () =
+        let key_of i = List.map (fun (vs, _) -> List.nth vs i) keys in
+        let same k1 k2 = List.equal (fun a b -> Value.compare a b = 0) k1 k2 in
+        let groups =
+          List.fold_left
+            (fun groups i ->
+              let k = key_of i in
+              if List.exists (fun (k', _) -> same k k') groups then
+                List.map (fun (k', rows) -> if same k k' then (k', i :: rows) else (k', rows)) groups
+              else groups @ [ (k, [ i ]) ])
+            [] (List.init n Fun.id)
+        in
+        List.map
+          (fun (k, rows) ->
+            let vs = List.rev_map (fun i -> List.nth values i) rows in
+            k @ List.map (fun op -> model_agg op vs) aggs @ [ Value.Int (List.length rows) ])
+          groups
+      in
+      match outcome got, outcome want with
+      | Ok g, Ok w -> same_rows g w
+      | Error (), Error () -> true
+      | _ -> false)
+
+(* ---------------- Int_table vs Hashtbl ---------------- *)
+
+let prop_int_table =
+  qtest "Int_table agrees with Hashtbl through growth" ~count:200
+    (Gen.list_size (Gen.int_range 0 300)
+       (Gen.pair
+          (Gen.oneof [ Gen.int_range (-40) 40; Gen.map (fun k -> k lsl 40) (Gen.int_range 0 8); Gen.int ])
+          (Gen.int_range 0 1000)))
+    (fun ops ->
+      let t = Int_table.create 0 and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (k, v) ->
+          let before = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+          let ok = Int_table.find t k = before in
+          (* odd values replace, even ones only fill a missing key *)
+          let ok =
+            if v land 1 = 1 then begin
+              Int_table.replace t k v;
+              Hashtbl.replace model k v;
+              ok
+            end
+            else begin
+              let got = Int_table.find_or_add t k v in
+              if before < 0 then Hashtbl.replace model k v;
+              ok && got = if before < 0 then v else before
+            end
+          in
+          ok && Int_table.length t = Hashtbl.length model)
+        ops)
 
 (* ---------------- hash join vs nested loop ---------------- *)
 
@@ -624,38 +1012,6 @@ let prop_hep_roundtrip =
              let got = Raw_formats.Hep.Reader.get_entry r i in
              got = e)
            (List.mapi (fun i e -> (i, e)) events))
-
-(* ---------------- group_by vs naive model ---------------- *)
-
-let prop_group_by =
-  qtest "group_by sums agree with a naive fold" ~count:60
-    (Gen.list_size (Gen.int_range 0 150)
-       (Gen.pair (Gen.int_range 0 8) (Gen.int_range (-100) 100)))
-    (fun pairs ->
-      let open Raw_engine in
-      let keys = Column.of_int_array (Array.of_list (List.map fst pairs)) in
-      let vals = Column.of_int_array (Array.of_list (List.map snd pairs)) in
-      let op =
-        Operator.group_by ~keys:[ Expr.col 0 ]
-          ~aggs:[ (Kernels.Sum, Expr.col 1); (Kernels.Count, Expr.col 1) ]
-          (Operator.of_chunks
-             (if pairs = [] then []
-              else [ Chunk.of_columns [ keys; vals ] ]))
-      in
-      let got = rows_of_chunk (Operator.to_chunk op) in
-      let model = Hashtbl.create 8 in
-      List.iter
-        (fun (k, v) ->
-          let s, c = Option.value (Hashtbl.find_opt model k) ~default:(0, 0) in
-          Hashtbl.replace model k (s + v, c + 1))
-        pairs;
-      let want =
-        Hashtbl.fold
-          (fun k (s, c) acc -> [ Value.Int k; Value.Int s; Value.Int c ] :: acc)
-          model []
-        |> List.sort Stdlib.compare
-      in
-      got = want)
 
 (* ---------------- column concat ---------------- *)
 
@@ -1217,7 +1573,10 @@ let suites =
         prop_touch_counts;
         prop_gather_scatter;
         prop_filter_const;
+        prop_filter_col;
+        prop_eval_filter;
         prop_aggregate;
+        prop_int_table;
         prop_hash_join;
         prop_sort_limit;
         prop_scan_modes_agree;

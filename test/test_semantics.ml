@@ -222,8 +222,59 @@ let order_by_unselected (name, fmt) =
           ("SELECT c FROM t JOIN u ON t.a = u.k ORDER BY b", [ 10; 40; 30; 20 ]);
         ])
 
+(* ---------------- exact integer SUM ---------------- *)
+
+(* [rows] as a table [t (a, b)] in one format *)
+let db_of_rows fmt rows =
+  let db = Raw_db.create () in
+  let columns = [ ("a", Dtype.Int); ("b", Dtype.Int) ] in
+  (match fmt with
+   | `Csv ->
+     let path = fresh_path ".csv" in
+     Out_channel.with_open_text path (fun oc ->
+         List.iter (fun (a, b) -> Printf.fprintf oc "%d,%d\n" a b) rows);
+     Raw_db.register_csv db ~name:"t" ~path ~columns ()
+   | `Fwb ->
+     let path = fresh_path ".fwb" in
+     Raw_formats.Fwb.write_file ~path
+       (Raw_formats.Fwb.layout [| Dtype.Int; Dtype.Int |])
+       (List.to_seq (List.map (fun (a, b) -> [| Value.Int a; Value.Int b |]) rows));
+     Raw_db.register_fwb db ~name:"t" ~path ~columns
+   | `Jsonl ->
+     let path = fresh_path ".jsonl" in
+     Out_channel.with_open_text path (fun oc ->
+         List.iter (fun (a, b) -> Printf.fprintf oc "{\"a\": %d, \"b\": %d}\n" a b) rows);
+     Raw_db.register_jsonl db ~name:"t" ~path ~columns);
+  db
+
+(* 2^53 + 1 is the first Int a float cannot hold *)
+let above_2_53 = 9007199254740993
+
+let exact_sum (name, fmt) =
+  Alcotest.test_case (name ^ ": SUM over Int is exact, overflow fails") `Quick
+    (fun () ->
+      let db = db_of_rows fmt [ (1, above_2_53); (2, 1); (2, max_int); (3, max_int) ] in
+      let rows sql = rows_of_chunk (Raw_db.sql db sql) in
+      Alcotest.(check (list (list value_testable))) "scalar"
+        [ [ Value.Int (above_2_53 + 1) ] ]
+        (rows "SELECT SUM(b) FROM t WHERE a < 3 AND b < 9007199254740994");
+      Alcotest.(check (list (list value_testable))) "one-row group keeps the low bit"
+        [ [ Value.Int 1; Value.Int above_2_53 ] ]
+        (rows "SELECT a, SUM(b) FROM t WHERE a = 1 GROUP BY a");
+      Alcotest.(check (list (list value_testable))) "max_int alone"
+        [ [ Value.Int 3; Value.Int max_int ] ]
+        (rows "SELECT a, SUM(b) FROM t WHERE a = 3 GROUP BY a");
+      let overflows sql =
+        match Raw_db.sql db sql with
+        | _ -> Alcotest.failf "%s: answered instead of failing" sql
+        | exception Raw_vector.Kernels.Overflow _ -> ()
+      in
+      overflows "SELECT SUM(b) FROM t WHERE a > 1";
+      overflows "SELECT a, SUM(b) FROM t GROUP BY a")
+
 let suites =
   [
+    ("semantics.sum", List.map exact_sum formats);
     ("semantics.order_by", List.map order_by_unselected formats);
     ("semantics.join_keys", [ mixed_join_keys ]);
     ( "semantics.group_by_empty",
