@@ -71,14 +71,6 @@ let bool_column out valid =
   if Bytes.contains valid '\000' then Column.make ~valid (Column.Bool_data out)
   else Column.of_bool_array out
 
-let negate_cmp : Kernels.cmp -> Kernels.cmp = function
-  | Lt -> Ge
-  | Le -> Gt
-  | Gt -> Le
-  | Ge -> Lt
-  | Eq -> Ne
-  | Ne -> Eq
-
 (* Kleene AND ([dominant = false]) / OR ([dominant = true]): a valid
    dominant operand decides the row; otherwise any NULL makes it NULL. *)
 let kleene ~dominant ca cb =
@@ -143,6 +135,36 @@ let merge_sels a b =
   while Stdlib.(!j < nb) do out.(!k) <- bb.(!j); incr j; incr k done;
   Sel.of_array_unchecked (Array.sub out 0 !k)
 
+(* The rows where [a <op> b] is TRUE, or with [negate] FALSE: NOT keeps
+   only the rows whose operand is FALSE, never NULL ones. *)
+let filter_cmp ~negate op a b chunk sel =
+  match a, b with
+  | Col i, Const v -> Kernels.filter_const ~negate op (Chunk.column chunk i) v sel
+  | Const v, Col i -> Kernels.filter_const ~negate (flip_cmp op) (Chunk.column chunk i) v sel
+  | Col i, Col j ->
+    Kernels.filter_col ~negate op (Chunk.column chunk i) (Chunk.column chunk j) sel
+  | _ -> Kernels.filter_const ~negate Kernels.Eq (eval (Cmp (op, a, b)) chunk) (Value.Bool true) sel
+
+let rec eval_filter e chunk sel =
+  match e with
+  | Cmp (op, a, b) -> filter_cmp ~negate:false op a b chunk sel
+  | And (a, b) ->
+    let sa = eval_filter a chunk sel in
+    eval_filter b chunk (Some sa)
+  | Or (a, b) ->
+    merge_sels (eval_filter a chunk sel) (eval_filter b chunk sel)
+  (* push NOT down to the comparisons (De Morgan holds in Kleene logic) *)
+  | Not (Cmp (op, a, b)) -> filter_cmp ~negate:true op a b chunk sel
+  | Not (And (a, b)) -> eval_filter (Or (Not a, Not b)) chunk sel
+  | Not (Or (a, b)) -> eval_filter (And (Not a, Not b)) chunk sel
+  | Not (Not a) -> eval_filter a chunk sel
+  | Const (Value.Bool true) ->
+    (match sel with Some s -> s | None -> Sel.all (Chunk.n_rows chunk))
+  | Const (Value.Bool false) -> Sel.empty
+  | e ->
+    (* generic fallback: the rows whose boolean value is TRUE *)
+    Kernels.filter_const Kernels.Eq (eval e chunk) (Value.Bool true) sel
+
 let rec infer coltype = function
   | Col i -> coltype i
   | Const v ->
@@ -158,49 +180,6 @@ let rec infer coltype = function
        invalid_arg
          (Printf.sprintf "Expr.infer: arithmetic %s on non-numeric operands"
             (Kernels.arith_to_string op)))
-
-(* Whether the comparison of [a] and [b] is a float one, where NaN makes
-   every operator but [<>] FALSE, so a negated operator is not NOT. *)
-let compares_floats chunk a b =
-  let is_float e =
-    match infer (fun i -> Column.dtype (Chunk.column chunk i)) e with
-    | Dtype.Float -> true
-    | _ -> false
-    | exception Invalid_argument _ -> false
-  in
-  Stdlib.( || ) (is_float a) (is_float b)
-
-let rec eval_filter e chunk sel =
-  match e with
-  | Cmp (op, Col i, Const v) ->
-    Kernels.filter_const op (Chunk.column chunk i) v sel
-  | Cmp (op, Const v, Col i) ->
-    Kernels.filter_const (flip_cmp op) (Chunk.column chunk i) v sel
-  | Cmp (op, Col i, Col j) ->
-    Kernels.filter_col op (Chunk.column chunk i) (Chunk.column chunk j) sel
-  | And (a, b) ->
-    let sa = eval_filter a chunk sel in
-    eval_filter b chunk (Some sa)
-  | Or (a, b) ->
-    merge_sels (eval_filter a chunk sel) (eval_filter b chunk sel)
-  (* NOT keeps only the rows whose operand is FALSE, never NULL ones:
-     push it down to the comparisons (De Morgan holds in Kleene logic) *)
-  | Not (Cmp (op, a, b)) when Stdlib.not (compares_floats chunk a b) ->
-    eval_filter (Cmp (negate_cmp op, a, b)) chunk sel
-  | Not (Cmp (_, a, b) as c) ->
-    (* the rows where both operands are non-NULL and the comparison FALSE *)
-    let defined = Kernels.non_null (eval a chunk) sel in
-    let defined = Kernels.non_null (eval b chunk) (Some defined) in
-    Sel.diff defined (eval_filter c chunk (Some defined))
-  | Not (And (a, b)) -> eval_filter (Or (Not a, Not b)) chunk sel
-  | Not (Or (a, b)) -> eval_filter (And (Not a, Not b)) chunk sel
-  | Not (Not a) -> eval_filter a chunk sel
-  | Const (Value.Bool true) ->
-    (match sel with Some s -> s | None -> Sel.all (Chunk.n_rows chunk))
-  | Const (Value.Bool false) -> Sel.empty
-  | e ->
-    (* generic fallback: the rows whose boolean value is TRUE *)
-    Kernels.filter_const Kernels.Eq (eval e chunk) (Value.Bool true) sel
 
 let rec pp ppf = function
   | Col i -> Format.fprintf ppf "$%d" i

@@ -55,7 +55,8 @@ val group_by : keys:Expr.t list -> aggs:(Kernels.agg * Expr.t) list -> t -> t
 (** Hash group-by; output columns are keys then aggregates. Groups come
     out in the order their first row arrived; NULL keys form one group.
     Keys compare as [compare] does (every NaN one key, [-0.0] is [0.0]).
-    Raises {!Kernels.Overflow} when an Int [SUM] of a group overflows. *)
+    Raises {!Kernels.Overflow} when the exact Int [SUM] of a group leaves
+    the Int range. *)
 
 (** {1 Join} *)
 

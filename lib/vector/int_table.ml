@@ -50,13 +50,3 @@ let replace t k v =
   if v < 0 then invalid_arg "Int_table.replace: negative value";
   if 2 * (t.size + 1) > t.mask + 1 then grow t;
   store t k v
-
-let find_or_add t k v =
-  let found = find t k in
-  if found >= 0 then found
-  else begin
-    replace t k v;
-    v
-  end
-
-let length t = t.size

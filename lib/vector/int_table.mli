@@ -1,8 +1,8 @@
 (** A flat open-addressing map from [int] keys to non-negative [int]
     values: interleaved key/value slots in one [int array], linear
     probing, Fibonacci hashing. No key is boxed and a lookup allocates
-    nothing. The hash join's build table, the grouping table of Int GROUP BY
-    keys and the COUNT DISTINCT sets of Int and Float values. *)
+    nothing. The hash join's build table and the grouping table of Int
+    GROUP BY keys. *)
 
 type t
 
@@ -15,10 +15,3 @@ val find : t -> int -> int
 val replace : t -> int -> int -> unit
 (** Stores the value under the key, growing the table as needed. Raises
     [Invalid_argument] on a negative value. *)
-
-val find_or_add : t -> int -> int -> int
-(** [find_or_add t k v]: the value stored under [k]; if there is none,
-    stores [v] and returns it. *)
-
-val length : t -> int
-(** Keys stored. *)

@@ -85,18 +85,14 @@ let candidates cols n sel =
     (Option.map (fun s -> (Sel.to_array s, Sel.length s)) sel)
     cols
 
-let non_null col sel =
-  let n = Column.length col in
-  match candidates [ col ] n sel with
-  | None -> Sel.all n
-  | Some (idx, m) -> Sel.of_array_unchecked (Array.sub idx 0 m)
-
 (* ---------- filters ---------- *)
 
 (* Each filter is one typed loop per chunk. A comparison becomes a range
    test, [lo <= key <= hi] read as the unsigned compare [key - lo <= hi -
    lo] ([within] precomputes both sides), so a range with [lo > hi] wraps
-   round and [<>] is the complement of [=]'s range. Selections are sized
+   round and [<>] is the complement of [=]'s range. [negate] keeps the
+   candidates where the comparison is FALSE: the complement of the range,
+   which under IEEE holds the NaN rows too. Selections are sized
    exactly: Int filters count the qualifying rows, then fill; the others,
    whose test costs more than a byte store, mark the candidates in one
    pass and fill from the marks. Either fill stops at the last match. *)
@@ -194,14 +190,27 @@ let select_string (a : string array) c idx m ~lo ~hi =
   done;
   fill_marked keep idx !count
 
-(* The range of a three-way comparison result that [op] keeps. *)
-let order_range = function
-  | Lt -> (-1, -1)
-  | Le -> (-1, 0)
-  | Gt -> (1, 1)
-  | Ge -> (0, 1)
-  | Eq -> (0, 0)
-  | Ne -> (1, -1)
+(* The range of a three-way comparison result that [op] keeps, or with
+   [negate] the wrapped complement [hi + 1 .. lo - 1] of that range. *)
+let order_range ~negate op =
+  let lo, hi =
+    match op with
+    | Lt -> (-1, -1)
+    | Le -> (-1, 0)
+    | Gt -> (1, 1)
+    | Ge -> (0, 1)
+    | Eq -> (0, 0)
+    | Ne -> (1, -1)
+  in
+  if negate then (hi + 1, lo - 1) else (lo, hi)
+
+let negate_cmp = function
+  | Lt -> Ge
+  | Le -> Gt
+  | Gt -> Le
+  | Ge -> Lt
+  | Eq -> Ne
+  | Ne -> Eq
 
 (* The Int keys [v] with [v <op> c], as a range; [None] when empty. *)
 let int_range op c =
@@ -214,18 +223,18 @@ let int_range op c =
   | Ne -> Some (c + 1, c - 1)
 
 (* The Float values [v] with [v <op> x], as [lo <= v <= hi] or its
-   complement ([flip = 1]); [None] when empty. For [x] not -inf,
-   [v < x] is [v <= pred x]. A NaN [x] yields a range nothing is in. *)
+   complement ([flip = 1]). For [x] not -inf, [v < x] is [v <= pred x];
+   [(inf, -inf)] holds nothing. A NaN [x] yields a range nothing is in. *)
 let float_range op x =
   match op with
-  | Lt -> if x = neg_infinity then None else Some (neg_infinity, Float.pred x, 0)
-  | Le -> Some (neg_infinity, x, 0)
-  | Gt -> if x = infinity then None else Some (Float.succ x, infinity, 0)
-  | Ge -> Some (x, infinity, 0)
-  | Eq -> Some (x, x, 0)
-  | Ne -> Some (x, x, 1)
+  | Lt -> if x = neg_infinity then (infinity, neg_infinity, 0) else (neg_infinity, Float.pred x, 0)
+  | Le -> (neg_infinity, x, 0)
+  | Gt -> if x = infinity then (infinity, neg_infinity, 0) else (Float.succ x, infinity, 0)
+  | Ge -> (x, infinity, 0)
+  | Eq -> (x, x, 0)
+  | Ne -> (x, x, 1)
 
-let filter_const op col v sel =
+let filter_const ?(negate = false) op col v sel =
   let n = Column.length col in
   let pick range select =
     match range with
@@ -237,22 +246,27 @@ let filter_const op col v sel =
         let idx, m = indexed n cands in
         select idx m r)
   in
+  let floats x =
+    let lo, hi, flip = float_range op x in
+    Some (lo, hi, flip lxor Bool.to_int negate)
+  in
   match Column.data col, (v : Value.t) with
   | Column.Int_data a, Int x ->
-    pick (int_range op x) (fun cands (lo, hi) -> select_int a cands ~lo ~hi)
+    pick (int_range (if negate then negate_cmp op else op) x) (fun cands (lo, hi) ->
+        select_int a cands ~lo ~hi)
   | Column.Int_data a, Float x ->
-    pick_indexed (float_range op x) (fun idx m (lo, hi, flip) ->
+    pick_indexed (floats x) (fun idx m (lo, hi, flip) ->
         select_int_as_float a idx m ~lo ~hi ~flip)
   | Column.Float_data a, (Float _ | Int _) ->
-    pick_indexed (float_range op (Value.to_float v)) (fun idx m (lo, hi, flip) ->
+    pick_indexed (floats (Value.to_float v)) (fun idx m (lo, hi, flip) ->
         select_float a idx m ~lo ~hi ~flip)
   | Column.Bool_data a, Bool x ->
     (* [v - x] is the three-way comparison of two bools *)
-    let lo, hi = order_range op in
+    let lo, hi = order_range ~negate op in
     let x = Bool.to_int x in
     pick_indexed (Some (lo + x, hi + x)) (fun idx m (lo, hi) -> select_bool a idx m ~lo ~hi)
   | Column.String_data a, String x ->
-    pick_indexed (Some (order_range op)) (fun idx m (lo, hi) ->
+    pick_indexed (Some (order_range ~negate op)) (fun idx m (lo, hi) ->
         select_string a x idx m ~lo ~hi)
   | _, Null -> Sel.empty
   | _, _ ->
@@ -329,11 +343,11 @@ let flip_cmp = function
   | Eq -> Eq
   | Ne -> Ne
 
-let filter_col op ca cb sel =
+let filter_col ?(negate = false) op ca cb sel =
   let n = Column.length ca in
   if Column.length cb <> n then invalid_arg "Kernels.filter_col: length mismatch";
   let run op mark =
-    let lo, hi = order_range op in
+    let lo, hi = order_range ~negate op in
     let off, bound = within ~lo ~hi in
     let idx, m = indexed n (candidates [ ca; cb ] n sel) in
     let keep = Bytes.create m in
@@ -430,69 +444,24 @@ let arith_col op ca cb =
          (Array.init (Array.length a) (fun i -> f a.(i) (float_of_int b.(i)))))
   | _, _ -> invalid_arg "Kernels.arith_col: non-numeric operands"
 
-(* ---------- COUNT DISTINCT sets ---------- *)
-
-(* One group's distinct non-NULL values. Values are equal as under
-   [compare]: every NaN is one value and -0.0 is 0.0. A Float is keyed by
-   the low 63 bits of its normalised bit pattern; the value stored under
-   the key records which sign bits were seen (1 clear, 2 set). *)
-type distinct =
-  | Empty
-  | Ints of Int_table.t
-  | Floats of { keys : Int_table.t; mutable n : int }
-  | Boxed of (Value.t, unit) Hashtbl.t
-
-let distinct_count = function
-  | Empty -> 0
-  | Ints t -> Int_table.length t
-  | Floats f -> f.n
-  | Boxed h -> Hashtbl.length h
-
-let add_int sets g x =
-  match sets.(g) with
-  | Ints t -> ignore (Int_table.find_or_add t x 0)
-  | _ ->
-    let t = Int_table.create 8 in
-    Int_table.replace t x 0;
-    sets.(g) <- Ints t
-
-let add_float sets g x =
-  let x = if x = 0. then 0. else if Float.is_nan x then Float.nan else x in
-  let bits = Int64.bits_of_float x in
-  let k = Int64.to_int bits and sign = if Int64.compare bits 0L < 0 then 2 else 1 in
-  match sets.(g) with
-  | Floats f ->
-    let seen = Int_table.find f.keys k in
-    if seen < 0 || seen land sign = 0 then begin
-      Int_table.replace f.keys k (max seen 0 lor sign);
-      f.n <- f.n + 1
-    end
-  | _ ->
-    let keys = Int_table.create 8 in
-    Int_table.replace keys k sign;
-    sets.(g) <- Floats { keys; n = 1 }
-
-let add_value sets g v =
-  match sets.(g) with
-  | Boxed h -> Hashtbl.replace h v ()
-  | _ ->
-    let h = Hashtbl.create 16 in
-    Hashtbl.replace h v ();
-    sets.(g) <- Boxed h
-
 (* ---------- aggregation ---------- *)
 
 (* An aggregate's running state, one typed slot per group id: [ints]
    holds SUM over Int and MAX/MIN over Int; [floats] SUM over Float, the
-   AVG sum and MAX/MIN over Float; [values] MAX/MIN over Bool and String. *)
+   AVG sum and MAX/MIN over Float; [values] MAX/MIN over Bool and String;
+   [sets] COUNT DISTINCT's values, equal as under [compare]. An Int SUM
+   adds with wrapping and counts in [carry] the times it wrapped, +1 past
+   [max_int] and -1 past [min_int]: the wrapped sum is exact when the net
+   count is 0, and the exact sum is out of range when it is not. *)
 type acc = {
   op : agg;
   mutable dtype : Dtype.t; (* of the values seen *)
   mutable count : int array; (* non-NULL values per group *)
   mutable ints : int array;
+  mutable carry : int array;
   mutable floats : float array;
   mutable values : Value.t array;
-  mutable sets : distinct array;
+  mutable sets : (Value.t, unit) Hashtbl.t option array;
 }
 
 let acc_create op groups =
@@ -502,9 +471,10 @@ let acc_create op groups =
     dtype = Dtype.Int;
     count = Array.make n 0;
     ints = Array.make n 0;
+    carry = Array.make n 0;
     floats = Array.make n 0.;
     values = Array.make n Value.Null;
-    sets = Array.make n Empty;
+    sets = Array.make n None;
   }
 
 let acc_reserve a groups =
@@ -518,31 +488,42 @@ let acc_reserve a groups =
     in
     a.count <- extend a.count 0;
     a.ints <- extend a.ints 0;
+    a.carry <- extend a.carry 0;
     a.floats <- extend a.floats 0.;
     a.values <- extend a.values Value.Null;
-    a.sets <- extend a.sets Empty
+    a.sets <- extend a.sets None
   end
 
 let non_numeric op =
   invalid_arg
     (Printf.sprintf "Kernels.aggregate: %s over non-numeric column" (agg_to_string op))
 
-let sum_overflow () = raise (Overflow "SUM over INT leaves the integer range")
+let add_distinct sets g v =
+  match sets.(g) with
+  | Some h -> Hashtbl.replace h v ()
+  | None ->
+    let h = Hashtbl.create 16 in
+    Hashtbl.replace h v ();
+    sets.(g) <- Some h
+
+(* [s + v] wrapped iff both addends share a sign the sum [s'] lacks; it
+   wrapped past [max_int] when [v] is positive *)
+let wrapped s v s' = (s' lxor s) land (s' lxor v) < 0
+let carry_of v = if v < 0 then -1 else 1
 
 (* Scalar loops over the candidates, each starting from the running state,
    so a Float sum adds in row order and a NaN extreme stays put. *)
 
-let sum_int init (x : int array) idx m =
-  let s = ref init and ov = ref 0 in
+let sum_int a (x : int array) idx m =
+  let s = ref a.ints.(0) and carry = ref a.carry.(0) in
   for k = 0 to m - 1 do
     let v = x.(Array.unsafe_get idx k) in
     let s' = !s + v in
-    (* the sign flips iff both addends share a sign the sum lacks *)
-    ov := !ov lor ((s' lxor !s) land (s' lxor v));
+    if wrapped !s v s' then carry := !carry + carry_of v;
     s := s'
   done;
-  if !ov < 0 then sum_overflow ();
-  !s
+  a.ints.(0) <- !s;
+  a.carry.(0) <- !carry
 
 let sum_float init (x : float array) idx m =
   let s = ref init in
@@ -603,13 +584,9 @@ let acc_update a col sel =
     let first = idx.(0) in
     (match a.op, Column.data col with
      | Count, _ -> ()
-     | Count_distinct, Column.Int_data x ->
-       for k = 0 to m - 1 do add_int a.sets 0 x.(idx.(k)) done
-     | Count_distinct, Column.Float_data x ->
-       for k = 0 to m - 1 do add_float a.sets 0 x.(idx.(k)) done
      | Count_distinct, _ ->
-       for k = 0 to m - 1 do add_value a.sets 0 (Column.get col idx.(k)) done
-     | Sum, Column.Int_data x -> a.ints.(0) <- sum_int a.ints.(0) x idx m
+       for k = 0 to m - 1 do add_distinct a.sets 0 (Column.get col idx.(k)) done
+     | Sum, Column.Int_data x -> sum_int a x idx m
      | (Sum | Avg), Column.Float_data x -> a.floats.(0) <- sum_float a.floats.(0) x idx m
      | Avg, Column.Int_data x -> a.floats.(0) <- sum_int_as_float a.floats.(0) x idx m
      | Max, Column.Int_data x ->
@@ -656,24 +633,18 @@ let acc_update_groups a col gids n =
   let count = a.count in
   (match a.op, Column.data col with
    | Count, _ -> acc_count_groups a gids n
-   | Count_distinct, Column.Int_data x ->
-     for i = 0 to n - 1 do add_int a.sets gids.(i) x.(i) done
-   | Count_distinct, Column.Float_data x ->
-     for i = 0 to n - 1 do add_float a.sets gids.(i) x.(i) done
    | Count_distinct, _ ->
-     for i = 0 to n - 1 do add_value a.sets gids.(i) (Column.get col i) done
+     for i = 0 to n - 1 do add_distinct a.sets gids.(i) (Column.get col i) done
    | Sum, Column.Int_data x ->
-     let sums = a.ints and ov = ref 0 in
+     let sums = a.ints and carry = a.carry in
      for i = 0 to n - 1 do
        let g = gids.(i) and v = x.(i) in
        let s = sums.(g) in
        let s' = s + v in
        sums.(g) <- s';
        count.(g) <- count.(g) + 1;
-       (* [-g] keeps the sign bit for a real group and clears it for 0 *)
-       ov := !ov lor ((s' lxor s) land (s' lxor v) land (-g))
-     done;
-     if !ov < 0 then sum_overflow ()
+       if wrapped s v s' then carry.(g) <- carry.(g) + carry_of v
+     done
    | (Sum | Avg), Column.Float_data x ->
      let sums = a.floats in
      for i = 0 to n - 1 do
@@ -731,9 +702,11 @@ let acc_update_groups a col gids n =
 let acc_result a g : Value.t =
   match a.op with
   | Count -> Int a.count.(g)
-  | Count_distinct -> Int (distinct_count a.sets.(g))
+  | Count_distinct -> Int (match a.sets.(g) with Some h -> Hashtbl.length h | None -> 0)
   | _ when a.count.(g) = 0 -> Null
   | Avg -> Float (a.floats.(g) /. float_of_int a.count.(g))
+  | Sum when a.dtype = Dtype.Int && a.carry.(g) <> 0 ->
+    raise (Overflow "SUM over INT leaves the integer range")
   | Sum | Max | Min ->
     (match a.dtype with
      | Dtype.Int -> Int a.ints.(g)

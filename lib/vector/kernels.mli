@@ -20,25 +20,26 @@ type agg =
   | Avg
 
 exception Overflow of string
-(** Raised by [SUM] over Int when the running sum leaves the integer
-    range; the query fails rather than answer a wrapped sum. *)
+(** Raised for the answer of [SUM] over Int when the exact sum leaves the
+    integer range; the query fails rather than answer a wrapped sum. A sum
+    that only passes out of range on the way is answered exactly. *)
 
 val cmp_to_string : cmp -> string
 val arith_to_string : arith -> string
 val agg_to_string : agg -> string
 
-val filter_const : cmp -> Column.t -> Value.t -> Sel.t option -> Sel.t
+val filter_const : ?negate:bool -> cmp -> Column.t -> Value.t -> Sel.t option -> Sel.t
 (** Indices (in original chunk coordinates) of rows where
     [col.(i) <cmp> const], sized exactly. Numeric constants coerce between
     Int and Float as [float_of_int] does; floats compare as IEEE does (NaN
     is unordered, [-0.0 = 0.0]); strings as [String.compare]; [false <
-    true]. A NULL constant selects nothing. *)
+    true]. A NULL constant selects nothing. With [~negate:true], the rows
+    where the comparison is FALSE — SQL's [NOT]: never a NULL row, but a
+    NaN row whenever NaN makes the comparison FALSE. *)
 
-val filter_col : cmp -> Column.t -> Column.t -> Sel.t option -> Sel.t
-(** Row-wise column/column comparison, with {!filter_const}'s coercions. *)
-
-val non_null : Column.t -> Sel.t option -> Sel.t
-(** The selected rows (every row without a selection) that are not NULL. *)
+val filter_col : ?negate:bool -> cmp -> Column.t -> Column.t -> Sel.t option -> Sel.t
+(** Row-wise column/column comparison, with {!filter_const}'s coercions
+    and [negate]. *)
 
 val arith_const : arith -> Column.t -> Value.t -> Column.t
 val arith_col : arith -> Column.t -> Column.t -> Column.t

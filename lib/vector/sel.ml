@@ -40,16 +40,6 @@ let complement (t : t) n =
   Array.iter (fun i -> mask.(i) <- false) t;
   of_bool_mask mask
 
-(* both ascending: one pass over each *)
-let diff (a : t) (b : t) =
-  let nb = Array.length b in
-  let j = ref 0 in
-  let absent x =
-    while !j < nb && b.(!j) < x do incr j done;
-    not (!j < nb && b.(!j) = x)
-  in
-  Array.of_list (List.filter absent (Array.to_list a))
-
 let equal (a : t) (b : t) = a = b
 
 let pp ppf (t : t) =

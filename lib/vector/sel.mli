@@ -35,8 +35,5 @@ val of_bool_mask : bool array -> t
 val complement : t -> int -> t
 (** [complement s n] selects the indices in [0..n-1] not in [s]. *)
 
-val diff : t -> t -> t
-(** [diff a b] selects the indices of [a] not in [b]. *)
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

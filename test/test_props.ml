@@ -283,6 +283,12 @@ let const_gen (dt : Dtype.t) =
          | Float -> [ (3, value_gen Dtype.Int) ]
          | String | Bool -> []))
 
+(* [a <op> b] is TRUE, or with [negate] FALSE: both defined, not TRUE *)
+let ref_keeps ~negate op a b =
+  if negate then
+    (not (Value.is_null a)) && (not (Value.is_null b)) && not (ref_cmp op a b)
+  else ref_cmp op a b
+
 let prop_filter_const =
   qtest "filter_const agrees with list filter" ~count:500
     Gen.(
@@ -292,11 +298,13 @@ let prop_filter_const =
       let* c = const_gen dt in
       let* op = cmp_gen in
       let* sel = sel_gen n in
-      return (values, col, c, op, sel))
-    (fun (values, col, c, op, sel) ->
+      let* negate = bool in
+      return (values, col, c, op, sel, negate))
+    (fun (values, col, c, op, sel, negate) ->
       let values = Array.of_list values in
-      let got = Array.to_list (Sel.to_array (Kernels.filter_const op col c sel)) in
-      got = List.filter (fun i -> ref_cmp op values.(i) c) (candidates (Array.length values) sel))
+      let got = Array.to_list (Sel.to_array (Kernels.filter_const ~negate op col c sel)) in
+      got
+      = List.filter (fun i -> ref_keeps ~negate op values.(i) c) (candidates (Array.length values) sel))
 
 let col_pair_gen =
   Gen.oneofl
@@ -312,11 +320,13 @@ let prop_filter_col =
       let* vb, cb = column_gen db n in
       let* op = cmp_gen in
       let* sel = sel_gen n in
-      return (va, ca, vb, cb, op, sel))
-    (fun (va, ca, vb, cb, op, sel) ->
+      let* negate = bool in
+      return (va, ca, vb, cb, op, sel, negate))
+    (fun (va, ca, vb, cb, op, sel, negate) ->
       let va = Array.of_list va and vb = Array.of_list vb in
-      let got = Array.to_list (Sel.to_array (Kernels.filter_col op ca cb sel)) in
-      got = List.filter (fun i -> ref_cmp op va.(i) vb.(i)) (candidates (Array.length va) sel))
+      let got = Array.to_list (Sel.to_array (Kernels.filter_col ~negate op ca cb sel)) in
+      got
+      = List.filter (fun i -> ref_keeps ~negate op va.(i) vb.(i)) (candidates (Array.length va) sel))
 
 (* Predicates over a nullable Int column 0, a nullable Float column 1 and
    a nullable String column 2; the [Arith] comparison takes [eval_filter]'s
@@ -426,14 +436,17 @@ let model_agg (op : Kernels.agg) (values : Value.t list) : Value.t =
   | Count_distinct, _ -> Int (List.length (List.sort_uniq Value.compare vs))
   | _, [] -> Null
   | Sum, Int _ :: _ ->
-    Int
-      (List.fold_left
-         (fun s v ->
-           let x = Value.as_int v in
-           let s' = s + x in
-           if (x > 0 && s' < s) || (x < 0 && s' > s) then raise Model_overflow;
-           s')
-         0 vs)
+    (* exact, whatever the order: the high parts and the low 31 bits are
+       summed apart, and the total must fit in an Int *)
+    let low = 0x7FFF_FFFF in
+    let hi, lo =
+      List.fold_left
+        (fun (hi, lo) v -> let x = Value.as_int v in (hi + (x asr 31), lo + (x land low)))
+        (0, 0) vs
+    in
+    let hi = hi + (lo asr 31) in
+    if hi < -(low + 1) || hi > low then raise Model_overflow;
+    Int ((hi lsl 31) lor (lo land low))
   | Sum, _ -> Float (fsum vs)
   | Avg, _ -> Float (fsum vs /. float_of_int (List.length vs))
   | (Max | Min), first :: rest ->
@@ -583,23 +596,12 @@ let prop_int_table =
       let t = Int_table.create 0 and model = Hashtbl.create 16 in
       List.for_all
         (fun (k, v) ->
-          let before = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
-          let ok = Int_table.find t k = before in
-          (* odd values replace, even ones only fill a missing key *)
-          let ok =
-            if v land 1 = 1 then begin
-              Int_table.replace t k v;
-              Hashtbl.replace model k v;
-              ok
-            end
-            else begin
-              let got = Int_table.find_or_add t k v in
-              if before < 0 then Hashtbl.replace model k v;
-              ok && got = if before < 0 then v else before
-            end
-          in
-          ok && Int_table.length t = Hashtbl.length model)
-        ops)
+          let ok = Int_table.find t k = Option.value (Hashtbl.find_opt model k) ~default:(-1) in
+          Int_table.replace t k v;
+          Hashtbl.replace model k v;
+          ok)
+        ops
+      && Hashtbl.fold (fun k v ok -> ok && Int_table.find t k = v) model true)
 
 (* ---------------- hash join vs nested loop ---------------- *)
 

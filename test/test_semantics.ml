@@ -253,7 +253,11 @@ let above_2_53 = 9007199254740993
 let exact_sum (name, fmt) =
   Alcotest.test_case (name ^ ": SUM over Int is exact, overflow fails") `Quick
     (fun () ->
-      let db = db_of_rows fmt [ (1, above_2_53); (2, 1); (2, max_int); (3, max_int) ] in
+      let db =
+        db_of_rows fmt
+          [ (1, above_2_53); (2, 1); (2, max_int); (3, max_int);
+            (4, max_int); (4, 1); (4, -1); (5, min_int); (5, -1); (5, 1) ]
+      in
       let rows sql = rows_of_chunk (Raw_db.sql db sql) in
       Alcotest.(check (list (list value_testable))) "scalar"
         [ [ Value.Int (above_2_53 + 1) ] ]
@@ -264,6 +268,13 @@ let exact_sum (name, fmt) =
       Alcotest.(check (list (list value_testable))) "max_int alone"
         [ [ Value.Int 3; Value.Int max_int ] ]
         (rows "SELECT a, SUM(b) FROM t WHERE a = 3 GROUP BY a");
+      (* the running sum leaves the range and comes back *)
+      Alcotest.(check (list (list value_testable))) "passing max_int on the way"
+        [ [ Value.Int max_int ] ]
+        (rows "SELECT SUM(b) FROM t WHERE a = 4");
+      Alcotest.(check (list (list value_testable))) "passing min_int on the way, grouped"
+        [ [ Value.Int 4; Value.Int max_int ]; [ Value.Int 5; Value.Int min_int ] ]
+        (rows "SELECT a, SUM(b) FROM t WHERE a > 3 GROUP BY a");
       let overflows sql =
         match Raw_db.sql db sql with
         | _ -> Alcotest.failf "%s: answered instead of failing" sql

@@ -328,6 +328,17 @@ let kernel_tests =
         let f = Column.of_float_array [| 0.5; 2.5 |] in
         sel_check "float col, int const" [| 0 |]
           (Kernels.filter_const Kernels.Lt f (Int 2) None));
+    Alcotest.test_case "filter_const float extremes, negated" `Quick (fun () ->
+        let f = Column.of_float_array [| neg_infinity; 0.; infinity; nan |] in
+        let check name op x ~negate expected =
+          sel_check name expected (Kernels.filter_const ~negate op f (Float x) None)
+        in
+        check "below -inf" Kernels.Lt neg_infinity ~negate:false [||];
+        check "above inf" Kernels.Gt infinity ~negate:false [||];
+        check "NOT below -inf" Kernels.Lt neg_infinity ~negate:true [| 0; 1; 2; 3 |];
+        check "NOT above inf" Kernels.Gt infinity ~negate:true [| 0; 1; 2; 3 |];
+        check "NOT >= 0 keeps NaN" Kernels.Ge 0. ~negate:true [| 0; 3 |];
+        check "NOT <> NaN" Kernels.Ne nan ~negate:true [||]);
     Alcotest.test_case "filter respects selection vector" `Quick (fun () ->
         let c = Column.of_int_array [| 1; 1; 1; 9 |] in
         let sel = Some (Sel.of_array [| 1; 3 |]) in
