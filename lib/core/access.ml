@@ -179,7 +179,27 @@ let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
       Table_stats.observe (Catalog.stats cat) ~table:entry.name ~col:c
         columns.(k))
     cols;
+  (* a CSV pass sizes the table as it goes (Skip_row keeps the rows the
+     count pass would), so no count pass need precede it *)
+  (match entry.format with
+   | Format_kind.Csv _ when cols <> [] ->
+     Catalog.set_n_rows entry (Column.length columns.(0))
+   | _ -> ());
   columns
+
+(* One full read of [cols], pooling each complete column the budget can
+   hold: pooling is an optimization, never a correctness requirement. *)
+let scan_and_pool cat ~mode ~(entry : Catalog.entry) ~tracked cols =
+  let full = full_scan cat ~mode ~entry ~tracked ~cols in
+  List.iteri
+    (fun k c ->
+      if Catalog.reserve_bytes cat (Column.byte_size full.(k)) then
+        Shred_pool.put (Catalog.shreds cat)
+          { Shred_pool.table = entry.name; column = c }
+          full.(k)
+      else Metrics.incr Metrics.gov_fallback_shred_pool)
+    cols;
+  full
 
 (* Can a CSV positional fetch reach these columns? Non-CSV formats always
    compute positions. *)
@@ -266,17 +286,8 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
           (("table", entry.name)
           :: ("columns", string_of_int (List.length cols))
           :: why);
-        let full = full_scan cat ~mode ~entry ~tracked ~cols in
-        List.iteri
-          (fun k c ->
-            let key = { Shred_pool.table = entry.name; column = c } in
-            (* pooling a complete column is an optimization, never a
-               correctness requirement: under memory pressure skip it *)
-            if Catalog.reserve_bytes cat (Column.byte_size full.(k)) then
-              Shred_pool.put pool key full.(k)
-            else Metrics.incr Metrics.gov_fallback_shred_pool;
-            Hashtbl.replace results c (Column.gather full.(k) rowids))
-          cols
+        let full = scan_and_pool cat ~mode ~entry ~tracked cols in
+        List.iteri (fun k c -> Hashtbl.replace results c (Column.gather full.(k) rowids)) cols
       end
     in
     scan_and_pool unreachable;
@@ -356,6 +367,52 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
         (List.rev !groups)
     end;
     Array.of_list (List.map (fun c -> Hashtbl.find results c) cols)
+
+(* The complete pooled column, if the pool holds one. *)
+let pooled cat (entry : Catalog.entry) c =
+  match Shred_pool.find (Catalog.shreds cat) { Shred_pool.table = entry.name; column = c } with
+  | Some shred when Shred_pool.complete shred -> Some (Shred_pool.column shred)
+  | Some _ | None -> None
+
+let needs_pass cat ~mode (entry : Catalog.entry) cols =
+  match mode, entry.format with
+  | (In_situ | Jit), Format_kind.Csv _ ->
+    List.exists (fun c -> Option.is_none (pooled cat entry c) && not (fetchable entry [ c ])) cols
+  | (In_situ | Jit), _ | (Dbms | External), _ -> false
+
+(* The one pass over a CSV file that no positional map reaches: it
+   converts every column the query reads that the pool does not hold
+   complete, for every row, and sizes the table. The query gets the
+   columns whether or not the pool keeps them. *)
+let one_pass cat ~mode ~(entry : Catalog.entry) ~tracked cols =
+  let held = List.map (fun c -> (c, pooled cat entry c)) cols in
+  let cold = List.filter_map (fun (c, h) -> if Option.is_none h then Some c else None) held in
+  let pool = Catalog.shreds cat in
+  List.iter
+    (fun (_, h) -> if Option.is_none h then Shred_pool.record_miss pool else Shred_pool.record_hit pool)
+    held;
+  let full = scan_and_pool cat ~mode ~entry ~tracked cold in
+  Decisions.record ~site:"access.path" ~choice:"one_pass"
+    [
+      ("table", entry.name);
+      ("columns", String.concat "," (List.map (Schema.name entry.schema) cold));
+      ("rows", string_of_int (Column.length full.(0)));
+    ];
+  let converted = List.combine cold (Array.to_list full) in
+  Array.of_list
+    (List.map (fun (c, h) -> match h with Some col -> col | None -> List.assoc c converted) held)
+
+let read_table cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
+  if needs_pass cat ~mode entry cols then begin
+    let columns = one_pass cat ~mode ~entry ~tracked cols in
+    (columns, Array.init (Column.length columns.(0)) Fun.id)
+  end
+  else begin
+    (* DBMS mode loads, and so sizes, the table before anything counts it *)
+    if mode = Dbms then ignore (loaded cat entry);
+    let rowids = Array.init (Catalog.n_rows cat entry) Fun.id in
+    (fetch_columns cat ~mode ~entry ~tracked ~cols ~rowids, rowids)
+  end
 
 let held cat ~mode (entry : Catalog.entry) col =
   match mode with

@@ -71,6 +71,27 @@ val fetch_columns :
       (charging the template cache on first use); [In_situ] runs the
       general-purpose interpreted kernels. *)
 
+val needs_pass : Catalog.t -> mode:mode -> Catalog.entry -> int list -> bool
+(** Whether reading [cols] must pass over the whole file: in [In_situ] or
+    [Jit] mode, a CSV column that the shred pool does not hold complete
+    and no positional map reaches (a first touch, an evicted map, or no
+    tracked columns). *)
+
+val read_table :
+  Catalog.t ->
+  mode:mode ->
+  entry:Catalog.entry ->
+  tracked:int list ->
+  cols:int list ->
+  Column.t array * int array
+(** Every row of [cols], and the row ids [0 .. n-1]. When {!needs_pass}, one full
+    read (building the positional map over [tracked]) converts every
+    column not pooled complete, pools what the budget can hold, sets the
+    table's row count and records an [access.path]/[one_pass] decision;
+    the columns reach the caller even if the pool refuses them. Otherwise
+    {!fetch_columns} over row ids [0 .. n-1]; with [cols = []] that only
+    sizes the table. *)
+
 val held : Catalog.t -> mode:mode -> Catalog.entry -> int -> bool
 (** Whether {!fetch_columns} serves column [col] of the entry from memory
     for the rows it already holds: a pooled shred ([In_situ]/[Jit]) or

@@ -357,6 +357,8 @@ let n_rows t entry =
     entry.state.n_rows <- Some n;
     n
 
+let set_n_rows entry n = entry.state.n_rows <- Some n
+
 (* A positional map is only retained if the budget can hold it; otherwise
    the next query re-tokenizes (counted as a governance fallback). *)
 let set_posmap t entry pm =

@@ -102,7 +102,11 @@ val hep_reader : t -> entry -> Hep.Reader.t
 val n_rows : t -> entry -> int
 (** Counts rows on first call (CSV: newline scan; FWB: size/row_size; HEP
     events: header; HEP particles: collection-length scan building the
-    row-id index). *)
+    row-id index), unless a full pass has already set the count. *)
+
+val set_n_rows : entry -> int -> unit
+(** Record the row count a full pass over the file found; a later
+    {!n_rows} then needs no pass of its own. *)
 
 val hep_index : t -> entry -> int array * int array
 (** HEP particle tables: builds the index by a count pass over the

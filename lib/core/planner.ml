@@ -42,6 +42,8 @@ type ctx = {
   cat : Catalog.t;
   opts : options;
   has_join : bool;
+  sized : (string * (int -> unit)) option;
+      (* a table whose first read sizes it, and what waits for its count *)
   mutable restricted : string list; (* tables already filtered/joined *)
   mutable trace : string list; (* planning decisions, reverse order *)
 }
@@ -214,21 +216,24 @@ let mark_restricted ctx phys =
     phys.rowids
 
 (* One-shot table materialization: read all requested columns for every row
-   in a single fetch, then stream the result in chunks. Used for the DBMS,
-   External and full-column strategies, where nothing is deferred. *)
+   when the plan first runs, then stream the result in chunks. Used for the
+   DBMS, External and full-column strategies, where nothing is deferred,
+   and wherever a column needs a pass over the whole file anyway. The row
+   count comes from the read. *)
 let eager_scan ctx (entry : Catalog.entry) columns =
   let cat = ctx.cat in
-  let n = Catalog.n_rows cat entry in
-  let rowids = Array.init n (fun i -> i) in
-  let cols =
-    Access.fetch_columns cat ~mode:ctx.opts.access ~entry
-      ~tracked:(tracked_for ctx.opts entry) ~cols:columns ~rowids
+  let read () =
+    let cols, rowids =
+      Access.read_table cat ~mode:ctx.opts.access ~entry
+        ~tracked:(tracked_for ctx.opts entry) ~cols:columns
+    in
+    Option.iter (fun (t, f) -> if String.equal t entry.name then f (Array.length rowids)) ctx.sized;
+    Operator.of_chunk ~chunk_rows:(Catalog.config cat).chunk_rows
+      (Chunk.create (Array.append cols [| Column.of_int_array rowids |]))
   in
-  let all = Chunk.create (Array.append cols [| Column.of_int_array rowids |]) in
-  let slots = Array.of_list (List.mapi (fun i _ -> Mat i) columns) in
   {
-    op = Operator.of_chunk ~chunk_rows:(Catalog.config cat).chunk_rows all;
-    slots;
+    op = Operator.defer read;
+    slots = Array.of_list (List.mapi (fun i _ -> Mat i) columns);
     n_phys = List.length columns + 1;
     rowids = [ (entry.name, List.length columns) ];
   }
@@ -237,7 +242,12 @@ let rec plan_node ctx (node : Logical.t) : phys =
   match node with
   | Logical.Scan { table; columns } ->
     let entry = Catalog.get ctx.cat table in
+    (* a column no positional map reaches costs a pass over the whole
+       file; that pass converts every column the query reads *)
+    let one_pass = Access.needs_pass ctx.cat ~mode:ctx.opts.access entry columns in
     let eager =
+      one_pass
+      ||
       match ctx.opts.access with
       | Access.Dbms | Access.External -> true
       | Access.In_situ | Access.Jit ->
@@ -248,11 +258,12 @@ let rec plan_node ctx (node : Logical.t) : phys =
     in
     if eager then begin
       tr ctx "scan %s (%s): eager, all %d requested columns materialized at \
-the bottom (%s)"
+the bottom (%s%s)"
         table
         (Format_kind.to_string entry.format)
         (List.length columns)
-        (Access.mode_to_string ctx.opts.access);
+        (Access.mode_to_string ctx.opts.access)
+        (if one_pass then "; one pass: no positional map reaches them" else "");
       eager_scan ctx entry columns
     end
     else begin
@@ -440,8 +451,12 @@ and plan_sort ctx ?limit specs child =
 
 (* Resolve the Adaptive strategy for one query: estimate the selectivity of
    the first filtered scan from accumulated statistics and cost the three
-   concrete strategies (paper future work, §8). *)
-let resolve_adaptive cat (logical : Logical.t) =
+   concrete strategies (paper future work, §8). The decision record carries
+   the table's row count; when that table is read in one pass whatever the
+   strategy, the pass sizes it, so the record is returned as a callback
+   for that read instead of counting the rows first. The costs are linear
+   in the row count, so the choice does not wait for it. *)
+let resolve_adaptive cat ~access (logical : Logical.t) =
   let rec find = function
     | Logical.Filter (pred, Logical.Scan { table; columns }) ->
       Some (pred, table, columns)
@@ -456,7 +471,7 @@ let resolve_adaptive cat (logical : Logical.t) =
     | Logical.Scan _ -> None
   in
   match find logical with
-  | None -> Shreds
+  | None -> (Shreds, None)
   | Some (pred, table, columns) ->
     let entry = Catalog.get cat table in
     let conjuncts = Logical.split_and pred in
@@ -470,33 +485,48 @@ let resolve_adaptive cat (logical : Logical.t) =
     in
     let n_post = List.length columns - List.length filter_positions in
     let textual = Format_kind.textual entry.Catalog.format in
-    let costs =
-      Cost_model.selection_costs ~n_rows:(Catalog.n_rows cat entry)
+    let costs n_rows =
+      Cost_model.selection_costs ~n_rows
         ~n_filter_cols:(List.length filter_positions)
         ~n_post_cols:(max n_post 0) ~selectivity:sel ~textual
     in
+    let one_pass = Access.needs_pass cat ~mode:access entry columns in
     let resolved =
-      match Cost_model.choose costs with
+      match
+        Cost_model.choose (costs (if one_pass then 1 else Catalog.n_rows cat entry))
+      with
       | `Full_columns -> Full_columns
       | `Shreds -> Shreds
       | `Multi_shreds -> Multi_shreds
     in
-    Raw_obs.Decisions.record ~site:"planner.adaptive"
-      ~choice:(shred_strategy_to_string resolved)
-      [
-        ("table", table);
-        ("selectivity", Printf.sprintf "%.4f" sel);
-        ("cost_full", Printf.sprintf "%.1f" costs.Cost_model.full);
-        ("cost_shreds", Printf.sprintf "%.1f" costs.Cost_model.shreds);
-        ("cost_multishreds", Printf.sprintf "%.1f" costs.Cost_model.multi_shreds);
-        (* the cost-model inputs ride along so the executor can re-cost the
-           choice at the observed selectivity (misprediction detection) *)
-        ("n_rows", string_of_int (Catalog.n_rows cat entry));
-        ("n_filter_cols", string_of_int (List.length filter_positions));
-        ("n_post_cols", string_of_int (max n_post 0));
-        ("textual", if textual then "true" else "false");
-      ];
-    resolved
+    let recorded = ref false in
+    let record n_rows =
+      if not !recorded then begin
+        recorded := true;
+        let costs = costs n_rows in
+        Raw_obs.Decisions.record ~site:"planner.adaptive"
+          ~choice:(shred_strategy_to_string resolved)
+          [
+            ("table", table);
+            ("selectivity", Printf.sprintf "%.4f" sel);
+            ("cost_full", Printf.sprintf "%.1f" costs.Cost_model.full);
+            ("cost_shreds", Printf.sprintf "%.1f" costs.Cost_model.shreds);
+            ("cost_multishreds", Printf.sprintf "%.1f" costs.Cost_model.multi_shreds);
+            (* the cost-model inputs ride along so the executor can re-cost
+               the choice at the observed selectivity (misprediction
+               detection) *)
+            ("n_rows", string_of_int n_rows);
+            ("n_filter_cols", string_of_int (List.length filter_positions));
+            ("n_post_cols", string_of_int (max n_post 0));
+            ("textual", if textual then "true" else "false");
+          ]
+      end
+    in
+    if one_pass then (resolved, Some (table, record))
+    else begin
+      record (Catalog.n_rows cat entry);
+      (resolved, None)
+    end
 
 let rec has_join = function
   | Logical.Join _ -> true
@@ -512,18 +542,18 @@ let plan_with_trace cat opts original =
   (* the output schema comes from the plan as written; the rewrite only
      moves selections, so every later step plans the pushed-down form *)
   let logical = Logical.push_filters original in
-  let opts =
+  let opts, sized =
     match opts.shreds with
     | Adaptive ->
-      let resolved = resolve_adaptive cat logical in
+      let resolved, sized = resolve_adaptive cat ~access:opts.access logical in
       Raw_storage.Io_stats.incr
         (Raw_obs.Metrics.id Raw_obs.Metrics.planner_adaptive
         ^ shred_strategy_to_string resolved);
-      { opts with shreds = resolved }
-    | Full_columns | Shreds | Multi_shreds -> opts
+      ({ opts with shreds = resolved }, sized)
+    | Full_columns | Shreds | Multi_shreds -> (opts, None)
   in
   let ctx =
-    { cat; opts; has_join = has_join logical; restricted = []; trace = [] }
+    { cat; opts; has_join = has_join logical; sized; restricted = []; trace = [] }
   in
   tr ctx "strategy: access=%s shreds=%s join=%s indexes=%s"
     (Access.mode_to_string opts.access)

@@ -25,6 +25,8 @@ let bit bits r = Char.code (Bytes.unsafe_get bits (r lsr 3)) land (1 lsl (r land
 let covered s r =
   match s.coverage with Complete -> true | Partial p -> bit p.bits r
 
+let complete s = match s.coverage with Complete -> true | Partial _ -> false
+
 let find t key = Lru.find t.lru key
 
 (* all NULL, nothing fetched *)

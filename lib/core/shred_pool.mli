@@ -34,6 +34,9 @@ val column : shred -> Column.t
 val covered : shred -> int -> bool
 (** Whether that row has been fetched. *)
 
+val complete : shred -> bool
+(** Whether every row has been fetched. *)
+
 val find : t -> key -> shred option
 (** The pooled shred, possibly partial. Marks the entry recently used. *)
 

@@ -57,16 +57,6 @@ let flip_cmp (op : Kernels.cmp) : Kernels.cmp =
   | Eq -> Eq
   | Ne -> Ne
 
-let cmp_values (op : Kernels.cmp) a b =
-  let c = Value.compare a b in
-  match op with
-  | Lt -> Stdlib.(c < 0)
-  | Le -> Stdlib.(c <= 0)
-  | Gt -> Stdlib.(c > 0)
-  | Ge -> Stdlib.(c >= 0)
-  | Eq -> Stdlib.(c = 0)
-  | Ne -> Stdlib.(c <> 0)
-
 let bool_column out valid =
   if Bytes.contains valid '\000' then Column.make ~valid (Column.Bool_data out)
   else Column.of_bool_array out
@@ -87,6 +77,14 @@ let kleene ~dominant ca cb =
   done;
   bool_column out valid
 
+(* The rows where [a <op> b] (evaluated to [ca] and [cb]) is TRUE, or with
+   [negate] FALSE. A NULL constant has no type to compare by; it selects
+   nothing. *)
+let cmp_cols ~negate op a b ca cb sel =
+  match a, b with
+  | Const Value.Null, _ | _, Const Value.Null -> Sel.empty
+  | _ -> Kernels.filter_col ~negate op ca cb sel
+
 let rec eval e chunk =
   let n = Chunk.n_rows chunk in
   match e with
@@ -101,14 +99,16 @@ let rec eval e chunk =
        Kernels.arith_col op (eval a chunk) (eval b chunk)
      | _, _ -> Kernels.arith_col op (eval a chunk) (eval b chunk))
   | Cmp (op, a, b) ->
-    (* SQL three-valued logic: a comparison with NULL is NULL *)
+    (* SQL three-valued logic: a comparison with NULL is NULL; the rest
+       is TRUE on the rows WHERE's kernel selects, so floats compare as
+       IEEE does in both places *)
     let ca = eval a chunk and cb = eval b chunk in
     let out = Array.make n false and valid = Bytes.make n '\001' in
     for i = 0 to Stdlib.( - ) n 1 do
-      match Column.get ca i, Column.get cb i with
-      | Value.Null, _ | _, Value.Null -> Bytes.set valid i '\000'
-      | x, y -> out.(i) <- cmp_values op x y
+      if Stdlib.not (Stdlib.( && ) (Column.is_valid ca i) (Column.is_valid cb i)) then
+        Bytes.set valid i '\000'
     done;
+    Sel.iter (fun i -> out.(i) <- true) (cmp_cols ~negate:false op a b ca cb None);
     bool_column out valid
   | And (a, b) -> kleene ~dominant:false (eval a chunk) (eval b chunk)
   | Or (a, b) -> kleene ~dominant:true (eval a chunk) (eval b chunk)
@@ -143,7 +143,7 @@ let filter_cmp ~negate op a b chunk sel =
   | Const v, Col i -> Kernels.filter_const ~negate (flip_cmp op) (Chunk.column chunk i) v sel
   | Col i, Col j ->
     Kernels.filter_col ~negate op (Chunk.column chunk i) (Chunk.column chunk j) sel
-  | _ -> Kernels.filter_const ~negate Kernels.Eq (eval (Cmp (op, a, b)) chunk) (Value.Bool true) sel
+  | _ -> cmp_cols ~negate op a b (eval a chunk) (eval b chunk) sel
 
 let rec eval_filter e chunk sel =
   match e with

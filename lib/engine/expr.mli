@@ -44,7 +44,11 @@ val remap : (int -> int) -> t -> t
     extended, expressions must follow). *)
 
 val eval : t -> Chunk.t -> Column.t
-(** Full-column evaluation. Boolean operators require Bool operands. *)
+(** Full-column evaluation. Boolean operators require Bool operands. A
+    comparison is NULL where either side is NULL and otherwise TRUE
+    exactly on the rows {!eval_filter} selects: the typed kernels decide
+    both, so floats compare as IEEE does (NaN is unordered: only [<>]
+    holds for it) whether a comparison is projected or filtered. *)
 
 val eval_filter : t -> Chunk.t -> Sel.t option -> Sel.t
 (** Evaluate as a predicate, returning qualifying row indices in original

@@ -53,6 +53,12 @@ let of_chunk ~chunk_rows chunk =
           Some slice
         end)
 
+let defer make =
+  let op = lazy (make ()) in
+  of_fn ()
+    ~next:(fun () -> (Lazy.force op).next_fn ())
+    ~close:(fun () -> if Lazy.is_val op then (Lazy.force op).close_fn ())
+
 let empty = { next_fn = (fun () -> None); close_fn = (fun () -> ()) }
 
 let rec next_nonempty input =

@@ -22,6 +22,11 @@ val of_chunk : chunk_rows:int -> Chunk.t -> t
     empty chunk is emitted once, as is, so its columns still reach the
     consumer. *)
 
+val defer : (unit -> t) -> t
+(** Builds the operator on the first [next], so planning a source that
+    reads its data up front costs nothing until the plan runs; closing an
+    operator never started builds nothing. *)
+
 val empty : t
 
 (** {1 Transformations} *)

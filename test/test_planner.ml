@@ -108,34 +108,41 @@ let warm_tests =
 
 (* Structural behavior *)
 
+let shreds_opts =
+  { Planner.access = Access.Jit; shreds = Planner.Shreds;
+    join_policy = Planner.Late; tracked = `Every 2; use_indexes = true }
+
+let converted (r : Executor.report) =
+  match List.assoc_opt "csv.values_converted" r.counters with
+  | Some v -> int_of_float v
+  | None -> 0
+
 let behavior_tests =
   [
     Alcotest.test_case "shreds read only qualifying rows" `Quick (fun () ->
-        (* predicate selects 10 of 40 rows; with shreds, col3 conversions
-           should be 40 (predicate col) + 10 (agg col) *)
+        (* once a positional map exists, the predicate selects 10 of 40
+           rows and col3 is converted for those alone: 40 (predicate col)
+           + 10 (agg col) *)
         let db = make_db () in
-        Raw_db.set_options db
-          { Planner.access = Access.Jit; shreds = Planner.Shreds;
-            join_policy = Planner.Late; tracked = `Every 2; use_indexes = true };
-        let r = Raw_db.query db "SELECT MAX(col3) FROM t WHERE col0 < 1000" in
-        let converted =
-          match List.assoc_opt "csv.values_converted" r.counters with
-          | Some v -> int_of_float v
-          | None -> 0
-        in
-        Alcotest.(check int) "40 predicate + 10 agg" 50 converted);
+        Raw_db.set_options db shreds_opts;
+        ignore (Raw_db.query db "SELECT MAX(col1) FROM t");
+        Alcotest.(check int) "40 predicate + 10 agg" 50
+          (converted (Raw_db.query db "SELECT MAX(col3) FROM t WHERE col0 < 1000")));
+    Alcotest.test_case "a first touch converts every read column in one pass"
+      `Quick (fun () ->
+        (* no positional map yet: the pass that tokenizes the file for
+           col0 converts col3 for all 40 rows too, instead of re-reading
+           the 10 qualifying rows afterwards *)
+        let db = make_db () in
+        Raw_db.set_options db shreds_opts;
+        Alcotest.(check int) "40 predicate + 40 agg" 80
+          (converted (Raw_db.query db "SELECT MAX(col3) FROM t WHERE col0 < 1000")));
     Alcotest.test_case "full columns read everything" `Quick (fun () ->
         let db = make_db () in
         Raw_db.set_options db
-          { Planner.access = Access.Jit; shreds = Planner.Full_columns;
-            join_policy = Planner.Early; tracked = `Every 2; use_indexes = true };
-        let r = Raw_db.query db "SELECT MAX(col3) FROM t WHERE col0 < 1000" in
-        let converted =
-          match List.assoc_opt "csv.values_converted" r.counters with
-          | Some v -> int_of_float v
-          | None -> 0
-        in
-        Alcotest.(check int) "both columns in full" 80 converted);
+          { shreds_opts with shreds = Planner.Full_columns; join_policy = Planner.Early };
+        Alcotest.(check int) "both columns in full" 80
+          (converted (Raw_db.query db "SELECT MAX(col3) FROM t WHERE col0 < 1000")));
     Alcotest.test_case "plan output schema matches logical" `Quick (fun () ->
         let db = make_db () in
         let r = Raw_db.query db "SELECT col1 AS a, MAX(col2) AS m FROM t GROUP BY col1 LIMIT 2" in
@@ -149,6 +156,8 @@ let behavior_tests =
     Alcotest.test_case "explain traces deferred scans and late attachment"
       `Quick (fun () ->
         let db = make_db () in
+        (* a positional map over t, so no column needs a pass of its own *)
+        ignore (Raw_db.query db "SELECT MAX(col1) FROM t");
         let trace =
           Raw_db.explain db "SELECT MAX(col3) FROM t WHERE col0 < 1000"
         in
@@ -341,8 +350,139 @@ let pushdown_tests =
       (fun s -> List.map (fun p -> answers (s, p)) policies)
       [ Planner.Full_columns; Planner.Shreds; Planner.Multi_shreds ]
 
+(* ---------- one pass over a file no positional map reaches ---------- *)
+
+let counter name (r : Executor.report) =
+  int_of_float (Option.value (List.assoc_opt name r.counters) ~default:0.)
+
+let first_multi = "SELECT MAX(col5), SUM(col2) FROM t WHERE col0 < 2000"
+
+(* the first query over t's 40 rows x 6 columns, and its reference answer *)
+let first_touch ?config opts =
+  let db = Raw_db.create ?config () in
+  Raw_db.register_csv db ~name:"t" ~path:(write_csv_rows (grid_rows 40 6))
+    ~columns:(int_cols 6) ();
+  Raw_db.set_options db opts;
+  (db, Raw_db.query db first_multi)
+
+let first_answer = [ [ Value.Int 1905; Value.Int 19040 ] ]
+
+(* The row endings and bad rows a count pass has to agree with, as files
+   of a two-column (a Int, s String) table. *)
+let parity_files =
+  [ ("no trailing newline", "1,x\n2,y"); ("crlf", "1,x\r\n2,y\r\n");
+    ("blank last line", "1,x\n2,y\n\n"); ("one row", "7,z\n"); ("empty", "");
+    ("bad int", "1,x\nq,y\n3,z\n") ]
+
+let row_count_parity (name, contents) =
+  Alcotest.test_case ("row count from the pass: " ^ name) `Quick (fun () ->
+      let path = fresh_path ".csv" in
+      Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+      let schema = Schema.of_pairs [ ("a", Dtype.Int); ("s", Dtype.String) ] in
+      List.iter
+        (fun ((policy, parallelism), mode) ->
+          let config = { Config.default with Config.on_error = policy; parallelism } in
+          let cat = Catalog.create ~config () in
+          Catalog.register cat ~name:"t" ~path ~format:(Format_kind.Csv { sep = ',' }) ~schema;
+          let entry = Catalog.get cat "t" in
+          let file = Catalog.file cat entry in
+          let want =
+            match policy with
+            | Raw_storage.Scan_errors.Skip_row ->
+              Scan_csv.count_valid_rows ~file ~sep:',' ~schema ()
+            | Fail_fast | Null_fill -> Raw_formats.Csv.count_rows file
+          in
+          (* Fail_fast reads the string column alone, which never fails *)
+          let cols = if policy = Fail_fast then [ 1 ] else [ 0; 1 ] in
+          let label =
+            Printf.sprintf "%s, %s, parallelism %d" (Access.mode_to_string mode)
+              (Raw_storage.Scan_errors.policy_to_string policy) parallelism
+          in
+          Alcotest.(check bool) (label ^ ": a pass is needed") true
+            (Access.needs_pass cat ~mode entry cols);
+          let columns, rowids = Access.read_table cat ~mode ~entry ~tracked:[ 0 ] ~cols in
+          Alcotest.(check int) (label ^ ": rows") want (Array.length rowids);
+          Alcotest.(check int) (label ^ ": column length") want (Column.length columns.(0));
+          Alcotest.(check (option int)) (label ^ ": table sized") (Some want) entry.state.n_rows)
+        (List.concat_map
+           (fun p -> [ ((p, 1), Access.Jit); ((p, 4), Access.Jit); ((p, 1), Access.In_situ) ])
+           (if name = "bad int" then [ Raw_storage.Scan_errors.Skip_row; Null_fill ]
+            else [ Fail_fast; Skip_row; Null_fill ])))
+
+let one_pass_tests =
+  [
+    Alcotest.test_case "a first multi-column query tokenizes the file once" `Quick
+      (fun () ->
+        let _, r = first_touch shreds_opts in
+        Alcotest.(check (list (list value_testable))) "answer" first_answer
+          (rows_of_chunk r.chunk);
+        Alcotest.(check int) "rows x arity" (40 * 6) (counter "csv.fields_tokenized" r);
+        Alcotest.(check int) "rows x query columns" (40 * 3) (counter "csv.values_converted" r));
+    Alcotest.test_case "the trace shows one full scan, no fetch, and why" `Quick
+      (fun () ->
+        let config = { Config.default with Config.observe = true } in
+        let _, r = first_touch ~config shreds_opts in
+        let spans name =
+          List.filter
+            (fun (s : Raw_obs.Trace.span) ->
+              s.name = name && List.assoc_opt "table" s.args = Some "t")
+            r.spans
+        in
+        Alcotest.(check int) "one scan.full" 1 (List.length (spans "scan.full"));
+        Alcotest.(check int) "no scan.fetch" 0 (List.length (spans "scan.fetch"));
+        match Raw_obs.Decisions.by_site r.decisions "access.path" with
+        | [ d ] ->
+          Alcotest.(check string) "choice" "one_pass" d.choice;
+          Alcotest.(check (list (pair string string))) "inputs"
+            [ ("table", "t"); ("columns", "col0,col2,col5"); ("rows", "40") ]
+            d.inputs
+        | ds -> Alcotest.failf "%d access.path decisions" (List.length ds));
+    Alcotest.test_case "strategies and kernels agree, first touch and warm" `Quick
+      (fun () ->
+        List.iter
+          (fun (shreds, access, budget) ->
+            let opts = { shreds_opts with shreds; access } in
+            let label = opt_name opts ^ if budget = None then "" else " tight budget" in
+            let config = { Config.default with Config.memory_budget = budget } in
+            let db, r = first_touch ~config opts in
+            Alcotest.(check (list (list value_testable))) label first_answer (rows_of_chunk r.chunk);
+            (* even when the pool cannot hold a column, one pass *)
+            Alcotest.(check int) (label ^ ": one pass") (40 * 6) (counter "csv.fields_tokenized" r);
+            Alcotest.(check (list (list value_testable))) (label ^ " warm") first_answer
+              (rows_of_chunk (Raw_db.sql db first_multi)))
+          (List.concat_map
+             (fun s ->
+               List.concat_map
+                 (* 256 bytes hold no 40-row column *)
+                 (fun a -> [ (s, a, None); (s, a, Some 256) ])
+                 [ Access.Jit; Access.In_situ ])
+             strategies));
+    Alcotest.test_case "Adaptive sizes a first touch from its one pass" `Quick
+      (fun () ->
+        (* under Skip_row a count pass would report the bad row too *)
+        let path = fresh_path ".csv" in
+        Out_channel.with_open_bin path (fun oc -> output_string oc "1,2\nq,3\n4,5\n");
+        let config =
+          { Config.default with Config.on_error = Raw_storage.Scan_errors.Skip_row; observe = true }
+        in
+        let db = Raw_db.create ~config () in
+        Raw_db.register_csv db ~name:"t" ~path ~columns:(int_cols 2) ();
+        let r =
+          Raw_db.query ~options:{ shreds_opts with shreds = Planner.Adaptive } db
+            "SELECT MAX(col1) FROM t WHERE col0 < 10"
+        in
+        Alcotest.(check (list (list value_testable))) "answer" [ [ Value.Int 5 ] ]
+          (rows_of_chunk r.chunk);
+        Alcotest.(check int) "the bad row, once" 1 r.errors.total;
+        match Raw_obs.Decisions.by_site r.decisions "planner.adaptive" with
+        | [ d ] -> Alcotest.(check (option string)) "rows" (Some "2") (List.assoc_opt "n_rows" d.inputs)
+        | ds -> Alcotest.failf "%d planner.adaptive decisions" (List.length ds));
+  ]
+  @ List.map row_count_parity parity_files
+
 let suites =
   [
+    ("planner.one_pass", one_pass_tests);
     ("planner.pushdown", pushdown_tests);
     ("planner.equivalence", equivalence_tests);
     ("planner.warm", warm_tests);
