@@ -203,21 +203,6 @@ let repl db ~stats ~metrics ~trace_out ~profile ~profile_out =
   in
   loop ()
 
-(* Standalone reporting over a committed history file: no tables needed. *)
-let print_calibration file =
-  let records, skipped = Raw_obs.History.load file in
-  if records = [] && not (Sys.file_exists file) then begin
-    Format.eprintf "rawq: cannot read history file %s@." file;
-    2
-  end
-  else begin
-    Format.printf "%a@." Raw_obs.Calibration.pp_report
-      (Raw_obs.Calibration.of_records records);
-    if skipped > 0 then
-      Format.printf "-- %d malformed history line(s) skipped@." skipped;
-    0
-  end
-
 let build_options ~mode ~shreds ~join_policy ~every =
   {
     Planner.access =
@@ -270,11 +255,8 @@ let build_config ~par ~on_error ~deadline ~memory_budget ~max_concurrent
 let main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy every
     par on_error deadline memory_budget max_concurrent approx approx_seed
     chunk_rows repl_flag stats metrics analyze trace_out profile profile_out
-    history calibration query =
+    history query =
   try
-    match calibration with
-    | Some file -> print_calibration file
-    | None ->
     let options = build_options ~mode ~shreds ~join_policy ~every in
     let profiling = profile || profile_out <> None in
     let config =
@@ -467,15 +449,7 @@ let history_arg =
        & info [ "history" ] ~docv:"FILE"
            ~doc:"Append one workload-history record per query (JSONL; \
                  written even for failed or cancelled queries, rotated to \
-                 FILE.1 past 16 MiB). Feed the file to $(b,rawq report) \
-                 and $(b,rawq --calibration).")
-
-let calibration_arg =
-  Arg.(value & opt (some string) None
-       & info [ "calibration" ] ~docv:"FILE"
-           ~doc:"Print the cost-model calibration report (per-strategy \
-                 predicted-vs-observed selectivity ratios and misprediction \
-                 counts) from a workload-history FILE, then exit.")
+                 FILE.1 past 16 MiB). Feed the file to $(b,rawq report).")
 
 let query_arg =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL")
@@ -504,7 +478,9 @@ let report_cmd =
        ~doc:
          "Summarize a workload-history file: latency percentiles \
           (p50/p95/p99) per query shape and per access path, cache \
-          hit-rate trends, and the most regressed shapes.")
+          hit-rate trends, the most regressed shapes, and the cost \
+          model's calibration per strategy (predicted-vs-observed \
+          selectivity ratios and misprediction counts).")
     Term.(const run $ file_arg)
 
 (* Pretty-print a folded-stack profile (from --profile-out or the
@@ -1159,7 +1135,7 @@ let cmd =
       $ approx_arg $ approx_seed_arg $ chunk_rows_arg
       $ repl_arg $ stats_arg $ metrics_arg $ analyze_arg $ trace_out_arg
       $ profile_arg $ profile_out_arg
-      $ history_arg $ calibration_arg $ query_arg)
+      $ history_arg $ query_arg)
   in
   Cmd.group ~default info
     [ report_cmd; profile_cmd; serve_cmd; client_cmd; top_cmd ]

@@ -137,7 +137,7 @@ let read cat ~mode ~(entry : Catalog.entry) ~tracked ~cols rows =
     let meta = Catalog.ibx_meta cat entry in
     jit ~prefix:"ibx-" "fwb" Scan_fwb.template_key;
     let rowids =
-      match rows with All -> Array.init meta.Ibx.n_rows Fun.id | Ids r -> r
+      match rows with All -> Sel.range 0 meta.Ibx.n_rows | Ids r -> r
     in
     Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
       ~layout:meta.Ibx.layout ~schema:entry.schema ~cols ~rowids
@@ -405,12 +405,12 @@ let one_pass cat ~mode ~(entry : Catalog.entry) ~tracked cols =
 let read_table cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
   if needs_pass cat ~mode entry cols then begin
     let columns = one_pass cat ~mode ~entry ~tracked cols in
-    (columns, Array.init (Column.length columns.(0)) Fun.id)
+    (columns, Sel.range 0 (Column.length columns.(0)))
   end
   else begin
     (* DBMS mode loads, and so sizes, the table before anything counts it *)
     if mode = Dbms then ignore (loaded cat entry);
-    let rowids = Array.init (Catalog.n_rows cat entry) Fun.id in
+    let rowids = Sel.range 0 (Catalog.n_rows cat entry) in
     (fetch_columns cat ~mode ~entry ~tracked ~cols ~rowids, rowids)
   end
 
@@ -440,7 +440,7 @@ let base_scan cat (entry : Catalog.entry) =
         next_start := start + len;
         Some
           (Chunk.of_columns
-             [ Column.of_int_array (Array.init len (fun i -> start + i)) ])
+             [ Column.of_int_array (Sel.range start len) ])
       end)
 
 let late_scan cat ~mode ~entry ~tracked ~cols ~rowid_pos input =

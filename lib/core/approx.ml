@@ -121,28 +121,26 @@ let shape_of cat logical =
 (* Per-morsel contributions                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* sum + count of the non-null values, on the typed arrays *)
+(* sum + count of the non-null values, one typed loop per element type *)
 let contrib_of col =
   let n = Column.length col in
+  let all = Column.all_valid col in
   let sum = ref 0. and count = ref 0 in
-  let each get =
-    if Column.all_valid col then begin
-      for i = 0 to n - 1 do
-        sum := !sum +. get i
-      done;
-      count := n
-    end
-    else
-      for i = 0 to n - 1 do
-        if Column.is_valid col i then begin
-          sum := !sum +. get i;
-          incr count
-        end
-      done
-  in
   (match Column.data col with
-   | Column.Int_data a -> each (fun i -> float_of_int a.(i))
-   | Column.Float_data a -> each (fun i -> a.(i))
+   | Column.Int_data a ->
+     for i = 0 to n - 1 do
+       if all || Column.is_valid col i then begin
+         sum := !sum +. float_of_int (Array.unsafe_get a i);
+         incr count
+       end
+     done
+   | Column.Float_data a ->
+     for i = 0 to n - 1 do
+       if all || Column.is_valid col i then begin
+         sum := !sum +. Array.unsafe_get a i;
+         incr count
+       end
+     done
    | Column.Bool_data _ | Column.String_data _ ->
      (* COUNT-only inputs (eligibility rejects SUM/AVG over these) *)
      count := Column.valid_count col);
@@ -201,7 +199,7 @@ let run cat ~(options : Planner.options) ~eps ~seed logical =
              expressions are constants and only need the row count *)
           Chunk.create [| Column.const Dtype.Int (Value.Int 0) len |]
         | cols ->
-          let rowids = Array.init len (fun k -> start + k) in
+          let rowids = Sel.range start len in
           Chunk.create
             (Access.fetch_columns cat ~mode:options.Planner.access ~entry
                ~tracked ~cols ~rowids)

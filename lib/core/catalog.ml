@@ -246,7 +246,7 @@ let ibx_meta t entry =
    entries, recording the rest — see Scan_hep). *)
 let hep_entry_ids t r =
   match t.config.Config.on_error with
-  | Scan_errors.Fail_fast -> Array.init (Hep.Reader.n_events r) (fun i -> i)
+  | Scan_errors.Fail_fast -> Sel.range 0 (Hep.Reader.n_events r)
   | Scan_errors.Skip_row | Scan_errors.Null_fill ->
     Hep.Reader.record_invalid_entries r;
     Hep.Reader.valid_entries r

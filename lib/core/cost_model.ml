@@ -1,16 +1,15 @@
 open Raw_vector
 open Raw_engine
 
-let default_conjunct_selectivity = 0.5
+type strategy = Full_columns | Shreds | Multi_shreds | Adaptive
 
-let flip (op : Kernels.cmp) : Kernels.cmp =
-  match op with
-  | Lt -> Gt
-  | Le -> Ge
-  | Gt -> Lt
-  | Ge -> Le
-  | Eq -> Eq
-  | Ne -> Ne
+let strategy_to_string = function
+  | Full_columns -> "full"
+  | Shreds -> "shreds"
+  | Multi_shreds -> "multishreds"
+  | Adaptive -> "adaptive"
+
+let default_conjunct_selectivity = 0.5
 
 let estimate_selectivity stats ~table ~columns exprs =
   let est pos op (v : Value.t) =
@@ -27,7 +26,7 @@ let estimate_selectivity stats ~table ~columns exprs =
   in
   let one = function
     | Expr.Cmp (op, Expr.Col pos, Expr.Const v) -> est pos op v
-    | Expr.Cmp (op, Expr.Const v, Expr.Col pos) -> est pos (flip op) v
+    | Expr.Cmp (op, Expr.Const v, Expr.Col pos) -> est pos (Kernels.flip_cmp op) v
     | _ -> default_conjunct_selectivity
   in
   (* independence assumption across conjuncts *)
@@ -66,19 +65,25 @@ let selection_costs ~n_rows ~n_filter_cols ~n_post_cols ~selectivity ~textual =
   { full; shreds; multi_shreds }
 
 let choose c =
-  if c.shreds <= c.full && c.shreds <= c.multi_shreds then `Shreds
-  else if c.multi_shreds <= c.full then `Multi_shreds
-  else `Full_columns
+  if c.shreds <= c.full && c.shreds <= c.multi_shreds then Shreds
+  else if c.multi_shreds <= c.full then Multi_shreds
+  else Full_columns
 
-(* Names match Planner.shred_strategy_to_string, so decision records, the
-   planner.adaptive_chose_/planner.mispredict. metric families and the
-   workload history all speak the same vocabulary. *)
-let strategy_name = function
-  | `Full_columns -> "full"
-  | `Shreds -> "shreds"
-  | `Multi_shreds -> "multishreds"
+let rec cost_of c = function
+  | Full_columns -> c.full
+  | Shreds -> c.shreds
+  | Multi_shreds -> c.multi_shreds
+  | Adaptive -> cost_of c (choose c)
 
-let cost_of c = function
-  | `Full_columns -> c.full
-  | `Shreds -> c.shreds
-  | `Multi_shreds -> c.multi_shreds
+type prediction = {
+  table : string;
+  choice : strategy;
+  selectivity : float;
+  n_filter_cols : int;
+  n_post_cols : int;
+  textual : bool;
+}
+
+let costs_at p ~n_rows ~selectivity =
+  selection_costs ~n_rows ~n_filter_cols:p.n_filter_cols
+    ~n_post_cols:p.n_post_cols ~selectivity ~textual:p.textual

@@ -103,49 +103,6 @@ let access_of cat logical =
               Format_kind.to_string (Catalog.get cat t).Catalog.format)
             ts))
 
-let strategy_of_name = function
-  | "full" -> Some `Full_columns
-  | "shreds" -> Some `Shreds
-  | "multishreds" -> Some `Multi_shreds
-  | _ -> None
-
-(* The adaptive resolution, parsed back out of its decision record (the
-   planner serialized every cost-model input precisely so the outcome can
-   be joined against the prediction here). *)
-type prediction = {
-  p_choice : string;
-  p_sel : float;
-  p_n_rows : int;
-  p_n_filter : int;
-  p_n_post : int;
-  p_textual : bool;
-}
-
-let prediction_of_decisions decisions =
-  match Decisions.by_site decisions "planner.adaptive" with
-  | [] -> None
-  | d :: _ -> (
-    let get k = List.assoc_opt k d.Decisions.inputs in
-    let flt k = Option.bind (get k) float_of_string_opt in
-    let int k = Option.bind (get k) int_of_string_opt in
-    match
-      ( flt "selectivity",
-        int "n_rows",
-        int "n_filter_cols",
-        int "n_post_cols" )
-    with
-    | Some sel, Some n_rows, Some n_filter, Some n_post ->
-      Some
-        {
-          p_choice = d.Decisions.choice;
-          p_sel = sel;
-          p_n_rows = n_rows;
-          p_n_filter = n_filter;
-          p_n_post = n_post;
-          p_textual = get "textual" = Some "true";
-        }
-    | _ -> None)
-
 let history_status_of_exn = function
   | Cancel.Stop Cancel.Deadline -> Raw_obs.History.Deadline
   | Cancel.Stop Cancel.User -> Raw_obs.History.Cancelled
@@ -179,14 +136,10 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
       Some h
     end
   in
-  (* decisions are needed whenever either sink is on: the trace/report
-     (observe) or the workload history, whose calibration join reads the
-     planner.adaptive record back *)
-  let dec_h =
-    if cfg.Config.observe || cfg.Config.history_path <> None then
-      Some (Decisions.create ())
-    else None
-  in
+  let dec_h = if cfg.Config.observe then Some (Decisions.create ()) else None in
+  (* the Adaptive resolution of the plan that ran, set once planning is
+     done so that a failed query is still measured *)
+  let prediction = ref None in
   let with_obs f =
     let f =
       match dec_h with
@@ -208,15 +161,16 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
             with_obs (fun () ->
                 Cancel.check cancel;
                 let exact () =
-                  let op, schema =
+                  let planned =
                     Trace.with_span ~cat:"plan" "plan" (fun () ->
-                        Planner.plan cat options logical)
+                        Planner.plan_with_trace cat options logical)
                   in
+                  prediction := planned.Planner.prediction;
                   let chunk =
                     Trace.with_span ~cat:"execute" "execute" (fun () ->
-                        Operator.to_chunk op)
+                        Operator.to_chunk planned.Planner.op)
                   in
-                  (chunk, schema)
+                  (chunk, planned.Planner.schema)
                 in
                 match cfg.Config.approx with
                 | None ->
@@ -261,40 +215,53 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
     int_of_float rows
   in
   (* feedback: join the adaptive prediction against the measured filter
-     row flow — partial progress of a failed query is still a measurement *)
+     row flow — partial progress of a failed query is still a measurement.
+     The prediction is priced at the table's row count, which the run has
+     set unless it failed before sizing the table *)
   let sel_obs =
     let rows_in = delta (Metrics.id Metrics.filter_rows_in) in
     if rows_in > 0. then
       Some (delta (Metrics.id Metrics.filter_rows_out) /. rows_in)
     else None
   in
-  let decisions =
-    match dec_h with Some d -> Decisions.records d | None -> []
+  let feedback =
+    Option.bind !prediction (fun (p : Cost_model.prediction) ->
+        Option.bind (Catalog.find cat p.table) (fun (e : Catalog.entry) ->
+            Option.map (fun n_rows -> (p, n_rows)) e.state.n_rows))
   in
-  let prediction = prediction_of_decisions decisions in
   let cost_predicted, mispredicted, better =
-    match prediction with
+    match feedback with
     | None -> (None, None, None)
-    | Some p ->
-      let costs_at sel =
-        Cost_model.selection_costs ~n_rows:p.p_n_rows
-          ~n_filter_cols:p.p_n_filter ~n_post_cols:p.p_n_post
-          ~selectivity:sel ~textual:p.p_textual
-      in
-      let cost_predicted =
-        Option.map
-          (Cost_model.cost_of (costs_at p.p_sel))
-          (strategy_of_name p.p_choice)
-      in
+    | Some (p, n_rows) ->
+      let costs = Cost_model.costs_at p ~n_rows ~selectivity:p.selectivity in
+      let choice = Cost_model.strategy_to_string p.choice in
+      Option.iter
+        (fun d ->
+          Decisions.record_into d ~site:"planner.adaptive" ~choice
+            [
+              ("table", p.table);
+              ("selectivity", Printf.sprintf "%.4f" p.selectivity);
+              ("cost_full", Printf.sprintf "%.1f" costs.full);
+              ("cost_shreds", Printf.sprintf "%.1f" costs.shreds);
+              ("cost_multishreds", Printf.sprintf "%.1f" costs.multi_shreds);
+              ("n_rows", string_of_int n_rows);
+              ("n_filter_cols", string_of_int p.n_filter_cols);
+              ("n_post_cols", string_of_int p.n_post_cols);
+              ("textual", string_of_bool p.textual);
+            ])
+        dec_h;
+      let cost_predicted = Some (Cost_model.cost_of costs p.choice) in
       (match sel_obs with
        | None -> (cost_predicted, None, None)
-       | Some sel ->
-         let preferred = Cost_model.choose (costs_at sel) in
-         let preferred_name = Cost_model.strategy_name preferred in
-         if preferred_name = p.p_choice then (cost_predicted, Some false, None)
+       | Some selectivity ->
+         let preferred =
+           Cost_model.choose (Cost_model.costs_at p ~n_rows ~selectivity)
+         in
+         if preferred = p.choice then (cost_predicted, Some false, None)
          else begin
-           Io_stats.incr (Metrics.id Metrics.planner_mispredict ^ p.p_choice);
-           (cost_predicted, Some true, Some preferred_name)
+           Io_stats.incr (Metrics.id Metrics.planner_mispredict ^ choice);
+           (cost_predicted, Some true,
+            Some (Cost_model.strategy_to_string preferred))
          end)
   in
   (* profiler columns: absent unless this query was profiled, so history
@@ -311,9 +278,10 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
     | None -> ()
     | Some path ->
       let strategy =
-        match prediction with
-        | Some p -> p.p_choice
-        | None -> Planner.shred_strategy_to_string options.Planner.shreds
+        Cost_model.strategy_to_string
+          (match feedback with
+           | Some (p, _) -> p.choice
+           | None -> options.Planner.shreds)
       in
       Raw_obs.History.append ~path
         {
@@ -329,7 +297,7 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
           rows_scanned;
           result_rows;
           parallelism = cfg.Config.parallelism;
-          sel_est = Option.map (fun p -> p.p_sel) prediction;
+          sel_est = Option.map (fun (p, _) -> p.Cost_model.selectivity) feedback;
           sel_obs;
           cost_predicted;
           mispredicted;
@@ -405,7 +373,7 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
     errors = Scan_errors.snapshot ();
     degraded;
     spans = (match trace_h with Some h -> Trace.spans h | None -> []);
-    decisions;
+    decisions = (match dec_h with Some d -> Decisions.records d | None -> []);
     approx;
   }
 

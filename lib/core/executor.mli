@@ -44,10 +44,9 @@ type report = {
       by start time; empty unless {!Config.observe} is on *)
   decisions : Raw_obs.Decisions.record list;
   (** adaptive-decision audit log (JIT vs interpreted, posmap use, shred
-      reuse, cache hits, governance degradation) in recording order; empty
-      unless {!Config.observe} or {!Config.history_path} is on (the
-      workload history joins the [planner.adaptive] record against the
-      measured outcome) *)
+      reuse, cache hits, governance degradation, and last the
+      [planner.adaptive] record of an [Adaptive] query) in recording
+      order; empty unless {!Config.observe} is on *)
   approx : Approx.info option;
   (** online-aggregation account when {!Config.approx} drove this query:
       estimate ± bound per output column, sampled fraction, and whether
@@ -84,11 +83,15 @@ val run :
     observing.
 
     Feedback: when the planner resolved an [Adaptive] strategy, the run
-    joins the prediction (decision record) against the measured filter
-    row flow: a choice the cost model would reverse at the observed
-    selectivity bumps [planner.mispredict.<chosen>]. When {!Config.history_path} is set,
-    one {!Raw_obs.History} record per run — completed, failed, cancelled
-    or deadline-exceeded alike — is appended there with the full
+    takes its typed {!Cost_model.prediction}, prices it at the table's
+    row count (known after the run unless it failed before sizing the
+    table; then there is no feedback) and re-costs it at the observed
+    filter selectivity. A choice the cost model would reverse there bumps
+    [planner.mispredict.<chosen>], whatever sinks are on. Under
+    {!Config.observe} the prediction becomes the [planner.adaptive]
+    decision record. When {!Config.history_path} is set, one
+    {!Raw_obs.History} record per run — completed, failed, cancelled or
+    deadline-exceeded alike — is appended there with the full
     predicted-vs-actual account. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,7 +1,12 @@
 open Raw_vector
 open Raw_engine
 
-type shred_strategy = Full_columns | Shreds | Multi_shreds | Adaptive
+type shred_strategy = Cost_model.strategy =
+  | Full_columns
+  | Shreds
+  | Multi_shreds
+  | Adaptive
+
 type join_policy = Early | Intermediate | Late
 
 type options = {
@@ -15,12 +20,6 @@ type options = {
 let default =
   { access = Access.Jit; shreds = Shreds; join_policy = Late;
     tracked = `Every 10; use_indexes = true }
-
-let shred_strategy_to_string = function
-  | Full_columns -> "full"
-  | Shreds -> "shreds"
-  | Multi_shreds -> "multishreds"
-  | Adaptive -> "adaptive"
 
 let join_policy_to_string = function
   | Early -> "early"
@@ -42,8 +41,6 @@ type ctx = {
   cat : Catalog.t;
   opts : options;
   has_join : bool;
-  sized : (string * (int -> unit)) option;
-      (* a table whose first read sizes it, and what waits for its count *)
   mutable restricted : string list; (* tables already filtered/joined *)
   mutable trace : string list; (* planning decisions, reverse order *)
 }
@@ -179,15 +176,7 @@ let try_index_scan ctx table columns conjuncts =
         | Expr.Cmp (op, Expr.Col pos, Expr.Const (Value.Int x)) ->
           Some (pos, op, x)
         | Expr.Cmp (op, Expr.Const (Value.Int x), Expr.Col pos) ->
-          Some
-            ( pos,
-              (match op with
-               | Kernels.Lt -> Kernels.Gt
-               | Kernels.Le -> Kernels.Ge
-               | Kernels.Gt -> Kernels.Lt
-               | Kernels.Ge -> Kernels.Le
-               | (Kernels.Eq | Kernels.Ne) as o -> o),
-              x )
+          Some (pos, Kernels.flip_cmp op, x)
         | _ -> None
       in
       let rec pick before = function
@@ -227,7 +216,6 @@ let eager_scan ctx (entry : Catalog.entry) columns =
       Access.read_table cat ~mode:ctx.opts.access ~entry
         ~tracked:(tracked_for ctx.opts entry) ~cols:columns
     in
-    Option.iter (fun (t, f) -> if String.equal t entry.name then f (Array.length rowids)) ctx.sized;
     Operator.of_chunk ~chunk_rows:(Catalog.config cat).chunk_rows
       (Chunk.create (Array.append cols [| Column.of_int_array rowids |]))
   in
@@ -451,12 +439,10 @@ and plan_sort ctx ?limit specs child =
 
 (* Resolve the Adaptive strategy for one query: estimate the selectivity of
    the first filtered scan from accumulated statistics and cost the three
-   concrete strategies (paper future work, §8). The decision record carries
-   the table's row count; when that table is read in one pass whatever the
-   strategy, the pass sizes it, so the record is returned as a callback
-   for that read instead of counting the rows first. The costs are linear
-   in the row count, so the choice does not wait for it. *)
-let resolve_adaptive cat ~access (logical : Logical.t) =
+   concrete strategies (paper future work, §8). The costs are linear in
+   the row count, so one row prices the choice and no count pass runs
+   ahead of the query. *)
+let resolve_adaptive cat (logical : Logical.t) =
   let rec find = function
     | Logical.Filter (pred, Logical.Scan { table; columns }) ->
       Some (pred, table, columns)
@@ -470,63 +456,27 @@ let resolve_adaptive cat ~access (logical : Logical.t) =
       (match find left with Some x -> Some x | None -> find right)
     | Logical.Scan _ -> None
   in
-  match find logical with
-  | None -> (Shreds, None)
-  | Some (pred, table, columns) ->
-    let entry = Catalog.get cat table in
-    let conjuncts = Logical.split_and pred in
-    let sel =
-      Cost_model.estimate_selectivity (Catalog.stats cat) ~table ~columns
-        conjuncts
-    in
-    let filter_positions =
-      List.sort_uniq Stdlib.compare
-        (List.concat_map Expr.columns_used conjuncts)
-    in
-    let n_post = List.length columns - List.length filter_positions in
-    let textual = Format_kind.textual entry.Catalog.format in
-    let costs n_rows =
-      Cost_model.selection_costs ~n_rows
-        ~n_filter_cols:(List.length filter_positions)
-        ~n_post_cols:(max n_post 0) ~selectivity:sel ~textual
-    in
-    let one_pass = Access.needs_pass cat ~mode:access entry columns in
-    let resolved =
-      match
-        Cost_model.choose (costs (if one_pass then 1 else Catalog.n_rows cat entry))
-      with
-      | `Full_columns -> Full_columns
-      | `Shreds -> Shreds
-      | `Multi_shreds -> Multi_shreds
-    in
-    let recorded = ref false in
-    let record n_rows =
-      if not !recorded then begin
-        recorded := true;
-        let costs = costs n_rows in
-        Raw_obs.Decisions.record ~site:"planner.adaptive"
-          ~choice:(shred_strategy_to_string resolved)
-          [
-            ("table", table);
-            ("selectivity", Printf.sprintf "%.4f" sel);
-            ("cost_full", Printf.sprintf "%.1f" costs.Cost_model.full);
-            ("cost_shreds", Printf.sprintf "%.1f" costs.Cost_model.shreds);
-            ("cost_multishreds", Printf.sprintf "%.1f" costs.Cost_model.multi_shreds);
-            (* the cost-model inputs ride along so the executor can re-cost
-               the choice at the observed selectivity (misprediction
-               detection) *)
-            ("n_rows", string_of_int n_rows);
-            ("n_filter_cols", string_of_int (List.length filter_positions));
-            ("n_post_cols", string_of_int (max n_post 0));
-            ("textual", if textual then "true" else "false");
-          ]
-      end
-    in
-    if one_pass then (resolved, Some (table, record))
-    else begin
-      record (Catalog.n_rows cat entry);
-      (resolved, None)
-    end
+  Option.map
+    (fun (pred, table, columns) ->
+      let conjuncts = Logical.split_and pred in
+      let selectivity =
+        Cost_model.estimate_selectivity (Catalog.stats cat) ~table ~columns
+          conjuncts
+      in
+      let n_filter_cols =
+        List.length
+          (List.sort_uniq Stdlib.compare
+             (List.concat_map Expr.columns_used conjuncts))
+      in
+      let n_post_cols = max 0 (List.length columns - n_filter_cols) in
+      let textual = Format_kind.textual (Catalog.get cat table).Catalog.format in
+      let choice =
+        Cost_model.choose
+          (Cost_model.selection_costs ~n_rows:1 ~n_filter_cols ~n_post_cols
+             ~selectivity ~textual)
+      in
+      { Cost_model.table; choice; selectivity; n_filter_cols; n_post_cols; textual })
+    (find logical)
 
 let rec has_join = function
   | Logical.Join _ -> true
@@ -538,26 +488,36 @@ let rec has_join = function
     has_join c
   | Logical.Aggregate { input; _ } -> has_join input
 
+type planned = {
+  op : Operator.t;
+  schema : Schema.t;
+  trace : string list;
+  prediction : Cost_model.prediction option;
+}
+
 let plan_with_trace cat opts original =
   (* the output schema comes from the plan as written; the rewrite only
      moves selections, so every later step plans the pushed-down form *)
   let logical = Logical.push_filters original in
-  let opts, sized =
+  let opts, prediction =
     match opts.shreds with
     | Adaptive ->
-      let resolved, sized = resolve_adaptive cat ~access:opts.access logical in
+      let prediction = resolve_adaptive cat logical in
+      let shreds =
+        match prediction with Some p -> p.Cost_model.choice | None -> Shreds
+      in
       Raw_storage.Io_stats.incr
         (Raw_obs.Metrics.id Raw_obs.Metrics.planner_adaptive
-        ^ shred_strategy_to_string resolved);
-      ({ opts with shreds = resolved }, sized)
+        ^ Cost_model.strategy_to_string shreds);
+      ({ opts with shreds }, prediction)
     | Full_columns | Shreds | Multi_shreds -> (opts, None)
   in
   let ctx =
-    { cat; opts; has_join = has_join logical; sized; restricted = []; trace = [] }
+    { cat; opts; has_join = has_join logical; restricted = []; trace = [] }
   in
   tr ctx "strategy: access=%s shreds=%s join=%s indexes=%s"
     (Access.mode_to_string opts.access)
-    (shred_strategy_to_string opts.shreds)
+    (Cost_model.strategy_to_string opts.shreds)
     (join_policy_to_string opts.join_policy)
     (if opts.use_indexes then "on" else "off");
   let phys = plan_node ctx logical in
@@ -572,8 +532,13 @@ let plan_with_trace cat opts original =
     then phys.op
     else Operator.project exprs phys.op
   in
-  (op, Logical.output_schema cat original, List.rev ctx.trace)
+  {
+    op;
+    schema = Logical.output_schema cat original;
+    trace = List.rev ctx.trace;
+    prediction;
+  }
 
 let plan cat opts logical =
-  let op, schema, _trace = plan_with_trace cat opts logical in
-  (op, schema)
+  let p = plan_with_trace cat opts logical in
+  (p.op, p.schema)

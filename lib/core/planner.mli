@@ -16,17 +16,13 @@
 open Raw_vector
 open Raw_engine
 
-type shred_strategy =
-  | Full_columns  (** read all requested columns at the bottom scan *)
-  | Shreds  (** one late scan operator per column, as late as possible *)
+type shred_strategy = Cost_model.strategy =
+  | Full_columns
+  | Shreds
   | Multi_shreds
-      (** like [Shreds], but once a table has been filtered, materialize all
-          its still-pending columns in one operator (speculative nearby
-          reads, §5.3.1) *)
   | Adaptive
-      (** pick between the above per query using the {!Cost_model} and the
-          statistics accumulated by earlier scans — the paper's future-work
-          cost model put to use *)
+(** Where columns are read; see {!Cost_model.strategy}. [Adaptive] is
+    resolved per query to one of the other three. *)
 
 type join_policy =
   | Early  (** project-only columns created at scan time (full columns) *)
@@ -50,7 +46,6 @@ val default : options
 (** RAW defaults: JIT access paths, column shreds, late join
     materialization, positional map every 10th column. *)
 
-val shred_strategy_to_string : shred_strategy -> string
 val join_policy_to_string : join_policy -> string
 
 val tracked_for : options -> Catalog.entry -> int list
@@ -65,10 +60,20 @@ val plan : Catalog.t -> options -> Logical.t -> Operator.t * Schema.t
     single-use (drain it once). Selections are first pushed below joins
     ({!Logical.push_filters}); the schema is that of the plan as given. *)
 
-val plan_with_trace :
-  Catalog.t -> options -> Logical.t -> Operator.t * Schema.t * string list
-(** Like {!plan}, also returning the planning decisions in order (the
-    chosen strategy, eager vs deferred scans, index resolutions, late-scan
-    attachment points, filters, joins) — an EXPLAIN for adaptive access
-    paths. Note that in eager modes (DBMS/External/full columns) planning
-    itself performs the bottom reads. *)
+type planned = {
+  op : Operator.t;  (** single-use: drain it once *)
+  schema : Schema.t;  (** of the plan as given *)
+  trace : string list;
+      (** the planning decisions in order (the chosen strategy, eager vs
+          deferred scans, index resolutions, late-scan attachment points,
+          filters, joins) — an EXPLAIN for adaptive access paths *)
+  prediction : Cost_model.prediction option;
+      (** the [Adaptive] resolution; [None] under a fixed strategy or when
+          no filter sits on a scan *)
+}
+
+val plan_with_trace : Catalog.t -> options -> Logical.t -> planned
+(** {!plan} with its decisions and the adaptive prediction. Under
+    [Adaptive], either call bumps [planner.adaptive_chose_<strategy>]. In
+    eager modes (DBMS/External/full columns) planning itself performs the
+    bottom reads. *)

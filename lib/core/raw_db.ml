@@ -135,9 +135,9 @@ let query ?options ?cancel t sql =
 let explain ?options t q =
   let options = Option.value options ~default:t.options in
   let logical = Sql_binder.bind_string t.catalog q in
-  let op, _schema, trace = Planner.plan_with_trace t.catalog options logical in
-  Raw_engine.Operator.close op;
-  trace
+  let planned = Planner.plan_with_trace t.catalog options logical in
+  Raw_engine.Operator.close planned.op;
+  planned.trace
 
 let sql t q = (query t q).Executor.chunk
 

@@ -14,7 +14,7 @@ let entry_ids ~policy reader = function
   | Some ids -> ids
   | None ->
     (match (policy : Scan_errors.policy) with
-     | Fail_fast -> Array.init (Hep.Reader.n_events reader) (fun i -> i)
+     | Fail_fast -> Sel.range 0 (Hep.Reader.n_events reader)
      | Skip_row | Null_fill ->
        Hep.Reader.record_invalid_entries reader;
        Hep.Reader.valid_entries reader)
@@ -67,7 +67,7 @@ let pfield_col col : Hep.pfield =
 
 let all_particles (entry_of, _) = function
   | Some ids -> ids
-  | None -> Array.init (Array.length entry_of) (fun i -> i)
+  | None -> Sel.range 0 (Array.length entry_of)
 
 (* A JIT particle column. A table's rows run through each event's
    collection in order, so the collection's start is resolved once per

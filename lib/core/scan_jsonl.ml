@@ -247,7 +247,7 @@ let scan_array ~mode ?(policy = Scan_errors.Fail_fast) ~file ~schema
   let ids =
     match rowids with
     | Some ids -> ids
-    | None -> Array.init (Array.length parents) (fun i -> i)
+    | None -> Sel.range 0 (Array.length parents)
   in
   (* schema column 0 is the parent row id; element fields start at 1 *)
   let elem_cols = List.filter (fun c -> c > 0) needed in

@@ -67,7 +67,10 @@ let put t key col = ignore (Lru.add t.lru key { column = col; coverage = Complet
 let subsumes s rowids =
   match s.coverage with
   | Complete -> true
-  | Partial p -> Array.for_all (bit p.bits) rowids
+  | Partial p ->
+    let n = Array.length rowids in
+    let rec from k = k >= n || (bit p.bits (Array.unsafe_get rowids k) && from (k + 1)) in
+    from 0
 
 let missing s rowids =
   match s.coverage with

@@ -48,15 +48,6 @@ let rec remap f = function
   | Or (a, b) -> Or (remap f a, remap f b)
   | Not a -> Not (remap f a)
 
-let flip_cmp (op : Kernels.cmp) : Kernels.cmp =
-  match op with
-  | Lt -> Gt
-  | Le -> Ge
-  | Gt -> Lt
-  | Ge -> Le
-  | Eq -> Eq
-  | Ne -> Ne
-
 let bool_column out valid =
   if Bytes.contains valid '\000' then Column.make ~valid (Column.Bool_data out)
   else Column.of_bool_array out
@@ -140,7 +131,7 @@ let merge_sels a b =
 let filter_cmp ~negate op a b chunk sel =
   match a, b with
   | Col i, Const v -> Kernels.filter_const ~negate op (Chunk.column chunk i) v sel
-  | Const v, Col i -> Kernels.filter_const ~negate (flip_cmp op) (Chunk.column chunk i) v sel
+  | Const v, Col i -> Kernels.filter_const ~negate (Kernels.flip_cmp op) (Chunk.column chunk i) v sel
   | Col i, Col j ->
     Kernels.filter_col ~negate op (Chunk.column chunk i) (Chunk.column chunk j) sel
   | _ -> cmp_cols ~negate op a b (eval a chunk) (eval b chunk) sel

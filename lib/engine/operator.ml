@@ -112,21 +112,6 @@ let limit n input =
           remaining := !remaining - take;
           if take = Chunk.n_rows c then Some c else Some (Chunk.slice c 0 take))
 
-let union_all inputs =
-  let rest = ref inputs in
-  let rec pull () =
-    match !rest with
-    | [] -> None
-    | op :: tl ->
-      (match op.next_fn () with
-       | Some c -> Some c
-       | None ->
-         op.close_fn ();
-         rest := tl;
-         pull ())
-  in
-  of_fn () ~next:pull ~close:(fun () -> List.iter (fun o -> o.close_fn ()) !rest)
-
 let collect op =
   let chunks = ref [] in
   let rec go () =
@@ -573,7 +558,7 @@ let sort ?limit:top ~by input =
                     if r <> 0 then r else Int.compare i j)
                   n k
               | _ ->
-                let idx = Array.init n Fun.id in
+                let idx = Sel.range 0 n in
                 Array.stable_sort cmp idx;
                 idx
             in
@@ -582,33 +567,6 @@ let sort ?limit:top ~by input =
                  (Array.map (fun c -> Column.gather c idx) (Chunk.columns all)))
           end
         end)
-
-(* ---------- placeholder ---------- *)
-
-module Placeholder = struct
-  type op = t
-  type nonrec t = { mutable attached : op option }
-
-  let create () =
-    let handle = { attached = None } in
-    let op =
-      of_fn ()
-        ~next:(fun () ->
-          match handle.attached with
-          | None -> failwith "Operator.Placeholder: pulled before attach"
-          | Some o -> o.next_fn ())
-        ~close:(fun () ->
-          match handle.attached with None -> () | Some o -> o.close_fn ())
-    in
-    (handle, op)
-
-  let attach handle op =
-    match handle.attached with
-    | Some _ -> failwith "Operator.Placeholder.attach: already attached"
-    | None -> handle.attached <- Some op
-
-  let is_attached handle = Option.is_some handle.attached
-end
 
 (* ---------- consumers ---------- *)
 

@@ -3,8 +3,8 @@
     Operators exchange {!Raw_vector.Chunk.t} batches through [next]; a
     [None] signals exhaustion. The set mirrors what RAW needs from
     Supersonic: filter, project, aggregate (scalar and grouped), hash join
-    with a pipelined probe side, and the {!Placeholder} attach point that
-    lets the planner insert generated scan operators anywhere in a plan. *)
+    with a pipelined probe side, and {!map_chunks}, through which the
+    planner splices generated scan operators anywhere in a plan. *)
 
 open Raw_vector
 
@@ -46,7 +46,6 @@ val map_chunks : (Chunk.t -> Chunk.t) -> t -> t
     operators (column shreds) are spliced into a plan. *)
 
 val limit : int -> t -> t
-val union_all : t list -> t
 
 (** {1 Aggregation} *)
 
@@ -84,26 +83,6 @@ val sort : ?limit:int -> by:(int * [ `Asc | `Desc ]) list -> t -> t
     [limit k] over the full sort would — the first [k] rows of the stable
     sort — through a bounded top-k heap; for [k <= 0] the input is never
     pulled. *)
-
-(** {1 Placeholder} *)
-
-module Placeholder : sig
-  (** The paper extends Supersonic with a generic placeholder operator that
-      can sit anywhere in a physical plan and later receive a generated
-      scan operator (§3 "Physical Plan Creation"). *)
-
-  type op := t
-  type t
-
-  val create : unit -> t * op
-  (** The handle and the operator to place in the plan. Pulling from the
-      operator before {!attach} raises [Failure]. *)
-
-  val attach : t -> op -> unit
-  (** Raises [Failure] if already attached. *)
-
-  val is_attached : t -> bool
-end
 
 (** {1 Consumers} *)
 

@@ -1,8 +1,8 @@
 (** Append-only JSONL workload history.
 
-    One record per executed query — the feedback substrate for cost-model
-    calibration ({!Calibration}), cross-query percentile reporting
-    ({!Summary}), and any future workload-driven optimization. Records are
+    One record per executed query — the feedback substrate for cross-query
+    percentile reporting and cost-model calibration ({!Summary}), and any
+    future workload-driven optimization. Records are
     written even for failed, cancelled, or deadline-exceeded queries (the
     {!record.status} field says which), because mispredictions that blow a
     deadline are exactly the signal calibration needs.

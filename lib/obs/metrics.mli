@@ -124,13 +124,15 @@ val planner_adaptive : t
 val planner_mispredict : t
 (** Family: [planner.mispredict.<strategy>] counts adaptive resolutions
     whose choice the cost model would reverse at the {e observed}
-    selectivity (keyed by the strategy that was chosen). *)
+    selectivity (keyed by the strategy that was chosen). Counted for every
+    measured adaptive query, whether or not observe or the workload
+    history is on. *)
 
 val filter_rows_in : t
 val filter_rows_out : t
 (** Rows entering/surviving planner-emitted filter chains; their per-query
-    delta ratio is the observed selectivity joined against the estimate in
-    the [planner.adaptive] decision record. *)
+    delta ratio is the observed selectivity the executor joins against the
+    adaptive prediction's estimate. *)
 
 val history_records_written : t
 val history_write_errors : t

@@ -111,6 +111,75 @@ let top_regressed ?(limit = 5) records =
   |> List.sort (fun (_, a) (_, b) -> compare b a)
   |> List.filteri (fun i _ -> i < limit)
 
+(* Per-strategy prediction-error statistics. A record participates when
+   the planner went through the adaptive resolution (sel_est present); it
+   is "measurable" when the executor also observed the selectivity of the
+   same filter chain. *)
+type strategy_stats = {
+  strategy : string;
+  queries : int;
+  measurable : int;
+  mispredicts : int;
+  sel_ratio_mean : float;
+  sel_ratio_p50 : float;
+  sel_ratio_p95 : float;
+  cost_per_second_p50 : float;
+}
+
+let calibration records =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun (r : History.record) ->
+      match r.History.sel_est with
+      | None -> ()
+      | Some _ ->
+        let k = r.History.strategy in
+        Hashtbl.replace tbl k
+          (r
+           :: (match Hashtbl.find_opt tbl k with Some l -> l | None -> [])))
+    records;
+  Hashtbl.fold
+    (fun strategy rs acc ->
+      let measurable =
+        List.filter_map
+          (fun (r : History.record) ->
+            match (r.History.sel_est, r.History.sel_obs) with
+            | Some est, Some obs -> Some (est /. Float.max obs 1e-6)
+            | _ -> None)
+          rs
+      in
+      let cost_rates =
+        List.filter_map
+          (fun (r : History.record) ->
+            match r.History.cost_predicted with
+            | Some c when r.History.total_seconds > 0. ->
+              Some (c /. r.History.total_seconds)
+            | _ -> None)
+          rs
+      in
+      let n_meas = List.length measurable in
+      let p xs q = Option.value ~default:0. (percentile xs q) in
+      {
+        strategy;
+        queries = List.length rs;
+        measurable = n_meas;
+        mispredicts =
+          List.length
+            (List.filter
+               (fun (r : History.record) ->
+                 r.History.mispredicted = Some true)
+               rs);
+        sel_ratio_mean =
+          (if n_meas = 0 then 0.
+           else List.fold_left ( +. ) 0. measurable /. float_of_int n_meas);
+        sel_ratio_p50 = p measurable 0.5;
+        sel_ratio_p95 = p measurable 0.95;
+        cost_per_second_p50 = p cost_rates 0.5;
+      }
+      :: acc)
+    tbl []
+  |> List.sort (fun a b -> String.compare a.strategy b.strategy)
+
 let truncate_key k =
   if String.length k <= 44 then k else String.sub k 0 41 ^ "..."
 
@@ -127,6 +196,24 @@ let pp_groups_with pp_val ppf title groups =
 let pp_seconds ppf v = Format.fprintf ppf "%9.4fs" v
 let pp_words ppf v = Format.fprintf ppf "%10.0f" v
 let pp_groups ppf title groups = pp_groups_with pp_seconds ppf title groups
+
+let pp_calibration ppf stats =
+  Format.fprintf ppf "@,cost-model calibration (adaptive decisions)@,";
+  if stats = [] then
+    Format.fprintf ppf "  no adaptive decisions recorded@,"
+  else begin
+    Format.fprintf ppf "  %-12s %7s %7s %7s %12s %12s %12s %14s@," "strategy"
+      "queries" "meas" "mispred" "selratio-avg" "selratio-p50" "selratio-p95"
+      "cost/s-p50";
+    List.iter
+      (fun s ->
+        Format.fprintf ppf "  %-12s %7d %7d %7d %12.3f %12.3f %12.3f %14.1f@,"
+          s.strategy s.queries s.measurable s.mispredicts s.sel_ratio_mean
+          s.sel_ratio_p50 s.sel_ratio_p95 s.cost_per_second_p50)
+      stats
+  end;
+  Format.fprintf ppf
+    "  (selratio = predicted / observed selectivity; 1.0 is perfect)@,"
 
 let pp_report ppf records =
   Format.fprintf ppf "@[<v>";
@@ -162,13 +249,14 @@ let pp_report ppf records =
         in
         Format.fprintf ppf "  %-12s %s -> %s@," name (p a) (p b))
       (hit_rate_trend records);
-    match top_regressed records with
+    (match top_regressed records with
     | [] -> ()
     | regressed ->
       Format.fprintf ppf "@,top regressed shapes (2nd-half mean / 1st-half mean)@,";
       List.iter
         (fun (shape, ratio) ->
           Format.fprintf ppf "  %-44s %5.2fx@," (truncate_key shape) ratio)
-        regressed
+        regressed);
+    pp_calibration ppf (calibration records)
   end;
   Format.fprintf ppf "@]"

@@ -1,8 +1,9 @@
 (** Cross-query aggregation over the workload history.
 
     Powers [rawq report <history.jsonl>]: latency percentiles per query
-    shape and per access path, cache hit-rate trends, and the shapes whose
-    latency regressed most across the recorded window. Unlike
+    shape and per access path, cache hit-rate trends, the shapes whose
+    latency regressed most across the recorded window, and the cost
+    model's calibration per strategy. Unlike
     {!Metrics.quantile} (an interpolated estimate over fixed buckets),
     these percentiles are exact nearest-rank statistics over the recorded
     samples. *)
@@ -42,7 +43,36 @@ val top_regressed : ?limit:int -> History.record list -> (string * float) list
     over the first half, as [(shape, ratio)] sorted descending; shapes
     seen in only one half are skipped. [limit] defaults to 5. *)
 
+(** {1 Cost-model calibration}
+
+    Each adaptive-planner prediction (selectivity estimate, cost-model
+    units, chosen strategy — carried into the history record by the
+    executor) joined with its measured outcome (observed selectivity,
+    actual cpu/io/compile split), reduced to per-strategy error
+    statistics. The paper's E18 claim — "occasional mispredictions at
+    70–80 % selectivity" — becomes a measured number here: misprediction
+    counts are surfaced live under [planner.mispredict.<strategy>] and
+    historically by this table. *)
+
+type strategy_stats = {
+  strategy : string;
+  queries : int;  (** adaptive resolutions that chose this strategy *)
+  measurable : int;  (** of those, with both [sel_est] and [sel_obs] *)
+  mispredicts : int;
+  sel_ratio_mean : float;  (** mean predicted÷observed selectivity *)
+  sel_ratio_p50 : float;
+  sel_ratio_p95 : float;  (** nearest-rank over measurable records *)
+  cost_per_second_p50 : float;
+      (** median cost-model units per actual total second — the model's
+          scale factor; drift here means the unit costs need retuning *)
+}
+
+val calibration : History.record list -> strategy_stats list
+(** One entry per strategy seen in adaptive records ([sel_est] present),
+    sorted by strategy name. Observed selectivities are clamped away from
+    0 before dividing. *)
+
 val pp_report : Format.formatter -> History.record list -> unit
 (** The full [rawq report] rendering: per-access-path and per-shape
-    percentile tables, hit-rate trends, top regressed shapes, and a
-    status/misprediction tally. *)
+    percentile tables, hit-rate trends, top regressed shapes, the
+    calibration table, and a status/misprediction tally. *)

@@ -43,7 +43,7 @@ let all_rows n =
   let a = Atomic.get identity in
   if Array.length a >= n then a
   else begin
-    let a = Array.init (max n 4096) Fun.id in
+    let a = Sel.range 0 (max n 4096) in
     Atomic.set identity a;
     a
   end

@@ -25,6 +25,11 @@ exception Overflow of string
     that only passes out of range on the way is answered exactly. *)
 
 val cmp_to_string : cmp -> string
+
+val flip_cmp : cmp -> cmp
+(** The comparison with its operands swapped: [a op b] iff
+    [b (flip_cmp op) a]. *)
+
 val arith_to_string : arith -> string
 val agg_to_string : agg -> string
 

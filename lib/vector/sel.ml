@@ -10,7 +10,14 @@ let of_array a =
   done;
   a
 
-let all n = Array.init n (fun i -> i)
+let range start len =
+  let a = Array.make len start in
+  for i = 1 to len - 1 do
+    Array.unsafe_set a i (start + i)
+  done;
+  a
+
+let all n = range 0 n
 let empty = [||]
 let length = Array.length
 let get (t : t) i = t.(i)

@@ -18,6 +18,11 @@ val of_array_unchecked : int array -> t
 val all : int -> t
 (** Identity selection [0..n-1]. *)
 
+val range : int -> int -> int array
+(** [range start len] is [[|start; start+1; ...; start+len-1|]]: the row
+    ids of a contiguous run, filled by one loop. Raises [Invalid_argument]
+    when [len < 0]. *)
+
 val empty : t
 
 val length : t -> int

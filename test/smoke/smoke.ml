@@ -3,7 +3,7 @@
    with [Raw_obs.Jsons.parse] and every query answer is checked:
 
    - oneshot: --analyze --metrics --trace-out, --profile --profile-out
-     plus [rawq profile], and --approx;
+     plus [rawq profile], --approx, and --history plus [rawq report];
    - serve: two tables, two rounds of 16 concurrent [rawq client]s (cold:
      shared scans; warm: the result cache), one history record per
      executed query;
@@ -311,7 +311,20 @@ let oneshot () =
         Scanf.sscanf l "-- approx: count = %f +- %f" (fun estimate bound ->
             check (covers ~estimate ~bound n) "approx count %g +- %g misses %d"
               estimate bound n))
-    (lines out)
+    (lines out);
+  (* workload history of one adaptive query, summarized by [rawq report]
+     with its calibration table *)
+  let history = file "oneshot.history" in
+  let out =
+    rawq_ok
+      [ "--csv"; "t=" ^ obs ^ "@a:int,b:float"; "--shreds"; "adaptive";
+        "--history"; history; "SELECT MAX(b) FROM t WHERE a < 5" ]
+  in
+  check (rows_of out = [ "99" ]) "adaptive MAX(b): got %S" out;
+  let report = rawq_ok [ "report"; history ] in
+  check
+    (contains report "workload history:" && contains report "selratio")
+    "rawq report: no history header or calibration table:\n%s" report
 
 let serve () =
   let table name n m k =

@@ -61,7 +61,7 @@ let cost_tests =
             ~n_post_cols:1 ~selectivity:sel ~textual:true
         in
         Alcotest.(check bool) "low sel -> shreds" true
-          (Cost_model.choose (costs 0.05) = `Shreds);
+          (Cost_model.choose (costs 0.05) = Cost_model.Shreds);
         Alcotest.(check bool) "full never beaten by much at 100%" true
           (let c = costs 1.0 in
            c.full <= c.shreds));
@@ -71,7 +71,7 @@ let cost_tests =
             ~n_post_cols:6 ~selectivity:0.3 ~textual:true
         in
         Alcotest.(check bool) "multi cheapest" true
-          (Cost_model.choose c = `Multi_shreds || Cost_model.choose c = `Shreds);
+          (Cost_model.choose c = Cost_model.Multi_shreds || Cost_model.choose c = Cost_model.Shreds);
         Alcotest.(check bool) "multi <= shreds" true (c.multi_shreds <= c.shreds));
     Alcotest.test_case "selectivity estimation from stats" `Quick (fun () ->
         let stats = Table_stats.create () in

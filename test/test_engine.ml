@@ -120,14 +120,6 @@ let op_tests =
     Alcotest.test_case "limit zero" `Quick (fun () ->
         let op = Operator.limit 0 (Operator.of_chunks [ chunk_ab ]) in
         Alcotest.(check int) "none" 0 (Operator.row_count op));
-    Alcotest.test_case "union_all" `Quick (fun () ->
-        let op =
-          Operator.union_all
-            [ Operator.of_chunks [ int_chunk [| 1 |] ];
-              Operator.empty;
-              Operator.of_chunks [ int_chunk [| 2 |] ] ]
-        in
-        check_chunk "union" (int_chunk [| 1; 2 |]) (Operator.to_chunk op));
     Alcotest.test_case "scalar aggregate across chunks" `Quick (fun () ->
         let op =
           Operator.aggregate
@@ -342,21 +334,6 @@ let op_tests =
         let op = Operator.sort ~by:[ (0, `Desc) ] (Operator.of_chunks [ c ]) in
         check_column "desc" (Column.of_int_array [| 2; 2; 1; 1 |])
           (Chunk.column (Operator.to_chunk op) 0));
-    Alcotest.test_case "placeholder delegates after attach" `Quick (fun () ->
-        let handle, op = Operator.Placeholder.create () in
-        Alcotest.(check bool) "pull before attach fails" true
-          (try
-             ignore (Operator.next op);
-             false
-           with Failure _ -> true);
-        Operator.Placeholder.attach handle (Operator.of_chunks [ int_chunk [| 1 |] ]);
-        Alcotest.(check bool) "attached" true (Operator.Placeholder.is_attached handle);
-        check_chunk "delegates" (int_chunk [| 1 |]) (Operator.to_chunk op);
-        Alcotest.(check bool) "double attach fails" true
-          (try
-             Operator.Placeholder.attach handle Operator.empty;
-             false
-           with Failure _ -> true));
     Alcotest.test_case "map_chunks transforms each chunk" `Quick (fun () ->
         let op =
           Operator.map_chunks

@@ -5,7 +5,6 @@
 open Raw_core
 module History = Raw_obs.History
 module Summary = Raw_obs.Summary
-module Calibration = Raw_obs.Calibration
 module Io_stats = Raw_storage.Io_stats
 
 let contains hay needle =
@@ -157,8 +156,37 @@ let summary_suite =
 (* End-to-end: a 30-query mixed workload through the executor          *)
 (* ------------------------------------------------------------------ *)
 
+(* On a fresh table the estimate is the stats-free 0.5, where shreds are
+   cheapest for one filter and one post column; col0 = 100 * row makes the
+   observed selectivity 0.75, where full columns are. *)
+let reversed_sql = "SELECT MAX(col1) FROM t WHERE col0 < 150000"
+let adaptive = { Planner.default with Planner.shreds = Planner.Adaptive }
+
 let workload_suite =
   [
+    Alcotest.test_case "a reversed choice counts with every sink off" `Quick
+      (fun () ->
+        let db = Test_util.grid_csv_db ~n:2_000 ~m:4 () in
+        let before = Io_stats.get "planner.mispredict.shreds" in
+        ignore (Raw_db.query ~options:adaptive db reversed_sql);
+        Alcotest.(check int) "planner.mispredict.shreds" (before + 1)
+          (Io_stats.get "planner.mispredict.shreds"));
+    Alcotest.test_case "history without observe: prediction joined, no \
+                        decision log" `Quick (fun () ->
+        let path = Test_util.fresh_path ".jsonl" in
+        let config = { Config.default with Config.history_path = Some path } in
+        let db = Test_util.grid_csv_db ~config ~n:2_000 ~m:4 () in
+        let r = Raw_db.query ~options:adaptive db reversed_sql in
+        Alcotest.(check int) "no decisions" 0 (List.length r.Executor.decisions);
+        match History.load path with
+        | [ h ], 0 ->
+          Alcotest.(check string) "chosen" "shreds" h.History.strategy;
+          Alcotest.(check (option (float 1e-9))) "sel_est" (Some 0.5) h.sel_est;
+          Alcotest.(check bool) "cost_predicted" true (h.cost_predicted <> None);
+          Alcotest.(check (option bool)) "mispredicted" (Some true) h.mispredicted;
+          Alcotest.(check (option string)) "better" (Some "full") h.better
+        | l, skipped ->
+          Alcotest.failf "%d record(s), %d skipped" (List.length l) skipped);
     Alcotest.test_case "30 adaptive queries: JSONL, percentiles, \
                         calibration, mispredict counter" `Slow (fun () ->
         let path = Test_util.fresh_path ".jsonl" in
@@ -221,33 +249,30 @@ let workload_suite =
           (List.exists
              (fun (r : History.record) -> r.History.mispredicted = Some true)
              records);
-        (match Calibration.of_records records with
+        (match Summary.calibration records with
         | [] -> Alcotest.fail "no calibration stats"
         | stats ->
           let total_meas =
-            List.fold_left (fun a s -> a + s.Calibration.measurable) 0 stats
+            List.fold_left (fun a s -> a + s.Summary.measurable) 0 stats
           in
           let total_mis =
-            List.fold_left (fun a s -> a + s.Calibration.mispredicts) 0 stats
+            List.fold_left (fun a s -> a + s.Summary.mispredicts) 0 stats
           in
           Alcotest.(check int) "all records measurable" 30 total_meas;
           Alcotest.(check bool) "calibration sees the mispredictions" true
             (total_mis >= 1);
           List.iter
-            (fun (s : Calibration.strategy_stats) ->
+            (fun (s : Summary.strategy_stats) ->
               Alcotest.(check bool)
-                (s.Calibration.strategy ^ " ratio positive") true
-                (s.Calibration.sel_ratio_p50 > 0.))
+                (s.Summary.strategy ^ " ratio positive") true
+                (s.Summary.sel_ratio_p50 > 0.))
             stats);
         (* report renderings stay printable *)
         let report = Format.asprintf "%a" Summary.pp_report records in
         Alcotest.(check bool) "report header" true
           (contains report "workload history");
-        let cal =
-          Format.asprintf "%a" Calibration.pp_report
-            (Calibration.of_records records)
-        in
-        Alcotest.(check bool) "calibration legend" true (contains cal "selratio"));
+        Alcotest.(check bool) "calibration legend" true
+          (contains report "selratio"));
     Alcotest.test_case "deadline-exceeded query still lands in history" `Slow
       (fun () ->
         let path = Test_util.fresh_path ".jsonl" in

@@ -14,7 +14,7 @@ let policies = [ Planner.Early; Planner.Intermediate; Planner.Late ]
 let opt_name (o : Planner.options) =
   Printf.sprintf "%s/%s/%s"
     (Access.mode_to_string o.access)
-    (Planner.shred_strategy_to_string o.shreds)
+    (Cost_model.strategy_to_string o.shreds)
     (Planner.join_policy_to_string o.join_policy)
 
 let all_options =
@@ -335,9 +335,9 @@ let pushdown_tests =
         List.iter
           (fun o ->
             let trace plan =
-              let op, _, trace = Planner.plan_with_trace cat o plan in
-              Raw_engine.Operator.close op;
-              trace
+              let p = Planner.plan_with_trace cat o plan in
+              Raw_engine.Operator.close p.op;
+              p.trace
             in
             Alcotest.(check (list string)) (opt_name o) (trace by_hand) (trace bound))
           [ { Planner.default with join_policy = Planner.Early };
