@@ -229,57 +229,6 @@ let build_options ~mode ~shreds ~join_policy ~every =
     use_indexes = true;
   }
 
-let build_config ~par ~on_error ~deadline ~memory_budget ~max_concurrent
-    ~observe ~profile ~history ~approx ~approx_seed ~chunk_rows =
-  if par < 1 then failwith "--parallelism must be >= 1";
-  let on_error =
-    match Scan_errors.policy_of_string on_error with
-    | Some p -> p
-    | None -> failwith ("unknown error policy " ^ on_error)
-  in
-  {
-    Config.default with
-    Config.parallelism = par;
-    chunk_rows;
-    on_error;
-    deadline;
-    memory_budget = Option.map parse_bytes memory_budget;
-    max_concurrent;
-    observe;
-    profile;
-    history_path = history;
-    approx;
-    approx_seed;
-  }
-
-let main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy every
-    par on_error deadline memory_budget max_concurrent approx approx_seed
-    chunk_rows repl_flag stats metrics analyze trace_out profile profile_out
-    history query =
-  try
-    let options = build_options ~mode ~shreds ~join_policy ~every in
-    let profiling = profile || profile_out <> None in
-    let config =
-      build_config ~par ~on_error ~deadline ~memory_budget ~max_concurrent
-        ~observe:(analyze || trace_out <> None)
-        ~profile:profiling ~history ~approx ~approx_seed ~chunk_rows
-    in
-    let db = Raw_db.create ~config ~options () in
-    register_tables db ~csv ~jsonl ~jsonl_array ~fwb ~ibx ~hep ~sep;
-    (match query with
-     | Some q when not repl_flag ->
-       run_query db ~stats ~metrics ~trace_out ~profile ~profile_out q
-     | _ ->
-       repl db ~stats ~metrics ~trace_out ~profile ~profile_out;
-       0)
-  with
-  | Failure msg | Sys_error msg ->
-    Format.eprintf "rawq: %s@." msg;
-    2
-  | Resource_error.Invalid_config msg ->
-    Format.eprintf "rawq: invalid configuration: %s@." msg;
-    2
-
 let csv_arg =
   Arg.(value & opt_all string []
        & info [ "csv" ] ~docv:"NAME=PATH@SCHEMA"
@@ -454,6 +403,74 @@ let history_arg =
 let query_arg =
   Arg.(value & pos 0 (some string) None & info [] ~docv:"SQL")
 
+(* The table, access-path and engine flags of the query and serve
+   commands, as one term. Its value opens the engine: [open_db tune]
+   builds the planner options and the config ([tune] sets the command's
+   own Config fields), creates the db and registers the tables. A bad
+   flag value raises Failure there, inside the command's own handler. *)
+let engine_term =
+  let open_db csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
+      every par on_error deadline memory_budget max_concurrent approx
+      approx_seed chunk_rows history tune =
+    let options = build_options ~mode ~shreds ~join_policy ~every in
+    if par < 1 then failwith "--parallelism must be >= 1";
+    let on_error =
+      match Scan_errors.policy_of_string on_error with
+      | Some p -> p
+      | None -> failwith ("unknown error policy " ^ on_error)
+    in
+    let config =
+      tune
+        {
+          Config.default with
+          Config.parallelism = par;
+          chunk_rows;
+          on_error;
+          deadline;
+          memory_budget = Option.map parse_bytes memory_budget;
+          max_concurrent;
+          history_path = history;
+          approx;
+          approx_seed;
+        }
+    in
+    let db = Raw_db.create ~config ~options () in
+    register_tables db ~csv ~jsonl ~jsonl_array ~fwb ~ibx ~hep ~sep;
+    db
+  in
+  Term.(
+    const open_db $ csv_arg $ jsonl_arg $ jsonl_array_arg $ fwb_arg $ ibx_arg
+    $ hep_arg
+    $ (const (Option.value ~default:',') $ sep_arg)
+    $ mode_arg $ shreds_arg $ join_arg $ every_arg $ parallelism_arg
+    $ on_error_arg $ deadline_arg $ memory_budget_arg $ max_concurrent_arg
+    $ approx_arg $ approx_seed_arg $ chunk_rows_arg $ history_arg)
+
+let main open_db repl_flag stats metrics analyze trace_out profile profile_out
+    query =
+  try
+    let db =
+      open_db (fun c ->
+          {
+            c with
+            Config.observe = analyze || trace_out <> None;
+            profile = profile || profile_out <> None;
+          })
+    in
+    (match query with
+     | Some q when not repl_flag ->
+       run_query db ~stats ~metrics ~trace_out ~profile ~profile_out q
+     | _ ->
+       repl db ~stats ~metrics ~trace_out ~profile ~profile_out;
+       0)
+  with
+  | Failure msg | Sys_error msg ->
+    Format.eprintf "rawq: %s@." msg;
+    2
+  | Resource_error.Invalid_config msg ->
+    Format.eprintf "rawq: invalid configuration: %s@." msg;
+    2
+
 let report_cmd =
   let run file =
     let records, skipped = Raw_obs.History.load file in
@@ -595,31 +612,26 @@ let serve_profile_arg =
                  are bit-identical; scans pay the Gc.quick_stat \
                  sampling cost.")
 
-let serve_main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
-    every par on_error deadline memory_budget max_concurrent approx
-    approx_seed chunk_rows profile history socket batch_window no_result_cache
+let serve_main open_db profile socket batch_window no_result_cache
     max_request_bytes request_timeout idle_timeout max_sessions telemetry_tick
     trace_retain =
   try
-    let options = build_options ~mode ~shreds ~join_policy ~every in
-    let config =
-      build_config ~par ~on_error ~deadline ~memory_budget ~max_concurrent
-        ~observe:false ~profile ~history ~approx ~approx_seed ~chunk_rows
+    let db =
+      open_db (fun c ->
+          {
+            c with
+            Config.profile;
+            max_request_bytes = parse_bytes max_request_bytes;
+            request_timeout =
+              (if request_timeout <= 0. then None else Some request_timeout);
+            idle_timeout =
+              (if idle_timeout <= 0. then None else Some idle_timeout);
+            max_sessions =
+              (if max_sessions <= 0 then None else Some max_sessions);
+            telemetry_tick = Float.max 0. telemetry_tick;
+            trace_retain = max 0 trace_retain;
+          })
     in
-    let config =
-      {
-        config with
-        Config.max_request_bytes = parse_bytes max_request_bytes;
-        request_timeout =
-          (if request_timeout <= 0. then None else Some request_timeout);
-        idle_timeout = (if idle_timeout <= 0. then None else Some idle_timeout);
-        max_sessions = (if max_sessions <= 0 then None else Some max_sessions);
-        telemetry_tick = Float.max 0. telemetry_tick;
-        trace_retain = max 0 trace_retain;
-      }
-    in
-    let db = Raw_db.create ~config ~options () in
-    register_tables db ~csv ~jsonl ~jsonl_array ~fwb ~ibx ~hep ~sep;
     if Raw_db.tables db = [] then
       failwith "no tables registered; pass --csv/--jsonl/--fwb/--ibx/--hep";
     (* printed (and flushed) before serving so a supervisor — e.g. the CI
@@ -658,16 +670,10 @@ let serve_cmd =
           caps that shed load with retry hints. \
           Shut down with $(b,rawq client --socket PATH --shutdown).")
     Term.(
-      const serve_main $ csv_arg $ jsonl_arg $ jsonl_array_arg $ fwb_arg
-      $ ibx_arg $ hep_arg
-      $ (const (Option.value ~default:',') $ sep_arg)
-      $ mode_arg $ shreds_arg $ join_arg $ every_arg $ parallelism_arg
-      $ on_error_arg $ deadline_arg $ memory_budget_arg $ max_concurrent_arg
-      $ approx_arg $ approx_seed_arg $ chunk_rows_arg
-      $ serve_profile_arg
-      $ history_arg $ socket_arg $ batch_window_arg $ no_result_cache_arg
-      $ max_request_bytes_arg $ request_timeout_arg $ idle_timeout_arg
-      $ max_sessions_arg $ telemetry_tick_arg $ trace_retain_arg)
+      const serve_main $ engine_term $ serve_profile_arg $ socket_arg
+      $ batch_window_arg $ no_result_cache_arg $ max_request_bytes_arg
+      $ request_timeout_arg $ idle_timeout_arg $ max_sessions_arg
+      $ telemetry_tick_arg $ trace_retain_arg)
 
 let render_cell =
   let module J = Raw_obs.Jsons in
@@ -1128,14 +1134,9 @@ let cmd =
   in
   let default =
     Term.(
-      const main $ csv_arg $ jsonl_arg $ jsonl_array_arg $ fwb_arg $ ibx_arg $ hep_arg
-      $ (const (Option.value ~default:',') $ sep_arg)
-      $ mode_arg $ shreds_arg $ join_arg $ every_arg $ parallelism_arg
-      $ on_error_arg $ deadline_arg $ memory_budget_arg $ max_concurrent_arg
-      $ approx_arg $ approx_seed_arg $ chunk_rows_arg
-      $ repl_arg $ stats_arg $ metrics_arg $ analyze_arg $ trace_out_arg
-      $ profile_arg $ profile_out_arg
-      $ history_arg $ query_arg)
+      const main $ engine_term $ repl_arg $ stats_arg $ metrics_arg
+      $ analyze_arg $ trace_out_arg $ profile_arg $ profile_out_arg
+      $ query_arg)
   in
   Cmd.group ~default info
     [ report_cmd; profile_cmd; serve_cmd; client_cmd; top_cmd ]

@@ -4,7 +4,6 @@ open Raw_engine
 open Raw_formats
 module Metrics = Raw_obs.Metrics
 module Trace = Raw_obs.Trace
-module Decisions = Raw_obs.Decisions
 
 type mode = Dbms | External | In_situ | Jit
 
@@ -66,7 +65,7 @@ let read cat ~mode ~(entry : Catalog.entry) ~tracked ~cols rows =
     | Ids r ->
       ("fetch", Some r, [ ("phase", "fetch"); ("rows", string_of_int (Array.length r)) ])
   in
-  Decisions.record ~site:"scan.kernel"
+  Trace.decision ~site:"scan.kernel"
     ~choice:(Scan_csv.mode_to_string smode)
     (("table", entry.name) :: ("format", Format_kind.to_string entry.format) :: shape);
   (* charge this read's generated kernel; [prefix] keeps IBX and JSONL
@@ -82,7 +81,7 @@ let read cat ~mode ~(entry : Catalog.entry) ~tracked ~cols rows =
     | All ->
       let posmap = entry.state.posmap in
       let build_pm = posmap = None && tracked <> [] && mode <> External in
-      Decisions.record ~site:"posmap"
+      Trace.decision ~site:"posmap"
         ~choice:
           (if build_pm then "build" else if posmap <> None then "have" else "skip")
         [ ("table", entry.name); ("tracked", string_of_int (List.length tracked)) ];
@@ -98,7 +97,7 @@ let read cat ~mode ~(entry : Catalog.entry) ~tracked ~cols rows =
     | Ids rowids ->
       let posmap = need "CSV fetch without positional map" entry.state.posmap in
       let tracked = Array.to_list (Posmap.tracked posmap) in
-      Decisions.record ~site:"posmap" ~choice:"use"
+      Trace.decision ~site:"posmap" ~choice:"use"
         [ ("table", entry.name); ("tracked", string_of_int (List.length tracked)) ];
       jit "csv" (Scan_csv.template_key ~sep ~tracked);
       Scan_csv.fetch ~mode:smode ~policy ~file:(Catalog.file cat entry) ~sep
@@ -269,7 +268,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
         cols
     in
     if List.length uncovered < List.length cols then
-      Decisions.record ~site:"shred_pool" ~choice:"reuse"
+      Trace.decision ~site:"shred_pool" ~choice:"reuse"
         [
           ("table", entry.name);
           ( "columns",
@@ -282,7 +281,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
        complete columns *)
     let scan_and_pool ?(why = []) cols =
       if cols <> [] then begin
-        Decisions.record ~site:"access.path" ~choice:"full_scan_pool"
+        Trace.decision ~site:"access.path" ~choice:"full_scan_pool"
           (("table", entry.name)
           :: ("columns", string_of_int (List.length cols))
           :: why);
@@ -317,7 +316,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
     in
     if streaming <> [] then begin
       Metrics.add Metrics.gov_fallback_streaming (List.length streaming);
-      Decisions.record ~site:"access.path" ~choice:"stream"
+      Trace.decision ~site:"access.path" ~choice:"stream"
         [
           ("table", entry.name);
           ("columns", string_of_int (List.length streaming));
@@ -327,7 +326,7 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
       List.iteri (fun k c -> Hashtbl.replace results c packed.(k)) streaming
     end;
     if reachable <> [] then begin
-      Decisions.record ~site:"access.path" ~choice:"point_fetch"
+      Trace.decision ~site:"access.path" ~choice:"point_fetch"
         [
           ("table", entry.name);
           ("columns", string_of_int (List.length reachable));
@@ -392,7 +391,7 @@ let one_pass cat ~mode ~(entry : Catalog.entry) ~tracked cols =
     (fun (_, h) -> if Option.is_none h then Shred_pool.record_miss pool else Shred_pool.record_hit pool)
     held;
   let full = scan_and_pool cat ~mode ~entry ~tracked cold in
-  Decisions.record ~site:"access.path" ~choice:"one_pass"
+  Trace.decision ~site:"access.path" ~choice:"one_pass"
     [
       ("table", entry.name);
       ("columns", String.concat "," (List.map (Schema.name entry.schema) cold));

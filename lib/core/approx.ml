@@ -17,7 +17,7 @@ open Raw_vector
 open Raw_storage
 open Raw_engine
 module Metrics = Raw_obs.Metrics
-module Decisions = Raw_obs.Decisions
+module Trace = Raw_obs.Trace
 
 type band = {
   name : string;
@@ -151,7 +151,7 @@ let contrib_of col =
 (* ------------------------------------------------------------------ *)
 
 let record_stop ~choice ~eps ~seed ~morsels ~morsels_total ~frac =
-  Decisions.record ~site:"scan.approx_stop" ~choice
+  Trace.decision ~site:"scan.approx_stop" ~choice
     [
       ("eps", Printf.sprintf "%g" eps);
       ("seed", string_of_int seed);
@@ -163,7 +163,7 @@ let run cat ~(options : Planner.options) ~eps ~seed logical =
   match shape_of cat logical with
   | Error reason ->
     Metrics.incr Metrics.approx_ineligible;
-    Decisions.record ~site:"scan.approx_stop" ~choice:"ineligible"
+    Trace.decision ~site:"scan.approx_stop" ~choice:"ineligible"
       [ ("reason", reason) ];
     Ineligible reason
   | Ok s ->

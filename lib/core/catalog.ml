@@ -93,7 +93,7 @@ let register_consumers t budget =
               s.row_starts <- None;
               s.hep_index <- None;
               s.jarr_index <- None;
-              Raw_obs.Decisions.record ~site:"governance" ~choice:"evict_posmap"
+              Raw_obs.Trace.decision ~site:"governance" ~choice:"evict_posmap"
                 [ ("table", e.name); ("freed_bytes", string_of_int bytes) ]))
         (sorted_entries t)
       @ (Hashtbl.fold (fun path r acc -> (path, r) :: acc) t.hep_readers []
@@ -102,7 +102,7 @@ let register_consumers t budget =
                let bytes = Hep.Reader.offsets_bytes r in
                item bytes (fun () ->
                    Hep.Reader.drop_offsets r;
-                   Raw_obs.Decisions.record ~site:"governance"
+                   Raw_obs.Trace.decision ~site:"governance"
                      ~choice:"evict_event_offsets"
                      [ ("path", path); ("freed_bytes", string_of_int bytes) ]))));
   register "file_pages" 4 (fun () ->
@@ -364,7 +364,7 @@ let set_n_rows entry n = entry.state.n_rows <- Some n
 let set_posmap t entry pm =
   if reserve_bytes t (Posmap.byte_size pm) then begin
     entry.state.posmap <- Some pm;
-    Raw_obs.Decisions.record ~site:"governance" ~choice:"retain_posmap"
+    Raw_obs.Trace.decision ~site:"governance" ~choice:"retain_posmap"
       [
         ("table", entry.name);
         ("bytes", string_of_int (Posmap.byte_size pm));
@@ -372,7 +372,7 @@ let set_posmap t entry pm =
   end
   else begin
     Metrics.incr Metrics.gov_fallback_posmap;
-    Raw_obs.Decisions.record ~site:"governance" ~choice:"drop_posmap"
+    Raw_obs.Trace.decision ~site:"governance" ~choice:"drop_posmap"
       [
         ("table", entry.name);
         ("bytes", string_of_int (Posmap.byte_size pm));
@@ -571,12 +571,12 @@ let refresh_path t path =
     (match try_extend t ~now changed with
      | Ok (verified, rows) ->
        Metrics.incr Metrics.catalog_extends;
-       Raw_obs.Decisions.record ~site:"catalog" ~choice:"extend_file"
+       Raw_obs.Trace.decision ~site:"catalog" ~choice:"extend_file"
          [ ("path", path); tables; ("bytes_verified", string_of_int verified);
            ("rows_appended", string_of_int rows) ]
      | Error reason ->
        ignore (invalidate_path t path);
        Metrics.incr Metrics.catalog_invalidations;
-       Raw_obs.Decisions.record ~site:"catalog" ~choice:"invalidate_file"
+       Raw_obs.Trace.decision ~site:"catalog" ~choice:"invalidate_file"
          [ ("path", path); tables; ("reason", reason) ]);
     touched

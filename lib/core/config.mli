@@ -47,10 +47,10 @@ type t = {
           {!Raw_storage.Resource_error.Overloaded}. [None] (default)
           admits everything. *)
   observe : bool;
-      (** record a per-query span tree ({!Raw_obs.Trace}) and
-          adaptive-decision audit log ({!Raw_obs.Decisions}), surfaced in
-          [Executor.report.spans]/[.decisions]. [false] (default) leaves
-          both at their no-op sinks: span sites cost one domain-local read
+      (** record a per-query span tree ({!Raw_obs.Trace}) with its
+          adaptive decisions as events, surfaced in
+          [Executor.report.spans]. [false] (default) leaves it at its
+          no-op sink: span and decision sites cost one domain-local read
           and a branch. *)
   profile : bool;
       (** per-query resource profiling ({!Raw_obs.Prof}): raise the

@@ -2,7 +2,6 @@ open Raw_vector
 open Raw_storage
 open Raw_engine
 module Trace = Raw_obs.Trace
-module Decisions = Raw_obs.Decisions
 module Metrics = Raw_obs.Metrics
 
 type report = {
@@ -19,7 +18,6 @@ type report = {
   errors : Scan_errors.snapshot;
   degraded : string list;
   spans : Trace.span list;
-  decisions : Decisions.record list;
   approx : Approx.info option;
 }
 
@@ -136,20 +134,20 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
       Some h
     end
   in
-  let dec_h = if cfg.Config.observe then Some (Decisions.create ()) else None in
   (* the Adaptive resolution of the plan that ran, set once planning is
      done so that a failed query is still measured *)
   let prediction = ref None in
+  (* the open query span, to record the post-run planner.adaptive
+     decision under it *)
+  let query_span = ref None in
   let with_obs f =
-    let f =
-      match dec_h with
-      | None -> f
-      | Some d -> fun () -> Decisions.with_handle d f
-    in
     match trace_h with
     | None -> f ()
     | Some h ->
-      Trace.with_handle h (fun () -> Trace.with_span ~cat:"query" "query" f)
+      Trace.with_handle h (fun () ->
+          Trace.with_span ~cat:"query" "query" (fun () ->
+              query_span := Trace.fork ();
+              f ()))
   in
   (* the coordinator's GC baseline; workers sample their own domains
      inside Morsel, so the merged alloc.*/gc.* deltas are additive *)
@@ -236,20 +234,21 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
       let costs = Cost_model.costs_at p ~n_rows ~selectivity:p.selectivity in
       let choice = Cost_model.strategy_to_string p.choice in
       Option.iter
-        (fun d ->
-          Decisions.record_into d ~site:"planner.adaptive" ~choice
-            [
-              ("table", p.table);
-              ("selectivity", Printf.sprintf "%.4f" p.selectivity);
-              ("cost_full", Printf.sprintf "%.1f" costs.full);
-              ("cost_shreds", Printf.sprintf "%.1f" costs.shreds);
-              ("cost_multishreds", Printf.sprintf "%.1f" costs.multi_shreds);
-              ("n_rows", string_of_int n_rows);
-              ("n_filter_cols", string_of_int p.n_filter_cols);
-              ("n_post_cols", string_of_int p.n_post_cols);
-              ("textual", string_of_bool p.textual);
-            ])
-        dec_h;
+        (fun fp ->
+          Trace.with_fork fp ~tid:0 (fun () ->
+              Trace.decision ~site:"planner.adaptive" ~choice
+                [
+                  ("table", p.table);
+                  ("selectivity", Printf.sprintf "%.4f" p.selectivity);
+                  ("cost_full", Printf.sprintf "%.1f" costs.full);
+                  ("cost_shreds", Printf.sprintf "%.1f" costs.shreds);
+                  ("cost_multishreds", Printf.sprintf "%.1f" costs.multi_shreds);
+                  ("n_rows", string_of_int n_rows);
+                  ("n_filter_cols", string_of_int p.n_filter_cols);
+                  ("n_post_cols", string_of_int p.n_post_cols);
+                  ("textual", string_of_bool p.textual);
+                ]))
+        !query_span;
       let cost_predicted = Some (Cost_model.cost_of costs p.choice) in
       (match sel_obs with
        | None -> (cost_predicted, None, None)
@@ -373,7 +372,6 @@ let run ~options ~cancel ?(pre_spans = []) cat logical =
     errors = Scan_errors.snapshot ();
     degraded;
     spans = (match trace_h with Some h -> Trace.spans h | None -> []);
-    decisions = (match dec_h with Some d -> Decisions.records d | None -> []);
     approx;
   }
 
@@ -429,9 +427,8 @@ let pp_report ppf r =
     Format.fprintf ppf "@,-- degraded: %s" (String.concat "; " r.degraded);
   if r.spans <> [] then
     Format.fprintf ppf "@\n-- spans:@\n%a" Raw_obs.Export.pp_span_tree r.spans;
-  if r.decisions <> [] then begin
-    Format.fprintf ppf "@\n-- decisions (%d):" (List.length r.decisions);
-    List.iter
-      (fun d -> Format.fprintf ppf "@\n--   %a" Decisions.pp d)
-      r.decisions
-  end
+  match Trace.decisions r.spans with
+  | [] -> ()
+  | ds ->
+    Format.fprintf ppf "@\n-- decisions (%d):" (List.length ds);
+    List.iter (fun d -> Format.fprintf ppf "@\n--   %a" Trace.pp_decision d) ds

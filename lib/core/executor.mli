@@ -41,12 +41,12 @@ type report = {
       from the query's [gov.*] counter delta; empty when nothing degraded *)
   spans : Raw_obs.Trace.span list;
   (** the query's span tree (parse/bind/plan/compile/scan morsels), ordered
-      by start time; empty unless {!Config.observe} is on *)
-  decisions : Raw_obs.Decisions.record list;
-  (** adaptive-decision audit log (JIT vs interpreted, posmap use, shred
-      reuse, cache hits, governance degradation, and last the
-      [planner.adaptive] record of an [Adaptive] query) in recording
-      order; empty unless {!Config.observe} is on *)
+      by start time, with its adaptive decisions (JIT vs interpreted,
+      posmap use, shred reuse, cache hits, governance degradation, and
+      last the [planner.adaptive] record of an [Adaptive] query) as
+      zero-length events under the span that made them —
+      {!Raw_obs.Trace.decisions} reads them back in recording order;
+      empty unless {!Config.observe} or {!Config.profile} is on *)
   approx : Approx.info option;
   (** online-aggregation account when {!Config.approx} drove this query:
       estimate ± bound per output column, sampled fraction, and whether
@@ -73,9 +73,9 @@ val run :
     payload accounts the partial progress: rows scanned, simulated I/O and
     compile seconds consumed, and elapsed wall time.
 
-    Observability: when {!Config.observe} is set, the run installs a
-    {!Raw_obs.Trace} handle (morsel workers inherit it) and a
-    {!Raw_obs.Decisions} log for its duration; both land in the report.
+    Observability: when {!Config.observe} or {!Config.profile} is set,
+    the run installs one {!Raw_obs.Trace} handle (morsel workers inherit
+    it) for its duration; its spans and decisions land in the report.
     [pre_spans] stitches in phases timed before this call — each
     [(name, t0, t1)] triple (absolute {!Raw_storage.Timing.now} instants,
     e.g. SQL parse/bind in {!Raw_db.query}) becomes a top-level span and
@@ -87,15 +87,16 @@ val run :
     row count (known after the run unless it failed before sizing the
     table; then there is no feedback) and re-costs it at the observed
     filter selectivity. A choice the cost model would reverse there bumps
-    [planner.mispredict.<chosen>], whatever sinks are on. Under
-    {!Config.observe} the prediction becomes the [planner.adaptive]
-    decision record. When {!Config.history_path} is set, one
+    [planner.mispredict.<chosen>], whatever sinks are on. When the run
+    is traced the prediction becomes the [planner.adaptive] decision,
+    under the [query] span. When {!Config.history_path} is set, one
     {!Raw_obs.History} record per run — completed, failed, cancelled or
     deadline-exceeded alike — is appended there with the full
     predicted-vs-actual account. *)
 
 val pp_report : Format.formatter -> report -> unit
-(** Result rows (with header) followed by the timing line. *)
+(** Result rows (with header) followed by the timing line; when traced,
+    the span tree and a [-- decisions (N):] list. *)
 
 val pp_result : Format.formatter -> report -> unit
 (** Result rows only. *)

@@ -52,11 +52,10 @@ let map_domains ?(cancel = Cancel.current ()) work items =
         [ timed_work item ])
   | items ->
     (* DLS is not inherited across Domain.spawn: re-install the cancel
-       token, and the trace/decision contexts when observing, in each
-       worker. Worker spans parent under the coordinator's current span
-       with tid 1 + morsel index. *)
+       token, and the trace context when observing, in each worker.
+       Worker spans and decisions parent under the coordinator's current
+       span with tid 1 + morsel index. *)
     let fp = Trace.fork () in
-    let dfork = Raw_obs.Decisions.fork () in
     (* the profiling gate is DLS too: mirror the coordinator's value so
        worker-side copy sites and GC deltas are attributed; each worker
        samples its own domain's GC counters, so merged alloc counters
@@ -67,11 +66,6 @@ let map_domains ?(cancel = Cancel.current ()) work items =
       Prof_gate.set prof;
       let g0 = if prof then Some (Raw_obs.Prof.sample ()) else None in
       let with_obs f =
-        let f =
-          match dfork with
-          | Some d -> fun () -> Raw_obs.Decisions.with_handle d f
-          | None -> f
-        in
         match fp with
         | Some fp -> Trace.with_fork fp ~tid:(i + 1) f
         | None -> f ()

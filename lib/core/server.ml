@@ -16,7 +16,6 @@ open Raw_vector
 open Raw_storage
 module Metrics = Raw_obs.Metrics
 module Jsons = Raw_obs.Jsons
-module Decisions = Raw_obs.Decisions
 module Trace = Raw_obs.Trace
 module Export = Raw_obs.Export
 module Prof = Raw_obs.Prof
@@ -247,6 +246,31 @@ module Trace_ring = struct
         List.filter (fun x -> now -. x.captured <= t.max_age) t.entries)
 end
 
+(* The latest armor events (shed, reap, too-large, watchdog, shared-scan
+   fallback) as (site, choice, inputs), for the [stats] op: a fixed ring,
+   so the newest event always shows however long the server has run. *)
+module Armor = struct
+  type t = {
+    mutex : Mutex.t;
+    ring : (string * string * (string * string) list) array;
+    mutable n : int; (* events recorded since start *)
+  }
+
+  let create () = { mutex = Mutex.create (); ring = Array.make 32 ("", "", []); n = 0 }
+
+  let record t ~site ~choice inputs =
+    Mutex.protect t.mutex (fun () ->
+        t.ring.(t.n mod Array.length t.ring) <- (site, choice, inputs);
+        t.n <- t.n + 1)
+
+  (* oldest first *)
+  let recent t =
+    Mutex.protect t.mutex (fun () ->
+        let cap = Array.length t.ring in
+        let k = min t.n cap in
+        List.init k (fun i -> t.ring.((t.n - k + i) mod cap)))
+end
+
 (* A session's next request is read only after its reply is written, so
    the queue holds at most one request per session and the session cap
    already bounds it. This bounds it when the cap is off or set above
@@ -268,7 +292,7 @@ type t = {
   started : float;
   window : Window.t; (* ring of periodic counter snapshots *)
   traces : Trace_ring.t; (* slowest recent request traces *)
-  log : Decisions.handle; (* always-on armor audit log *)
+  armor : Armor.t; (* always-on armor audit log *)
   engine : Mutex.t;
       (* held by the batcher across a batch, and by a session thread
          across its bind, refresh and result-cache lookup *)
@@ -424,7 +448,7 @@ let run_shared t ~t_batch members =
       members outcomes
   | Error e ->
     Metrics.incr Metrics.server_shared_fallbacks;
-    Decisions.record_into t.log ~site:"server.shared_scan"
+    Armor.record t.armor ~site:"server.shared_scan"
       ~choice:"fallback_individual"
       [
         ("members", string_of_int (List.length members));
@@ -518,7 +542,7 @@ let rec batcher_supervisor t =
   | () -> ()
   | exception e ->
     Metrics.incr Metrics.server_batcher_restarts;
-    Decisions.record_into t.log ~site:"server.watchdog"
+    Armor.record t.armor ~site:"server.watchdog"
       ~choice:"batcher_restart"
       [ ("error", Printexc.to_string e) ];
     Printf.eprintf "rawq serve: batcher restarted after: %s\n%!"
@@ -704,7 +728,7 @@ let submit t session_id ~trace ~timing sql =
   | `Stopping -> err ~kind:"shutting_down" 5 "server is shutting down"
   | `Full ->
     Metrics.incr Metrics.server_shed_requests;
-    Decisions.record_into t.log ~site:"server.shed" ~choice:"queue_full"
+    Armor.record t.armor ~site:"server.shed" ~choice:"queue_full"
       [
         ("session", string_of_int session_id);
         ("max_pending", string_of_int max_pending);
@@ -763,14 +787,6 @@ let stats_response t id =
   let sessions_active =
     Mutex.protect t.qm (fun () -> List.length t.session_fds)
   in
-  (* last few armor records: why recent connections were shed/reaped *)
-  let recent =
-    let all = Decisions.records t.log in
-    let rec drop k l =
-      match l with _ :: tl when k > 0 -> drop (k - 1) tl | l -> l
-    in
-    drop (List.length all - 32) all
-  in
   Jsons.Obj
     [
       ("id", id);
@@ -798,18 +814,17 @@ let stats_response t id =
       ( "armor",
         Jsons.List
           (List.map
-             (fun (r : Decisions.record) ->
+             (fun (site, choice, inputs) ->
                Jsons.Obj
                  [
-                   ("site", Jsons.Str r.Decisions.site);
-                   ("choice", Jsons.Str r.Decisions.choice);
+                   ("site", Jsons.Str site);
+                   ("choice", Jsons.Str choice);
                    ( "inputs",
                      Jsons.Obj
-                       (List.map
-                          (fun (k, v) -> (k, Jsons.Str v))
-                          r.Decisions.inputs) );
+                       (List.map (fun (k, v) -> (k, Jsons.Str v)) inputs) );
                  ])
-             recent) );
+             (* why recent connections were shed or reaped *)
+             (Armor.recent t.armor)) );
     ]
 
 (* Prometheus text exposition tunneled through the line protocol: the
@@ -1000,7 +1015,7 @@ let handle_session t session_id fd =
           `Continue)
   in
   let reap choice =
-    Decisions.record_into t.log ~site:"server.reap" ~choice
+    Armor.record t.armor ~site:"server.reap" ~choice
       [
         ("session", string_of_int session_id);
         ( "limit_seconds",
@@ -1024,7 +1039,7 @@ let handle_session t session_id fd =
       (* typed response, session stays usable: the oversized line was
          drained, the next line parses normally *)
       Metrics.incr Metrics.server_too_large;
-      Decisions.record_into t.log ~site:"server.protocol" ~choice:"too_large"
+      Armor.record t.armor ~site:"server.protocol" ~choice:"too_large"
         [
           ("session", string_of_int session_id);
           ("limit_bytes", string_of_int t.max_request_bytes);
@@ -1115,7 +1130,7 @@ let serve ?(batch_window = 0.002) ?(cache_results = true) ~socket_path db =
       started = Timing.now ();
       window = Window.create ~interval:(Float.max cfg.Config.telemetry_tick 0.01) ();
       traces = Trace_ring.create ~cap:cfg.Config.trace_retain;
-      log = Decisions.create ~cap:65536 ();
+      armor = Armor.create ();
       engine = Mutex.create ();
       qm = Mutex.create ();
       qc = Condition.create ();
@@ -1187,7 +1202,7 @@ let serve ?(batch_window = 0.002) ?(cache_results = true) ~socket_path db =
                 sessions := Thread.create (handle_session t id) fd :: !sessions
               else begin
                 Metrics.incr Metrics.server_shed_sessions;
-                Decisions.record_into t.log ~site:"server.shed"
+                Armor.record t.armor ~site:"server.shed"
                   ~choice:"session_cap"
                   [
                     ( "max_sessions",

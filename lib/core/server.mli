@@ -67,10 +67,10 @@
       whose warm pass raises runs its members unshared
       ([server.shared_fallbacks]).
 
-    Every armor event is also recorded into a server-owned
-    {!Raw_obs.Decisions} handle (sites [server.shed], [server.reap],
-    [server.protocol], [server.watchdog], [server.shared_scan]); the
-    [stats] op returns the most recent records alongside the counters.
+    Every armor event is also recorded into a server-owned ring of the
+    latest 32 (sites [server.shed], [server.reap], [server.protocol],
+    [server.watchdog], [server.shared_scan]); the [stats] op returns them,
+    oldest first, alongside the counters.
 
     {b Continuous telemetry.} Governed by two {!Config} knobs:
     - [Config.telemetry_tick] (default 1 s; 0 disables): a ticker thread

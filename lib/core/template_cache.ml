@@ -41,7 +41,7 @@ let get t ~kind ~key compile =
       | Some artifact ->
         t.hits <- t.hits + 1;
         Raw_obs.Metrics.incr Raw_obs.Metrics.tmpl_hits;
-        Raw_obs.Decisions.record ~site:"template_cache" ~choice:"hit"
+        Raw_obs.Trace.decision ~site:"template_cache" ~choice:"hit"
           [ ("kind", kind); ("key", bare_key) ];
         Obj.obj artifact
       | None ->
@@ -51,7 +51,7 @@ let get t ~kind ~key compile =
         Raw_obs.Metrics.incr Raw_obs.Metrics.tmpl_misses;
         Raw_obs.Metrics.add_float Raw_obs.Metrics.tmpl_compile_seconds
           t.compile_seconds;
-        Raw_obs.Decisions.record ~site:"template_cache" ~choice:"compile"
+        Raw_obs.Trace.decision ~site:"template_cache" ~choice:"compile"
           [
             ("kind", kind);
             ("key", bare_key);
@@ -84,7 +84,7 @@ let items t =
           let bytes = entry_bytes key in
           let drop () =
             Mutex.protect t.mutex (fun () -> Lru.remove t.table key);
-            Raw_obs.Decisions.record ~site:"template_cache" ~choice:"evict"
+            Raw_obs.Trace.decision ~site:"template_cache" ~choice:"evict"
               [ ("key", key); ("freed_bytes", string_of_int bytes) ]
           in
           { Mem_budget.bytes; drop } :: acc)

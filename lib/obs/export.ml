@@ -192,7 +192,9 @@ let prometheus () = prometheus_of_snapshot (Io_stats.snapshot ())
 (* Human-readable span tree (EXPLAIN ANALYZE style)                    *)
 (* ------------------------------------------------------------------ *)
 
+(* decision events are listed apart (Executor.pp_report), not as nodes *)
 let pp_span_tree ppf spans =
+  let spans = List.filter (fun s -> not (Trace.is_decision s)) spans in
   let children = Hashtbl.create 32 in
   let roots = ref [] in
   List.iter

@@ -44,4 +44,5 @@ val escape_label_value : string -> string
 
 val pp_span_tree : Format.formatter -> Trace.span list -> unit
 (** Indented tree (children under parents, ordered by start time) with
-    per-span durations, worker tids and compact args. *)
+    per-span durations, worker tids and compact args. Decision events
+    ({!Trace.decision}) are left out. *)

@@ -379,7 +379,7 @@ let par_domain =
 
 let obs_decisions_dropped =
   counter "obs.decisions_dropped"
-    ~help:"Adaptive-decision records dropped past the audit-log cap"
+    ~help:"Decision events dropped past a trace handle's cap of 4096"
 
 let io_simulated_seconds =
   counter "io.simulated_seconds"

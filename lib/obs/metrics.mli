@@ -206,6 +206,9 @@ val catalog_invalidations : t
 
 val par_domain : t
 val obs_decisions_dropped : t
+(** {!Trace.decision} events dropped because their trace handle already
+    held its cap of 4096 (the first ones are kept). *)
+
 val io_simulated_seconds : t
 
 (** {2 Resource-profiler vocabulary (PR 10)}

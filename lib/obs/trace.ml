@@ -3,8 +3,9 @@ open Raw_storage
 (* Spans are recorded at close into a handle shared by every domain of the
    query (mutex-protected append; ids from the handle too, so parent links
    are exact across domains). The ambient context is domain-local: when no
-   handle is installed — the default — [with_span] is one DLS read and a
-   match, which is what makes disabled observability near-free. *)
+   handle is installed — the default — [with_span] and [decision] are one
+   DLS read and a match, which is what makes disabled observability
+   near-free. *)
 
 type span = {
   id : int;
@@ -22,6 +23,7 @@ type handle = {
   epoch : float;
   mutable recorded : span list; (* reverse completion order *)
   mutable next_id : int;
+  mutable decisions : int; (* decision events recorded, at most decision_cap *)
 }
 
 type frame = {
@@ -47,6 +49,7 @@ let create ?epoch () =
     epoch = (match epoch with Some e -> e | None -> Timing.now ());
     recorded = [];
     next_id = 0;
+    decisions = 0;
   }
 
 let fresh_id h =
@@ -66,16 +69,15 @@ let with_ctx ctx f =
 
 let with_handle h f = with_ctx { h; tid = 0; base = None; stack = [] } f
 
+(* the innermost open span: the parent of whatever is recorded next *)
+let parent_of ctx = match ctx.stack with fr :: _ -> Some fr.f_id | [] -> ctx.base
+
 type fork_point = { fp_h : handle; fp_parent : int option }
 
 let fork () =
   match Domain.DLS.get key with
   | None -> None
-  | Some ctx ->
-    let parent =
-      match ctx.stack with fr :: _ -> Some fr.f_id | [] -> ctx.base
-    in
-    Some { fp_h = ctx.h; fp_parent = parent }
+  | Some ctx -> Some { fp_h = ctx.h; fp_parent = parent_of ctx }
 
 let with_fork fp ~tid f =
   with_ctx { h = fp.fp_h; tid; base = fp.fp_parent; stack = [] } f
@@ -111,9 +113,7 @@ let with_span ?(cat = "raw") ?(args = []) name f =
   match Domain.DLS.get key with
   | None -> f ()
   | Some ctx ->
-    let parent =
-      match ctx.stack with fr :: _ -> Some fr.f_id | [] -> ctx.base
-    in
+    let parent = parent_of ctx in
     let gc0 = if Prof_gate.on () then Some (gc_stat ()) else None in
     let fr =
       {
@@ -166,10 +166,59 @@ let record h ?id ?(tid = 0) ?parent ?(cat = "raw") ?(args = []) ~start ~dur
       args;
     }
 
+(* A decision is a zero-length span under the innermost open span. A
+   handle keeps its first decision_cap: the planner's decisions land
+   early and must not be evicted by a scan that fetches thousands of
+   chunks; later ones are counted as dropped. *)
+let decision_cat = "decision"
+let decision_cap = 4096
+
+let decision ~site ~choice inputs =
+  match Domain.DLS.get key with
+  | None -> ()
+  | Some ({ h; _ } as ctx) ->
+    let kept =
+      Mutex.protect h.mutex (fun () ->
+          h.decisions < decision_cap
+          && (h.decisions <- h.decisions + 1;
+              true))
+    in
+    if kept then
+      record h ~tid:ctx.tid ?parent:(parent_of ctx) ~cat:decision_cat
+        ~args:(("choice", choice) :: inputs) ~start:(Timing.now ()) ~dur:0.
+        site
+    else Io_stats.incr "obs.decisions_dropped"
+
 let spans h =
   Mutex.protect h.mutex (fun () -> h.recorded)
   |> List.sort (fun a b ->
          match compare a.start_s b.start_s with 0 -> compare a.id b.id | c -> c)
+
+type decision = {
+  site : string;
+  choice : string;
+  inputs : (string * string) list;
+}
+
+let is_decision s = s.cat = decision_cat
+
+let decisions spans =
+  List.filter_map
+    (fun s ->
+      match s.args with
+      | ("choice", choice) :: inputs when is_decision s ->
+        Some (s.id, { site = s.name; choice; inputs })
+      | _ -> None)
+    spans
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
+
+let pp_decision ppf d =
+  Format.fprintf ppf "%s: %s" d.site d.choice;
+  if d.inputs <> [] then
+    Format.fprintf ppf " (%s)"
+      (String.concat ", "
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) d.inputs))
 
 (* The tree shape a test can compare across parallelism levels: the set of
    distinct (parent name, name) edges, domain ids and morsel multiplicity

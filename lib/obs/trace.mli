@@ -1,14 +1,18 @@
-(** Per-query span tracing.
+(** Per-query span tracing: the one observation record of a query.
 
     A query's executor creates a {!handle}, installs it as the ambient
     context of the coordinating domain, and wraps the phases of execution
-    in {!with_span}. Morsel workers receive the same handle through
-    {!fork}/{!with_fork}, so their spans land in the same tree with exact
-    parent links and their own [tid].
+    in {!with_span}. Each adaptive choice (JIT vs interpreted kernel,
+    posmap build/use, shred reuse, template cache hit vs compile,
+    cost-model strategy, governance degradation) is a {!decision} event
+    in the same tree, under the span that made it. Morsel workers receive
+    the same handle through {!fork}/{!with_fork}, so their spans and
+    decisions land in the same tree with exact parent links and their own
+    [tid].
 
-    When no context is installed — the default — {!with_span} is one
-    domain-local read and a branch: observability off costs (almost)
-    nothing, the no-op sink. *)
+    When no context is installed — the default — {!with_span} and
+    {!decision} are one domain-local read and a branch: observability off
+    costs (almost) nothing, the no-op sink. *)
 
 type span = {
   id : int;
@@ -42,6 +46,15 @@ val with_span :
 
 val add_arg : string -> string -> unit
 (** Attach an annotation to the innermost open span, if any. *)
+
+val decision : site:string -> choice:string -> (string * string) list -> unit
+(** Record why the engine took a path: a zero-length span with
+    [cat = "decision"], [name = site] (e.g. ["template_cache"],
+    ["planner.adaptive"]) and args [("choice", choice) :: inputs] (the
+    cost-model estimates, cache keys or pressure signals it chose from),
+    under the innermost open span. A handle keeps its first 4096
+    decisions; later ones are dropped and counted under
+    [obs.decisions_dropped]. No-op without an ambient context. *)
 
 val gc_stat : unit -> Gc.stat
 (** This domain's {!Gc.quick_stat} (no collection is triggered), except
@@ -86,6 +99,23 @@ val record :
 
 val spans : handle -> span list
 (** Completed spans, ordered by start time. *)
+
+type decision = {
+  site : string;
+  choice : string;
+  inputs : (string * string) list;
+}
+
+val is_decision : span -> bool
+(** Was this span recorded by {!decision}? *)
+
+val decisions : span list -> decision list
+(** The decision events among [spans], in recording order (by id, not
+    start time; worker interleavings are scheduler-dependent, so filter
+    by {!decision.site} for deterministic assertions). *)
+
+val pp_decision : Format.formatter -> decision -> unit
+(** [site: choice (k=v, ...)]. *)
 
 val edge_set : span list -> (string option * string) list
 (** The tree's shape as the sorted set of distinct (parent name, name)

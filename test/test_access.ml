@@ -94,8 +94,8 @@ let reads_once_per_shape (name, table, expected) =
          ~tracked:(Raw_formats.Posmap.every_k ~k:2 ~n_cols:6)
          ~cols:[ 1 ] rows)
   in
-  let d = Raw_obs.Decisions.create () in
-  Raw_obs.Decisions.with_handle d (fun () ->
+  let d = Raw_obs.Trace.create () in
+  Raw_obs.Trace.with_handle d (fun () ->
       read Access.All;
       read (Access.Ids [| 1; 2 |]);
       read (Access.Ids [| 3; 0 |]));
@@ -105,11 +105,11 @@ let reads_once_per_shape (name, table, expected) =
   let pinned = [ "scan.kernel"; "posmap"; "template_cache" ] in
   Alcotest.(check (list string)) (name ^ ": decisions") expected
     (List.filter_map
-       (fun (r : Raw_obs.Decisions.record) ->
+       (fun (r : Raw_obs.Trace.decision) ->
          if List.mem r.site pinned then
-           Some (Format.asprintf "%a" Raw_obs.Decisions.pp r)
+           Some (Format.asprintf "%a" Raw_obs.Trace.pp_decision r)
          else None)
-       (Raw_obs.Decisions.records d))
+       (Raw_obs.Trace.decisions (Raw_obs.Trace.spans d)))
 
 let every_format =
   [

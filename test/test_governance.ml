@@ -404,10 +404,10 @@ let budgeted_session ~budget register queries =
   let answers config =
     let db = Raw_db.create ~config () in
     register db;
-    let h = Raw_obs.Decisions.create () in
+    let h = Raw_obs.Trace.create () in
     let before = Io_stats.snapshot () in
     let rows =
-      Raw_obs.Decisions.with_handle h (fun () ->
+      Raw_obs.Trace.with_handle h (fun () ->
           List.map
             (fun q ->
               let c = (Raw_db.query db q).Executor.chunk in
@@ -419,7 +419,7 @@ let budgeted_session ~budget register queries =
         (List.assoc_opt "gov.evictions.posmaps" (Io_stats.snapshot ()))
       -. Option.value ~default:0. (List.assoc_opt "gov.evictions.posmaps" before)
     in
-    (db, rows, evictions, Raw_obs.Decisions.records h)
+    (db, rows, evictions, Raw_obs.Trace.decisions (Raw_obs.Trace.spans h))
   in
   let _, want, _, _ = answers Config.default in
   let db, got, evictions, decisions =
@@ -429,7 +429,7 @@ let budgeted_session ~budget register queries =
   Alcotest.(check bool) "gov.evictions.posmaps moved" true (evictions > 0.);
   ( db,
     List.filter_map
-      (fun (d : Raw_obs.Decisions.record) ->
+      (fun (d : Raw_obs.Trace.decision) ->
         if d.site = "governance" && String.starts_with ~prefix:"evict_" d.choice then
           Some (d.choice, d.inputs)
         else None)
@@ -554,7 +554,7 @@ let gov_deltas before after =
 
 let eviction_decisions h =
   List.filter_map
-    (fun (d : Raw_obs.Decisions.record) ->
+    (fun (d : Raw_obs.Trace.decision) ->
       if d.site = "governance" || (d.site = "template_cache" && d.choice = "evict")
       then
         Some
@@ -562,7 +562,7 @@ let eviction_decisions h =
              (String.concat " "
                 (List.map (fun (k, v) -> k ^ "=" ^ v) d.inputs)))
       else None)
-    (Raw_obs.Decisions.records h)
+    (Raw_obs.Trace.decisions (Raw_obs.Trace.spans h))
 
 let session_transcript budget =
   let csv, jsonl = Lazy.force session_files in
@@ -577,17 +577,21 @@ let session_transcript budget =
   :: List.concat
        (List.mapi
           (fun i q ->
-            let h = Raw_obs.Decisions.create () in
+            let h = Raw_obs.Trace.create () in
             let before = Io_stats.snapshot () in
             let r =
-              Raw_obs.Decisions.with_handle h (fun () ->
+              Raw_obs.Trace.with_handle h (fun () ->
                   let r = Raw_db.query db q in
                   Stmt_cache.put_result cache (Raw_db.catalog db)
                     ~key:(Printf.sprintf "q%d" i) ~tables:[] r.Executor.chunk
                     r.Executor.schema;
                   r)
             in
-            if Raw_obs.Decisions.dropped h > 0 then Alcotest.failf "%s: decisions dropped" q;
+            let dropped snap =
+              Option.value (List.assoc_opt "obs.decisions_dropped" snap) ~default:0.
+            in
+            if dropped (Io_stats.snapshot ()) > dropped before then
+              Alcotest.failf "%s: decisions dropped" q;
             let rows =
               List.init (Chunk.n_rows r.Executor.chunk) (fun k ->
                   String.concat "," (List.map Value.to_string (Chunk.row r.Executor.chunk k)))

@@ -177,7 +177,8 @@ let workload_suite =
         let config = { Config.default with Config.history_path = Some path } in
         let db = Test_util.grid_csv_db ~config ~n:2_000 ~m:4 () in
         let r = Raw_db.query ~options:adaptive db reversed_sql in
-        Alcotest.(check int) "no decisions" 0 (List.length r.Executor.decisions);
+        Alcotest.(check int) "no decisions" 0
+          (List.length (Raw_obs.Trace.decisions r.Executor.spans));
         match History.load path with
         | [ h ], 0 ->
           Alcotest.(check string) "chosen" "shreds" h.History.strategy;

@@ -430,7 +430,7 @@ let one_pass_tests =
         in
         Alcotest.(check int) "one scan.full" 1 (List.length (spans "scan.full"));
         Alcotest.(check int) "no scan.fetch" 0 (List.length (spans "scan.fetch"));
-        match Raw_obs.Decisions.by_site r.decisions "access.path" with
+        match decisions_at "access.path" r.spans with
         | [ d ] ->
           Alcotest.(check string) "choice" "one_pass" d.choice;
           Alcotest.(check (list (pair string string))) "inputs"
@@ -474,7 +474,7 @@ let one_pass_tests =
         Alcotest.(check (list (list value_testable))) "answer" [ [ Value.Int 5 ] ]
           (rows_of_chunk r.chunk);
         Alcotest.(check int) "the bad row, once" 1 r.errors.total;
-        match Raw_obs.Decisions.by_site r.decisions "planner.adaptive" with
+        match decisions_at "planner.adaptive" r.spans with
         | [ d ] -> Alcotest.(check (option string)) "rows" (Some "2") (List.assoc_opt "n_rows" d.inputs)
         | ds -> Alcotest.failf "%d planner.adaptive decisions" (List.length ds));
   ]

@@ -20,11 +20,11 @@ let append path s =
 (* What one refresh of [table] did: "unchanged", "extend", or
    "invalidate:<reason>" — read from its one catalog decision. *)
 let refresh db table =
-  let h = Raw_obs.Decisions.create () in
+  let h = Raw_obs.Trace.create () in
   let touched =
-    Raw_obs.Decisions.with_handle h (fun () -> Raw_db.refresh_tables db [ table ])
+    Raw_obs.Trace.with_handle h (fun () -> Raw_db.refresh_tables db [ table ])
   in
-  match Raw_obs.Decisions.by_site (Raw_obs.Decisions.records h) "catalog" with
+  match decisions_at "catalog" (Raw_obs.Trace.spans h) with
   | [] ->
     Alcotest.(check (list string)) "nothing touched" [] touched;
     "unchanged"

@@ -402,6 +402,58 @@ let shed_suite =
             (Server.Client.err_to_string e));
         Server.Client.close c1;
         stop_server socket_path server);
+    Alcotest.test_case
+      "stats shows the newest armor event after 65,536 older ones" `Slow
+      (fun () ->
+        let limit = 64 in
+        let config =
+          {
+            Config.default with
+            Config.max_request_bytes = limit;
+            max_sessions = Some 2;
+          }
+        in
+        let socket_path, _, server = start_server ~config ~rows:10 () in
+        let ctl = connect_when_ready socket_path in
+        (match Server.Client.ping ctl with
+        | Ok _ -> ()
+        | Error _ -> Alcotest.fail "the control session must answer");
+        (* 65,600 pipelined oversize lines on one session, 100 in flight
+           at a time, each answered with a typed too_large *)
+        let rc = Raw_conn.connect socket_path in
+        let per_batch = 100 in
+        let batch =
+          String.concat ""
+            (List.init per_batch (fun _ -> String.make (limit + 1) 'x' ^ "\n"))
+        in
+        for _ = 1 to 656 do
+          Raw_conn.send rc batch;
+          for _ = 1 to per_batch do
+            match Raw_conn.read_line rc with
+            | `Line _ -> ()
+            | `Eof | `Timeout -> Alcotest.fail "oversize line went unanswered"
+          done
+        done;
+        (* then one distinct event: a third session shed at the door *)
+        let shed = Raw_conn.connect socket_path in
+        check_code "shed" (expect_response shed "shed line") 5;
+        Raw_conn.close shed;
+        (match Server.Client.stats ctl with
+        | Ok j -> (
+          match Jsons.member "armor" j with
+          | Some (Jsons.List entries) ->
+            Alcotest.(check int) "the latest 32" 32 (List.length entries);
+            let last = List.nth entries 31 in
+            Alcotest.(check (pair (option string) (option string)))
+              "the newest event is last"
+              (Some "server.shed", Some "session_cap")
+              ( Option.bind (Jsons.member "site" last) Jsons.to_string_opt,
+                Option.bind (Jsons.member "choice" last) Jsons.to_string_opt )
+          | _ -> Alcotest.failf "no armor list in %s" (Jsons.to_string j))
+        | Error e -> Alcotest.failf "stats: %s" (Server.Client.err_to_string e));
+        Raw_conn.close rc;
+        Server.Client.close ctl;
+        stop_server socket_path server);
   ]
 
 (* ------------------------------------------------------------------ *)

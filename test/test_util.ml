@@ -65,6 +65,12 @@ let check_chunk = Alcotest.check chunk_testable
 let scalar_of (report : Raw_core.Executor.report) =
   Column.get (Chunk.column report.chunk 0) 0
 
+(* The decision events recorded at [site], in recording order. *)
+let decisions_at site spans =
+  List.filter
+    (fun (d : Raw_obs.Trace.decision) -> d.site = site)
+    (Raw_obs.Trace.decisions spans)
+
 (* Sorted row-lists make result comparison order-insensitive. *)
 let rows_of_chunk c =
   List.init (Chunk.n_rows c) (Chunk.row c) |> List.sort Stdlib.compare
