@@ -7,8 +7,11 @@
    phases per session count:
 
    - cold: every client sends a count-star query with a distinct
-     [WHERE col0 < K] threshold, so nothing is in the result cache and contemporaneous
-     queries on the same table fold into shared scans;
+     [WHERE col0 < K] threshold, so nothing is in the result cache. The
+     first contemporaneous queries on a table read col0 from the raw file
+     and fold into one shared scan; after that col0 is pooled, so the
+     remaining cold misses run alone, without waiting for the batch
+     window;
    - warm: the same queries again, now answered from the result cache.
 
    Every response is verified against counts precomputed from a private

@@ -162,6 +162,9 @@ let run_query db ~stats ~metrics ~trace_out ~profile ~profile_out sql =
   | exception (Kernels.Overflow _ as e) ->
     Format.eprintf "%s@." (Printexc.to_string e);
     3
+  | exception (Kernels.Zero_divisor _ as e) ->
+    Format.eprintf "data error: %s@." (Printexc.to_string e);
+    3
   | exception Resource_error.Deadline_exceeded p ->
     Format.eprintf "deadline exceeded: %a@." Resource_error.pp_progress p;
     4
@@ -547,9 +550,11 @@ let batch_window_arg =
        & info [ "batch-window" ] ~docv:"MS"
            ~doc:"Shared-scan batching window in milliseconds (default 2): \
                  result-cache misses on the same table arriving within it \
-                 are served by one raw-file traversal. Result-cache hits \
-                 are answered at once and never wait for it. 0 disables \
-                 batching delay.")
+                 are served by one raw-file traversal. The server waits for \
+                 it only when a queued miss reads a column not yet in \
+                 memory; misses over pooled columns run at once, and \
+                 result-cache hits never wait for it. 0 disables batching \
+                 delay.")
 
 let no_result_cache_arg =
   Arg.(value & flag

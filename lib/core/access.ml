@@ -162,8 +162,10 @@ let read cat ~mode ~(entry : Catalog.entry) ~tracked ~cols rows =
       Scan_hep.scan_particles ~mode:smode ~reader ~coll ~index ~needed:cols
         ~rowids:ids)
 
-(* A full-table [read]; its complete columns feed the statistics store. *)
-let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
+(* A full-table [read]; its complete columns feed the statistics store.
+   [path] is the [access.path] decision that chose the scan, recorded
+   inside its span with the rows it read. *)
+let full_scan ?path cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
   Trace.with_span ~cat:"scan" "scan.full"
     ~args:
       [
@@ -184,12 +186,18 @@ let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
    | Format_kind.Csv _ when cols <> [] ->
      Catalog.set_n_rows entry (Column.length columns.(0))
    | _ -> ());
+  Option.iter
+    (fun (choice, inputs) ->
+      Trace.decision ~site:"access.path" ~choice
+        ((("table", entry.name) :: inputs)
+        @ [ ("rows", string_of_int (Column.length columns.(0))) ]))
+    path;
   columns
 
 (* One full read of [cols], pooling each complete column the budget can
    hold: pooling is an optimization, never a correctness requirement. *)
-let scan_and_pool cat ~mode ~(entry : Catalog.entry) ~tracked cols =
-  let full = full_scan cat ~mode ~entry ~tracked ~cols in
+let scan_and_pool cat ~mode ~(entry : Catalog.entry) ~tracked ~path cols =
+  let full = full_scan ~path cat ~mode ~entry ~tracked ~cols in
   List.iteri
     (fun k c ->
       if Catalog.reserve_bytes cat (Column.byte_size full.(k)) then
@@ -281,11 +289,10 @@ let fetch_columns cat ~mode ~(entry : Catalog.entry) ~tracked ~cols ~rowids =
        complete columns *)
     let scan_and_pool ?(why = []) cols =
       if cols <> [] then begin
-        Trace.decision ~site:"access.path" ~choice:"full_scan_pool"
-          (("table", entry.name)
-          :: ("columns", string_of_int (List.length cols))
-          :: why);
-        let full = scan_and_pool cat ~mode ~entry ~tracked cols in
+        let path =
+          ("full_scan_pool", ("columns", string_of_int (List.length cols)) :: why)
+        in
+        let full = scan_and_pool cat ~mode ~entry ~tracked ~path cols in
         List.iteri (fun k c -> Hashtbl.replace results c (Column.gather full.(k) rowids)) cols
       end
     in
@@ -390,13 +397,10 @@ let one_pass cat ~mode ~(entry : Catalog.entry) ~tracked cols =
   List.iter
     (fun (_, h) -> if Option.is_none h then Shred_pool.record_miss pool else Shred_pool.record_hit pool)
     held;
-  let full = scan_and_pool cat ~mode ~entry ~tracked cold in
-  Trace.decision ~site:"access.path" ~choice:"one_pass"
-    [
-      ("table", entry.name);
-      ("columns", String.concat "," (List.map (Schema.name entry.schema) cold));
-      ("rows", string_of_int (Column.length full.(0)));
-    ];
+  let path =
+    ("one_pass", [ ("columns", String.concat "," (List.map (Schema.name entry.schema) cold)) ])
+  in
+  let full = scan_and_pool cat ~mode ~entry ~tracked ~path cold in
   let converted = List.combine cold (Array.to_list full) in
   Array.of_list
     (List.map (fun (c, h) -> match h with Some col -> col | None -> List.assoc c converted) held)

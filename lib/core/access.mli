@@ -69,7 +69,9 @@ val fetch_columns :
       (building it, tracked at [tracked], through a full scan when absent)
       and fill the pooled shred in place. [Jit] composes generated kernels
       (charging the template cache on first use); [In_situ] runs the
-      general-purpose interpreted kernels. *)
+      general-purpose interpreted kernels. Each [access.path] decision
+      sits inside the span that does its work: [point_fetch] and [stream]
+      under [scan.fetch], [full_scan_pool] under its [scan.full]. *)
 
 val needs_pass : Catalog.t -> mode:mode -> Catalog.entry -> int list -> bool
 (** Whether reading [cols] must pass over the whole file: in [In_situ] or
@@ -87,8 +89,9 @@ val read_table :
 (** Every row of [cols], and the row ids [0 .. n-1]. When {!needs_pass}, one full
     read (building the positional map over [tracked]) converts every
     column not pooled complete, pools what the budget can hold, sets the
-    table's row count and records an [access.path]/[one_pass] decision;
-    the columns reach the caller even if the pool refuses them. Otherwise
+    table's row count and records an [access.path]/[one_pass] decision
+    inside its [scan.full] span; the columns reach the caller even if the
+    pool refuses them. Otherwise
     {!fetch_columns} over row ids [0 .. n-1]; with [cols = []] that only
     sizes the table. *)
 

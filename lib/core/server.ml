@@ -456,6 +456,22 @@ let run_shared t ~t_batch members =
       ];
     List.iter (run_individual t ~t_batch) members
 
+(* Whether [plan] would read the raw file: only then can waiting for
+   contemporaries lead to a shared read. Approximate answers never fold
+   into a shared traversal. *)
+let reads_raw t plan =
+  (not (approx_on t))
+  && Shared_scan.reads_raw (Raw_db.catalog t.db) (Raw_db.options t.db) plan
+
+(* freshness: the files changed since they were opened extend or drop
+   their per-file state here, so the shared pass reads the current bytes,
+   each result is cached under the version it was computed from, and an
+   invalidated file shows its columns as not in memory *)
+let refresh t pendings =
+  ignore
+    (Raw_db.refresh_tables t.db
+       (List.concat_map (fun p -> Logical.tables p.plan) pendings))
+
 (* Runs on the batcher thread with the engine mutex held. Every member
    missed the result cache when its session looked it up. *)
 let process_batch t batch =
@@ -466,15 +482,9 @@ let process_batch t batch =
     (fun p ->
       record_queue_wait p.trace p.timing ~submitted:p.submitted ~until:t_batch)
     batch;
-  (* freshness: the files changed since they were opened extend or drop
-     their per-file state here, so the shared pass reads the current
-     bytes and each result is cached under the version it was computed
-     from *)
-  ignore
-    (Raw_db.refresh_tables t.db
-       (List.concat_map (fun p -> Logical.tables p.plan) batch));
-  let approx_on = approx_on t in
-  (* group by table; >= 2 members on one table share one traversal *)
+  refresh t batch;
+  (* group by table; >= 2 members on one table share one traversal when
+     it has something to read (approximate members never do) *)
   let groups : (string, (pending * string option) list) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -482,10 +492,7 @@ let process_batch t batch =
   List.iter
     (fun p ->
       let m = (p, result_key t p.plan) in
-      match
-        if approx_on then None
-        else Shared_scan.shareable_table (Raw_db.options t.db) p.plan
-      with
+      match Shared_scan.shareable_table (Raw_db.options t.db) p.plan with
       | Some table ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt groups table) in
         Hashtbl.replace groups table (prev @ [ m ])
@@ -493,10 +500,36 @@ let process_batch t batch =
     batch;
   let shared_groups, lone =
     Hashtbl.fold (fun _ ms acc -> ms :: acc) groups []
-    |> List.partition (fun ms -> List.length ms >= 2)
+    |> List.partition (fun ms ->
+           List.length ms >= 2 && List.exists (fun (p, _) -> reads_raw t p.plan) ms)
   in
   List.iter (run_shared t ~t_batch) shared_groups;
   List.iter (run_individual t ~t_batch) (List.concat lone @ List.rev !singles)
+
+(* Runs with the engine mutex held: whether a queued miss would read the
+   raw file, after re-statting the queued files. A failure is left to the
+   batch, which meets it again and answers it. *)
+let needs_raw_read t =
+  let queued = Mutex.protect t.qm (fun () -> t.queue) in
+  match refresh t queued with
+  | () -> List.exists (fun p -> reads_raw t p.plan) queued
+  | exception _ -> false
+
+(* Runs with the engine mutex held *)
+let run_batch t =
+  let batch =
+    Mutex.protect t.qm (fun () ->
+        let b = List.rev t.queue in
+        t.queue <- [];
+        b)
+  in
+  if batch <> [] then
+    try process_batch t batch
+    with e ->
+      (* the batcher must survive anything: fail the batch, not the
+         server *)
+      let o = outcome_of_exn e in
+      List.iter (fun p -> fulfill p o) batch
 
 let batcher_loop t =
   let rec loop () =
@@ -508,25 +541,23 @@ let batcher_loop t =
           t.queue <> [])
     in
     if proceed then begin
-      (* the batching window: let contemporaries join the batch *)
-      if t.batch_window > 0. then Thread.delay t.batch_window;
-      (* the engine mutex is taken before the queue is drained: a miss
-         queued by a lookup that held it joins this batch, and a lookup
-         that waits for it sees this batch's results *)
-      Mutex.protect t.engine (fun () ->
-          let batch =
-            Mutex.protect t.qm (fun () ->
-                let b = List.rev t.queue in
-                t.queue <- [];
-                b)
-          in
-          if batch <> [] then
-            try process_batch t batch
-            with e ->
-              (* the batcher must survive anything: fail the batch, not
-                 the server *)
-              let o = outcome_of_exn e in
-              List.iter (fun p -> fulfill p o) batch);
+      (* the batching window lets contemporaries join the batch, which
+         pays only when one of them would read the raw file. The engine
+         mutex is taken before the queue is drained: a miss queued by a
+         lookup that held it joins this batch, and a lookup that waits
+         for it sees this batch's results *)
+      let wait =
+        Mutex.protect t.engine (fun () ->
+            if t.batch_window > 0. && needs_raw_read t then true
+            else begin
+              run_batch t;
+              false
+            end)
+      in
+      if wait then begin
+        Thread.delay t.batch_window;
+        Mutex.protect t.engine (fun () -> run_batch t)
+      end;
       loop ()
     end
     (* stopping and drained: exit *)

@@ -120,13 +120,15 @@
     answered at once, without waiting for the batch window. Only a miss
     (and every query under {!Config.approx} or with the result cache
     off) is queued, with its bound plan, for the single batcher thread.
-    The batcher waits a [batch_window] after the first queued miss so
-    contemporaries join the batch, re-stats the batch's files (they may
-    have changed since the lookup), and groups the batch by table: a
-    group of two or more shareable queries shares one
-    {!Shared_scan.warm} pass, then every query runs through
-    {!Raw_db.run_plan}, shared or not (so each gets its own deadline,
-    history record and error). Each request counts exactly one
+    The batcher re-stats the queued misses' files and waits a
+    [batch_window] so contemporaries join the batch only when one of them
+    {!Shared_scan.reads_raw}: a miss over columns already in memory has
+    no read to share and runs at once. It re-stats the batch's files
+    again (they may have changed since the lookup) and groups the batch
+    by table: a group of two or more shareable queries, one of which
+    reads the raw file, shares one {!Shared_scan.warm} pass; then every
+    query runs through {!Raw_db.run_plan}, shared or not (so each gets
+    its own deadline, history record and error). Each request counts exactly one
     [cache.result.hits] or [.misses] (none when results are not
     cached).
 
@@ -162,7 +164,8 @@ val serve :
 (** Listen on [socket_path] (an existing socket file is replaced) and
     block until a client requests shutdown. [batch_window] (seconds,
     default 2 ms) is the shared-scan batching window, which only
-    result-cache misses wait for — 0 disables batching delay;
+    result-cache misses wait for, and only when a queued miss would read
+    the raw file ({!Shared_scan.reads_raw}) — 0 disables batching delay;
     [cache_results] (default [true]) enables the result cache. The armor
     knobs ([max_request_bytes], [request_timeout], [idle_timeout],
     [max_sessions]) come from the database's {!Config}. Raises

@@ -22,6 +22,21 @@ let rec scan_columns acc = function
   | Logical.Aggregate { input; _ } -> scan_columns acc input
   | Logical.Join { left; right; _ } -> scan_columns (scan_columns acc left) right
 
+(* The plans' scan columns of [table] that are not in memory: what a warm
+   pass reads. A column the pool already holds is read from the file only
+   for the rows it lacks, once, by the first member that needs them;
+   count-star plans read no column. *)
+let cold_columns cat (options : Planner.options) table plans =
+  let entry = Catalog.get cat table in
+  List.filter
+    (fun c -> not (Access.held cat ~mode:options.Planner.access entry c))
+    (List.sort_uniq compare (List.fold_left scan_columns [] plans))
+
+let reads_raw cat options plan =
+  match shareable_table options plan with
+  | Some table -> cold_columns cat options table [ plan ] <> []
+  | None -> false
+
 let warm cat options plans =
   let table =
     match List.map (shareable_table options) plans with
@@ -29,15 +44,7 @@ let warm cat options plans =
     | Some t :: rest when List.for_all (( = ) (Some t)) rest -> t
     | _ -> invalid_arg "Shared_scan.warm: unshareable or mixed-table group"
   in
-  (* a column the pool already holds is read from the file only for the
-     rows it lacks, once, by the first member that needs them; count-star
-     members read no column, and the first one sizes the table *)
-  let entry = Catalog.get cat table in
-  match
-    List.filter
-      (fun c -> not (Access.held cat ~mode:options.Planner.access entry c))
-      (List.sort_uniq compare (List.fold_left scan_columns [] plans))
-  with
+  match cold_columns cat options table plans with
   | [] -> ()
   | cold ->
     let op, _ = Planner.plan cat options (Logical.Scan { table; columns = cold }) in

@@ -3,10 +3,13 @@ type arith = Add | Sub | Mul | Div | Mod
 type agg = Max | Min | Sum | Count | Count_distinct | Avg
 
 exception Overflow of string
+exception Zero_divisor of arith
 
 let () =
   Printexc.register_printer (function
     | Overflow what -> Some ("integer overflow: " ^ what)
+    | Zero_divisor Mod -> Some "integer modulo by zero"
+    | Zero_divisor _ -> Some "integer division by zero"
     | _ -> None)
 
 let cmp_to_string = function
@@ -364,85 +367,108 @@ let filter_col ?(negate = false) op ca cb sel =
 
 (* ---------- arithmetic ---------- *)
 
-let int_arith_fn = function
-  | Add -> ( + )
-  | Sub -> ( - )
-  | Mul -> ( * )
-  | Div -> ( / )
-  | Mod -> ( mod )
+(* One typed loop per operand shape, over the rows valid in both
+   operands: a NULL row stays NULL, with 0 beneath it, and nothing is
+   computed under it, so the junk 0 under a NULL divisor never divides.
+   The operator is matched per row, a branch that goes the same way for
+   the whole loop, not a closure call. *)
 
-let float_arith_fn = function
-  | Add -> ( +. )
-  | Sub -> ( -. )
-  | Mul -> ( *. )
-  | Div -> ( /. )
-  | Mod -> Float.rem
+let[@inline] int_arith op x y =
+  match op with
+  | Add -> x + y
+  | Sub -> x - y
+  | Mul -> x * y
+  | Div -> if y = 0 then raise (Zero_divisor op) else x / y
+  | Mod -> if y = 0 then raise (Zero_divisor op) else x mod y
 
-let merge_valid ca cb =
-  if Column.all_valid ca && Column.all_valid cb then None
-  else begin
-    let n = Column.length ca in
-    let out = Bytes.create n in
-    for i = 0 to n - 1 do
-      Bytes.set out i
-        (if Column.is_valid ca i && Column.is_valid cb i then '\001'
-         else '\000')
-    done;
-    Some out
-  end
+let[@inline] float_arith op x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | Mod -> Float.rem x y
 
-let copy_valid c =
-  if Column.all_valid c then None
-  else begin
-    let n = Column.length c in
-    let out = Bytes.create n in
-    for i = 0 to n - 1 do
-      Bytes.set out i (if Column.is_valid c i then '\001' else '\000')
-    done;
-    Some out
-  end
+let arith_ints op (a : int array) (b : int array) idx m =
+  let out = Array.make (Array.length a) 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    Array.unsafe_set out i
+      (int_arith op (Array.unsafe_get a i) (Array.unsafe_get b i))
+  done;
+  Column.Int_data out
+
+let arith_int_const op (a : int array) x idx m =
+  let out = Array.make (Array.length a) 0 in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    Array.unsafe_set out i (int_arith op (Array.unsafe_get a i) x)
+  done;
+  Column.Int_data out
+
+let arith_floats op (a : float array) (b : float array) idx m =
+  let out = Array.make (Array.length a) 0. in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    Array.unsafe_set out i
+      (float_arith op (Array.unsafe_get a i) (Array.unsafe_get b i))
+  done;
+  Column.Float_data out
+
+let arith_float_const op (a : float array) x idx m =
+  let out = Array.make (Array.length a) 0. in
+  for k = 0 to m - 1 do
+    let i = Array.unsafe_get idx k in
+    Array.unsafe_set out i (float_arith op (Array.unsafe_get a i) x)
+  done;
+  Column.Float_data out
+
+let floats_of_ints (a : int array) =
+  let out = Array.make (Array.length a) 0. in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set out i (float_of_int (Array.unsafe_get a i))
+  done;
+  out
+
+(* [cols]' candidate rows and the result's validity: set exactly on them *)
+let arith_rows cols n =
+  let cands = candidates cols n None in
+  let idx, m = indexed n cands in
+  let valid =
+    Option.map
+      (fun _ ->
+        let v = Bytes.make n '\000' in
+        for k = 0 to m - 1 do
+          Bytes.unsafe_set v (Array.unsafe_get idx k) '\001'
+        done;
+        v)
+      cands
+  in
+  (idx, m, valid)
 
 let arith_const op col v =
-  let valid = copy_valid col in
-  match Column.data col, (v : Value.t) with
-  | Column.Int_data a, Int x ->
-    let f = int_arith_fn op in
-    Column.make ?valid (Column.Int_data (Array.map (fun y -> f y x) a))
-  | Column.Int_data a, Float x ->
-    let f = float_arith_fn op in
-    Column.make ?valid
-      (Column.Float_data (Array.map (fun y -> f (float_of_int y) x) a))
-  | Column.Float_data a, Float x ->
-    let f = float_arith_fn op in
-    Column.make ?valid (Column.Float_data (Array.map (fun y -> f y x) a))
-  | Column.Float_data a, Int x ->
-    let f = float_arith_fn op in
-    let x = float_of_int x in
-    Column.make ?valid (Column.Float_data (Array.map (fun y -> f y x) a))
-  | _, _ -> invalid_arg "Kernels.arith_const: non-numeric operands"
+  let idx, m, valid = arith_rows [ col ] (Column.length col) in
+  Column.make ?valid
+    (match Column.data col, (v : Value.t) with
+     | Column.Int_data a, Int x -> arith_int_const op a x idx m
+     | Column.Int_data a, Float x -> arith_float_const op (floats_of_ints a) x idx m
+     | Column.Float_data a, Float x -> arith_float_const op a x idx m
+     | Column.Float_data a, Int x -> arith_float_const op a (float_of_int x) idx m
+     | _, _ -> invalid_arg "Kernels.arith_const: non-numeric operands")
 
 let arith_col op ca cb =
   if Column.length ca <> Column.length cb then
     invalid_arg "Kernels.arith_col: length mismatch";
-  let valid = merge_valid ca cb in
-  match Column.data ca, Column.data cb with
-  | Column.Int_data a, Column.Int_data b ->
-    let f = int_arith_fn op in
-    Column.make ?valid (Column.Int_data (Array.map2 f a b))
-  | Column.Float_data a, Column.Float_data b ->
-    let f = float_arith_fn op in
-    Column.make ?valid (Column.Float_data (Array.map2 f a b))
-  | Column.Int_data a, Column.Float_data b ->
-    let f = float_arith_fn op in
-    Column.make ?valid
-      (Column.Float_data
-         (Array.init (Array.length a) (fun i -> f (float_of_int a.(i)) b.(i))))
-  | Column.Float_data a, Column.Int_data b ->
-    let f = float_arith_fn op in
-    Column.make ?valid
-      (Column.Float_data
-         (Array.init (Array.length a) (fun i -> f a.(i) (float_of_int b.(i)))))
-  | _, _ -> invalid_arg "Kernels.arith_col: non-numeric operands"
+  let idx, m, valid = arith_rows [ ca; cb ] (Column.length ca) in
+  Column.make ?valid
+    (match Column.data ca, Column.data cb with
+     | Column.Int_data a, Column.Int_data b -> arith_ints op a b idx m
+     | Column.Float_data a, Column.Float_data b -> arith_floats op a b idx m
+     | Column.Int_data a, Column.Float_data b ->
+       arith_floats op (floats_of_ints a) b idx m
+     | Column.Float_data a, Column.Int_data b ->
+       arith_floats op a (floats_of_ints b) idx m
+     | _, _ -> invalid_arg "Kernels.arith_col: non-numeric operands")
 
 (* ---------- aggregation ---------- *)
 

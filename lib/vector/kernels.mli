@@ -4,10 +4,10 @@
     the NULL handling and the selection {e once} per chunk and then runs a
     tight monomorphic loop, with no closure call per row — the columnar
     analogue of the paper's observation that per-value type dispatch
-    belongs outside the critical path. (The arithmetic kernels still map
-    the operator's function over the column.) Filters and aggregates
-    accept an optional selection vector and skip invalid (NULL) rows;
-    comparisons involving NULL are false, aggregates ignore NULLs. *)
+    belongs outside the critical path. Filters and aggregates accept an
+    optional selection vector and skip invalid (NULL) rows; comparisons
+    involving NULL are false, aggregates ignore NULLs, and arithmetic
+    leaves NULL rows NULL. *)
 
 type cmp = Lt | Le | Gt | Ge | Eq | Ne
 type arith = Add | Sub | Mul | Div | Mod
@@ -23,6 +23,10 @@ exception Overflow of string
 (** Raised for the answer of [SUM] over Int when the exact sum leaves the
     integer range; the query fails rather than answer a wrapped sum. A sum
     that only passes out of range on the way is answered exactly. *)
+
+exception Zero_divisor of arith
+(** Raised by an integer [Div] or [Mod] whose divisor is a (non-NULL)
+    zero: the query fails as on malformed data. *)
 
 val cmp_to_string : cmp -> string
 
@@ -48,9 +52,13 @@ val filter_col : ?negate:bool -> cmp -> Column.t -> Column.t -> Sel.t option -> 
 
 val arith_const : arith -> Column.t -> Value.t -> Column.t
 val arith_col : arith -> Column.t -> Column.t -> Column.t
-(** Numeric arithmetic; Int/Float operands promote to Float. Integer [Div]
-    and [Mod] raise [Division_by_zero] like the stdlib. Results are computed
-    for every row; validity propagates (NULL in → NULL out). *)
+(** Numeric arithmetic; Int/Float operands promote to Float. Results are
+    computed only on the rows valid in both operands: a row NULL in either
+    is NULL in the result, and nothing is computed under it. Int
+    arithmetic wraps as OCaml's does ([min_int / -1 = min_int],
+    [min_int mod -1 = 0]); an integer [Div] or [Mod] by a zero raises
+    {!Zero_divisor}. Float arithmetic is IEEE's, [Mod] being
+    [Float.rem]. *)
 
 val aggregate : agg -> Column.t -> Sel.t option -> Value.t
 (** [Null] when no valid rows qualify (except [Count] and

@@ -5,8 +5,9 @@
    - oneshot: --analyze --metrics --trace-out, --profile --profile-out
      plus [rawq profile], --approx, and --history plus [rawq report];
    - serve: two tables, two rounds of 16 concurrent [rawq client]s (cold:
-     shared scans; warm: the result cache), one history record per
-     executed query;
+     shared scans; warm: the result cache), then 16 concurrent misses over
+     a pooled column (no batch window, nothing shared), one history record
+     per executed query;
    - chaos: tight armor knobs, 8 retrying [rawq client]s racing 8 chaos
      clients whose actions are drawn from seeded [Net_fault] plans;
    - telemetry: the Prometheus exposition, retained request traces, the
@@ -361,6 +362,30 @@ let serve () =
         (warm_batched = cold_batched)
         "warm round reached the batcher: server.batched_queries %g -> %g"
         cold_batched warm_batched;
+      (* misses with fresh thresholds over the pooled col0: no raw read to
+         share, so they neither wait for the window nor share a scan *)
+      let waits = Array.make 16 infinity in
+      concurrently 16 (fun i ->
+          let t, rows = if i mod 2 = 0 then ("a", 2000) else ("b", 500) in
+          let k = ((i + 1) * 40) + 7 in
+          let sql = count_query t k in
+          let j = rpc sql s (fun c -> Client.query c sql) in
+          let want = min k rows in
+          check
+            (path j [ "rows" ] = Some (Jsons.List [ Jsons.List [ Jsons.Int want ] ]))
+            "%s: got %s, want %d" sql (Jsons.to_string j) want;
+          check
+            (Jsons.member "shared" j <> Some (Jsons.Bool true))
+            "%s: a pooled miss was shared" sql;
+          waits.(i) <- Option.value (num j [ "timing"; "queue_s" ]) ~default:infinity);
+      Array.sort compare waits;
+      check (waits.(8) < 0.02) "pooled misses queued a median %g s, window 0.02 s"
+        waits.(8);
+      let stats = rpc "stats" s Client.stats in
+      check
+        (counter stats "server.batched_queries" = cold_batched)
+        "pooled misses reached a shared scan: server.batched_queries %g -> %g"
+        cold_batched (counter stats "server.batched_queries");
       (* every query the engine ran, shared or not, wrote its record *)
       let records, malformed = Raw_obs.History.load history in
       let executed = counter stats "server.requests" -. hits in

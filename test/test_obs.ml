@@ -340,6 +340,12 @@ let decisions_suite =
                   Alcotest.(check bool)
                     (site ^ " inside execute") true
                     (ancestor spans "execute" d <> None);
+                  (* inside the scan that does the work, not the phase *)
+                  Alcotest.(check (option string))
+                    (site ^ " parent") (Some "scan.full")
+                    (Option.map
+                       (fun id -> (List.find (fun (s : Trace.span) -> s.id = id) spans).name)
+                       d.parent);
                   Alcotest.(check int) (site ^ " on the coordinator") 0 d.tid;
                   Alcotest.(check (float 0.)) (site ^ " zero length") 0. d.dur_s)
                 ds)

@@ -414,6 +414,62 @@ let same_value (a : Value.t) (b : Value.t) =
 
 let same_rows a b = List.equal (List.equal same_value) a b
 
+(* ---------------- arithmetic vs a per-row model ---------------- *)
+
+let arith_gen = Gen.oneofl [ Kernels.Add; Kernels.Sub; Kernels.Mul; Kernels.Div; Kernels.Mod ]
+
+exception Model_zero_divisor
+
+(* One row of [a <op> b]: NULL if either side is; Int arithmetic wraps as
+   OCaml's does and fails on a zero divisor; anything with a Float is
+   IEEE, [Mod] being [Float.rem]. *)
+let ref_arith (op : Kernels.arith) (x : Value.t) (y : Value.t) : Value.t =
+  let float = function Value.Int a -> float_of_int a | Value.Float a -> a | _ -> invalid_arg "ref_arith" in
+  match op, x, y with
+  | _, Null, _ | _, _, Null -> Null
+  | (Div | Mod), Int _, Int 0 -> raise Model_zero_divisor
+  | Add, Int a, Int b -> Int (a + b)
+  | Sub, Int a, Int b -> Int (a - b)
+  | Mul, Int a, Int b -> Int (a * b)
+  | Div, Int a, Int b -> Int (a / b)
+  | Mod, Int a, Int b -> Int (a mod b)
+  | Add, _, _ -> Float (float x +. float y)
+  | Sub, _, _ -> Float (float x -. float y)
+  | Mul, _, _ -> Float (float x *. float y)
+  | Div, _, _ -> Float (float x /. float y)
+  | Mod, _, _ -> Float (Float.rem (float x) (float y))
+
+(* Columns 0 and 1 of an Int or Float type each, with NULLs over junk
+   (often 0, so a NULL divisor hides a zero); the right operand is the
+   column or a constant, and a constant may stand on the left *)
+let prop_eval_arith =
+  qtest "eval of Arith agrees with a per-row reference" ~count:1000
+    Gen.(
+      let* n = int_range 1 8 in
+      let* da = oneofl [ Dtype.Int; Dtype.Float ] in
+      let* db = oneofl [ Dtype.Int; Dtype.Float ] in
+      let* va, ca = column_gen da n in
+      let* vb, cb = column_gen db n in
+      let* c = value_gen db in
+      let* shape = int_range 0 2 in
+      let* op = arith_gen in
+      return (va, vb, Chunk.of_columns [ ca; cb ], c, shape, op))
+    (fun (va, vb, chunk, c, shape, op) ->
+      let open Raw_engine.Expr in
+      let e, rows =
+        match shape with
+        | 0 -> (Arith (op, Col 0, Col 1), List.combine va vb)
+        | 1 -> (Arith (op, Col 0, Const c), List.map (fun x -> (x, c)) va)
+        | _ -> (Arith (op, Const c, Col 1), List.map (fun y -> (c, y)) vb)
+      in
+      let outcome f = match f () with v -> Ok v | exception (Kernels.Zero_divisor _ | Model_zero_divisor) -> Error () in
+      let want = outcome (fun () -> List.map (fun (x, y) -> ref_arith op x y) rows) in
+      let got = outcome (fun () -> Column.to_values (eval e chunk)) in
+      match want, got with
+      | Ok w, Ok g -> List.equal same_value w g
+      | Error (), Error () -> true
+      | _ -> false)
+
 (* One aggregate over the non-NULL values of a group, in row order, as the
    engine defines it: MAX/MIN start from the first value and take a value
    only when it compares greater (less), so a leading NaN stays; float sums
@@ -1577,6 +1633,7 @@ let suites =
         prop_filter_const;
         prop_filter_col;
         prop_eval_filter;
+        prop_eval_arith;
         prop_aggregate;
         prop_int_table;
         prop_hash_join;

@@ -1,7 +1,8 @@
 (* SQL semantics regressions: GROUP BY over an empty input, NOT over
    NULL (three-valued logic), across formats and the serving tier, join
-   keys of different numeric types, and ORDER BY a column outside the
-   select list. *)
+   keys of different numeric types, ORDER BY a column outside the select
+   list, exact integer SUM, float comparisons and arithmetic over NULL and
+   zero divisors. *)
 
 open Raw_vector
 open Raw_core
@@ -382,10 +383,87 @@ let float_comparisons (name, fmt) =
         Alcotest.(check (list int)) "x < 1.0" [ 2; 5 ]
           (ids "SELECT a FROM t WHERE (x + 0.0) < 1.0 ORDER BY a"))
 
+(* ---------------- arithmetic over NULL and zero divisors ---------------- *)
+
+(* b over rows a = 1, 3, 5, min_int, 7; a NULL b is a bad CSV cell under
+   Null_fill, a missing JSONL key, and absent from FWB, which has no NULL *)
+let divisor_db fmt =
+  let config = { Config.default with Config.on_error = Raw_storage.Scan_errors.Null_fill } in
+  let db = Raw_db.create ~config () in
+  let columns = [ ("a", Dtype.Int); ("b", Dtype.Int) ] in
+  let rows =
+    List.filter
+      (fun (_, b) -> fmt <> `Fwb || b <> None)
+      [ (1, Some 2); (3, None); (5, Some 5); (min_int, Some (-1)); (7, Some (-2)) ]
+  in
+  let write ext render =
+    let path = fresh_path ext in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun (a, b) -> output_string oc (render a b)) rows);
+    path
+  in
+  (match fmt with
+   | `Csv ->
+     let path =
+       write ".csv" (fun a b ->
+           Printf.sprintf "%d,%s\n" a (Option.fold ~none:"x" ~some:string_of_int b))
+     in
+     Raw_db.register_csv db ~name:"t" ~path ~columns ()
+   | `Fwb ->
+     let path = fresh_path ".fwb" in
+     Raw_formats.Fwb.write_file ~path
+       (Raw_formats.Fwb.layout [| Dtype.Int; Dtype.Int |])
+       (List.to_seq
+          (List.map (fun (a, b) -> [| Value.Int a; Value.Int (Option.get b) |]) rows));
+     Raw_db.register_fwb db ~name:"t" ~path ~columns
+   | `Jsonl ->
+     let path =
+       write ".jsonl" (fun a -> function
+         | None -> Printf.sprintf "{\"a\": %d}\n" a
+         | Some b -> Printf.sprintf "{\"a\": %d, \"b\": %d}\n" a b)
+     in
+     Raw_db.register_jsonl db ~name:"t" ~path ~columns);
+  (db, fmt <> `Fwb)
+
+(* A NULL divisor makes the row NULL and never divides; an integer
+   division or modulo by a zero fails the query as a data error; Int
+   arithmetic wraps as OCaml's does *)
+let null_divisors (name, fmt) =
+  Alcotest.test_case (name ^ ": arithmetic over NULL and zero divisors") `Quick
+    (fun () ->
+      let db, has_null = divisor_db fmt in
+      let rows sql = rows_of_chunk (Raw_db.sql db sql) in
+      (* [want] holds [expr] on each row, in file order *)
+      let check expr want =
+        let sql = Printf.sprintf "SELECT a, %s FROM t" expr in
+        let want =
+          List.combine [ 1; 3; 5; min_int; 7 ] want
+          |> List.filter (fun (a, _) -> has_null || a <> 3)
+          |> List.map (fun (a, v) -> [ Value.Int a; v ])
+          |> List.sort compare
+        in
+        Alcotest.(check (list (list value_testable))) sql want (rows sql)
+      in
+      let i n = Value.Int n and f x = Value.Float x and null = Value.Null in
+      check "a / b" [ i 0; null; i 1; i min_int; i (-3) ];
+      check "a % b" [ i 1; null; i 0; i 0; i 1 ];
+      check "a * b - 1" [ i 1; null; i 24; i (min_int - 1); i (-15) ];
+      check "b / 0.0" [ f infinity; null; f infinity; f neg_infinity; f neg_infinity ];
+      Alcotest.(check (list (list value_testable))) "WHERE a / b > 0" [ [ i 5 ] ]
+        (rows "SELECT a FROM t WHERE a / b > 0");
+      List.iter
+        (fun sql ->
+          match Raw_db.sql db sql with
+          | _ -> Alcotest.failf "%s: answered instead of failing" sql
+          | exception Kernels.Zero_divisor _ -> ())
+        [ "SELECT a / (b - 2) FROM t"; "SELECT a % (b - 5) FROM t";
+          "SELECT a FROM t WHERE a / (b + 1) > 0"; "SELECT a % 0 FROM t" ])
+
 let suites =
   [
     ("semantics.float_compare", List.map float_comparisons formats);
     ("semantics.sum", List.map exact_sum formats);
+    ("semantics.arith", List.map null_divisors formats);
     ("semantics.order_by", List.map order_by_unselected formats);
     ("semantics.join_keys", [ mixed_join_keys ]);
     ( "semantics.group_by_empty",

@@ -672,6 +672,39 @@ let server_suite =
               (moved "cache.result.hits");
             Alcotest.(check (float 0.)) "three misses counted" 3.
               (moved "cache.result.misses")));
+    Alcotest.test_case "misses over pooled columns skip the batch window"
+      `Slow (fun () ->
+        let window = 0.5 in
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        with_server ~batch_window:window (db_over path) (fun socket_path ctl ->
+            let c = connect_when_ready socket_path in
+            (* the first touch reads col0 and col1 from the file *)
+            ignore (query_ok c "SELECT SUM(col0) FROM t WHERE col1 = 2");
+            Server.Client.close c;
+            let before = counters_of ctl in
+            let misses =
+              [
+                "SELECT SUM(col0) FROM t WHERE col1 = 3";
+                "SELECT COUNT(*) FROM t WHERE col0 < 250";
+              ]
+            in
+            let conns = List.map (fun _ -> connect_when_ready socket_path) misses in
+            let responses = send_together conns misses in
+            List.iter Server.Client.close conns;
+            List.iter2 (check_answer ~path ~shared:false) misses responses;
+            List.iter
+              (fun j ->
+                let q = timing_of j "queue_s" in
+                if q >= 0.1 then
+                  Alcotest.failf "a pooled miss queued %.3f s, window %.1f s" q
+                    window)
+              responses;
+            let after = counters_of ctl in
+            Alcotest.(check (float 0.)) "no batch" 0.
+              (counter after "server.batches" -. counter before "server.batches");
+            Alcotest.(check (float 0.)) "two misses counted" 2.
+              (counter after "cache.result.misses"
+              -. counter before "cache.result.misses")));
     Alcotest.test_case "a file grown under a parked miss is served fresh"
       `Slow (fun () ->
         let window = 1.0 in
@@ -711,8 +744,10 @@ let server_suite =
               [ [ fresh_answer path b_sql ] ] (int_rows b_answer);
             Alcotest.(check (list (list int))) "a answers the grown file"
               [ [ fresh_answer path a_sql ] ] (int_rows (a_answer ()));
-            (* alone in its batch, a parked miss still sees a later append *)
-            let a_answer = park a "SELECT MAX(col0) FROM t" in
+            (* alone in its batch, a parked miss still sees a later
+               append: it reads col3, not yet in memory, so it waits for
+               the window *)
+            let a_answer = park a "SELECT MAX(col0) FROM t WHERE col3 >= 0" in
             grow 1200;
             Alcotest.(check (list (list int))) "a answers the grown file again"
               [ [ 1399 ] ] (int_rows (a_answer ()));
